@@ -237,7 +237,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 def _csv_cell(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # NumPy scalars repr as "np.float64(...)"
     return str(value)
 
 

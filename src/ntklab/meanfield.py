@@ -22,8 +22,11 @@ controls gradient propagation: chi1 < 1 at the variance fixed point means
 vanishing gradients (ordered phase), chi1 > 1 exploding gradients (chaotic
 phase), and chi1 = 1 is the edge of chaos (EOC).
 
-ReLU and erf use closed-form expectations; anything else falls back to
-Gauss-Hermite quadrature.
+ReLU and erf use closed-form expectations (NumPy ufuncs); anything else
+falls back to Gauss-Hermite quadrature.  The expectations, the single-layer
+maps and run_trace are elementwise over arrays: run_trace takes a 1-D array
+of layer-0 covariances and advances all of them through the layers in one
+pass, which is how ntk_theory builds whole kernel matrices.
 """
 from __future__ import annotations
 
@@ -104,134 +107,154 @@ class PhaseLabel:
     chi1_fixed_point: float
 
 
-def _clamp_correlation(c: float) -> float:
-    if abs(c) > 1.0 + CORRELATION_SLACK:
+# Input checks shared by the elementwise maps below (scalars or arrays).
+
+def _all_positive(x) -> bool:
+    return bool((np.asarray(x) > 0.0).all())
+
+
+def _all_finite(x) -> bool:
+    return bool(np.isfinite(x).all())
+
+
+def _clamp_correlation(c):
+    c = np.asarray(c, dtype=float)
+    outside = np.abs(c) > 1.0 + CORRELATION_SLACK
+    if outside.any():
         raise CorrelationDomainError(
-            f"correlation {c!r} outside [-1, 1] beyond tolerance {CORRELATION_SLACK}")
-    return min(1.0, max(-1.0, c))
+            f"correlation {float(c[outside].flat[0])!r} outside [-1, 1] beyond tolerance "
+            f"{CORRELATION_SLACK}")
+    return np.minimum(np.maximum(c, -1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Gaussian expectations of the activation and its derivative.
 #
+# Every function here is elementwise: q, c (and q_s, q_r for the closed
+# forms) may be scalars or arrays, and the result has their broadcast shape.
+# Quadrature (tanh) takes arrays of q and of c, with scalar q_s and q_r.
+#
 # The ReLU closed forms are the arc-cosine kernel identities; the erf ones
 # follow from E[erf(u1) erf(u2)] = (2/pi) arcsin(2 cov / sqrt((1+2q_s)(1+2q_r)))
 # and E[exp(-u1^2 - u2^2)] = 1/sqrt(det(I + 2 Sigma)).
 
-def avg_phi_sq(kind: ActivationKind, q: float, n_nodes: int = quadrature.DEFAULT_NODES) -> float:
+def avg_phi_sq(kind: ActivationKind, q, n_nodes: int = quadrature.DEFAULT_NODES):
     """E[phi(sqrt(q) z)^2] for z ~ N(0, 1)."""
     if kind is ActivationKind.RELU:
         return 0.5 * q
     if kind is ActivationKind.ERF:
-        return 2.0 / math.pi * math.atan(q / math.sqrt(q + 0.25))
+        return 2.0 / math.pi * np.arctan(q / np.sqrt(q + 0.25))
     return quadrature.normal_expectation(lambda u: phi(kind, u) ** 2,
-                                         math.sqrt(q), n_nodes)
+                                         np.sqrt(q), n_nodes)
 
 
-def avg_dphi_sq(kind: ActivationKind, q: float, n_nodes: int = quadrature.DEFAULT_NODES) -> float:
+def avg_dphi_sq(kind: ActivationKind, q, n_nodes: int = quadrature.DEFAULT_NODES):
     """E[phi'(sqrt(q) z)^2] for z ~ N(0, 1)."""
     if kind is ActivationKind.RELU:
-        return 0.5
+        return np.full(np.shape(q), 0.5)[()]
     if kind is ActivationKind.ERF:
-        return 2.0 / math.pi / math.sqrt(q + 0.25)
+        return 2.0 / math.pi / np.sqrt(q + 0.25)
     return quadrature.normal_expectation(lambda u: dphi(kind, u) ** 2,
-                                         math.sqrt(q), n_nodes)
+                                         np.sqrt(q), n_nodes)
 
 
-def avg_phi_prod(kind: ActivationKind, q_s: float, q_r: float, c: float,
-                 n_nodes: int = quadrature.DEFAULT_NODES) -> float:
+def avg_phi_prod(kind: ActivationKind, q_s, q_r, c,
+                 n_nodes: int = quadrature.DEFAULT_NODES):
     """E[phi(u1) phi(u2)] over the correlated pair with variances q_s, q_r, correlation c."""
     c = _clamp_correlation(c)
     if kind is ActivationKind.RELU:
-        scale = math.sqrt(q_s * q_r)
+        scale = np.sqrt(q_s * q_r)
         return scale / (2.0 * math.pi) * (
-            math.sqrt(max(1.0 - c * c, 0.0)) + c * (math.pi / 2.0 + math.asin(c)))
+            np.sqrt(np.maximum(1.0 - c * c, 0.0)) + c * (math.pi / 2.0 + np.arcsin(c)))
     if kind is ActivationKind.ERF:
-        cov = c * math.sqrt(q_s * q_r)
-        arg = 2.0 * cov / math.sqrt((1.0 + 2.0 * q_s) * (1.0 + 2.0 * q_r))
-        return 2.0 / math.pi * math.asin(min(1.0, max(-1.0, arg)))
+        cov = c * np.sqrt(q_s * q_r)
+        arg = 2.0 * cov / np.sqrt((1.0 + 2.0 * q_s) * (1.0 + 2.0 * q_r))
+        return 2.0 / math.pi * np.arcsin(np.minimum(np.maximum(arg, -1.0), 1.0))
     return quadrature.normal_pair_expectation(lambda u: phi(kind, u),
                                               q_s, q_r, c, n_nodes)
 
 
-def avg_dphi_prod(kind: ActivationKind, q_s: float, q_r: float, c: float,
-                  n_nodes: int = quadrature.DEFAULT_NODES) -> float:
+def avg_dphi_prod(kind: ActivationKind, q_s, q_r, c,
+                  n_nodes: int = quadrature.DEFAULT_NODES):
     """E[phi'(u1) phi'(u2)] over the correlated pair."""
     c = _clamp_correlation(c)
     if kind is ActivationKind.RELU:
-        return (math.pi / 2.0 + math.asin(c)) / (2.0 * math.pi)
+        return (math.pi / 2.0 + np.arcsin(c)) / (2.0 * math.pi)
     if kind is ActivationKind.ERF:
-        cov = c * math.sqrt(q_s * q_r)
+        cov = c * np.sqrt(q_s * q_r)
         det = (1.0 + 2.0 * q_s) * (1.0 + 2.0 * q_r) - 4.0 * cov * cov
-        return 4.0 / math.pi / math.sqrt(det)
+        return 4.0 / math.pi / np.sqrt(det)
     return quadrature.normal_pair_expectation(lambda u: dphi(kind, u),
                                               q_s, q_r, c, n_nodes)
 
 
 # ---------------------------------------------------------------------------
-# Single-layer maps.
+# Single-layer maps, elementwise over arrays like the expectations above.
 
-def forward_variance_step(hyper: InitHyper, q_prev: float) -> tuple[float, float]:
+def _first_non_finite(value, at):
+    """The entry of `at` where `value` is first non-finite (for messages)."""
+    bad = ~np.isfinite(value)
+    return float(np.broadcast_to(at, np.shape(value))[bad].flat[0])
+
+
+def forward_variance_step(hyper: InitHyper, q_prev) -> tuple:
     """One forward step of the variance recursion.
 
     Returns (q, q_hat) where q is the next pre-activation variance and q_hat
     is the activation variance of the incoming layer.
     """
-    q_prev = float(q_prev)
-    if not (q_prev > 0.0):
+    if not _all_positive(q_prev):
         raise ValueError(f"q_prev must be positive, got {q_prev!r}")
     q_hat = avg_phi_sq(hyper.activation, q_prev)
     q = hyper.sigma_w_sq * q_hat + hyper.sigma_b_sq
-    if not math.isfinite(q):
-        raise SignalOverflowError(f"variance map overflowed at q_prev={q_prev!r}")
+    if not _all_finite(q):
+        raise SignalOverflowError(
+            f"variance map overflowed at q_prev={_first_non_finite(q, q_prev)!r}")
     return q, q_hat
 
 
-def forward_covariance_step(hyper: InitHyper, q_s: float, q_r: float,
-                            q_sr_prev: float) -> tuple[float, float]:
+def forward_covariance_step(hyper: InitHyper, q_s, q_r, q_sr_prev) -> tuple:
     """One forward step of the covariance recursion.
 
     Returns (q_sr, q_hat_sr): the next pre-activation covariance and the
     activation covariance of the incoming layer.  Collapses to
     forward_variance_step when the correlation is 1.
     """
-    q_s, q_r, q_sr_prev = float(q_s), float(q_r), float(q_sr_prev)
-    if not (q_s > 0.0 and q_r > 0.0):
+    if not (_all_positive(q_s) and _all_positive(q_r)):
         raise ValueError("q_s and q_r must be positive")
-    c = _clamp_correlation(q_sr_prev / math.sqrt(q_s * q_r))
-    q_hat_sr = avg_phi_prod(hyper.activation, q_s, q_r, c)
+    # avg_phi_prod clamps the correlation
+    q_hat_sr = avg_phi_prod(hyper.activation, q_s, q_r, q_sr_prev / np.sqrt(q_s * q_r))
     q_sr = hyper.sigma_w_sq * q_hat_sr + hyper.sigma_b_sq
-    if not math.isfinite(q_sr):
-        raise SignalOverflowError(f"covariance map overflowed at q_sr_prev={q_sr_prev!r}")
+    if not _all_finite(q_sr):
+        raise SignalOverflowError(
+            f"covariance map overflowed at q_sr_prev={_first_non_finite(q_sr, q_sr_prev)!r}")
     return q_sr, q_hat_sr
 
 
-def backward_step(hyper: InitHyper, q: float, p_next: float,
-                  width_ratio: float = 1.0) -> tuple[float, float]:
+def backward_step(hyper: InitHyper, q, p_next, width_ratio: float = 1.0) -> tuple:
     """One backward step of the error-variance recursion.
 
     Returns (p, chi1).  chi1 = sigma_w^2 * E[phi'(sqrt(q) z)^2] is reported
     for the width_ratio = 1 convention; p additionally carries the ratio of
     adjacent layer widths for non-constant profiles.
     """
-    q, p_next = float(q), float(p_next)
-    if not (p_next > 0.0):
+    if not _all_positive(p_next):
         raise ValueError(f"p_next must be positive, got {p_next!r}")
     chi1 = hyper.sigma_w_sq * avg_dphi_sq(hyper.activation, q)
     p = chi1 * width_ratio * p_next
-    if not math.isfinite(p):
-        raise SignalOverflowError(f"backward map overflowed at q={q!r}")
+    if not _all_finite(p):
+        raise SignalOverflowError(f"backward map overflowed at q={_first_non_finite(p, q)!r}")
     return p, chi1
 
 
-def backward_covariance_step(hyper: InitHyper, q_s: float, q_r: float, c: float,
-                             p_sr_next: float, width_ratio: float = 1.0) -> float:
+def backward_covariance_step(hyper: InitHyper, q_s, q_r, c, p_sr_next,
+                             width_ratio: float = 1.0):
     """One backward step of the error-covariance recursion."""
-    q_s, q_r, p_sr_next = float(q_s), float(q_r), float(p_sr_next)
-    p_sr = (hyper.sigma_w_sq * avg_dphi_prod(hyper.activation, q_s, q_r, float(c))
+    p_sr = (hyper.sigma_w_sq * avg_dphi_prod(hyper.activation, q_s, q_r, c)
             * width_ratio * p_sr_next)
-    if not math.isfinite(p_sr):
-        raise SignalOverflowError(f"backward covariance map overflowed at q={q_s!r}")
+    if not _all_finite(p_sr):
+        raise SignalOverflowError(
+            f"backward covariance map overflowed at q={_first_non_finite(p_sr, q_s)!r}")
     return p_sr
 
 
@@ -240,7 +263,7 @@ def backward_covariance_step(hyper: InitHyper, q_s: float, q_r: float, c: float,
 
 @dataclass
 class MeanFieldTrace:
-    """Per-layer second moments for one input (and optionally an input pair).
+    """Per-layer second moments for one input and, optionally, input pairs.
 
     All arrays are indexed by layer l = 0..L where L = depth (number of
     affine maps).  Entry 0 holds the virtual input layer: q[0] = q^0,
@@ -248,7 +271,9 @@ class MeanFieldTrace:
     l = 1..L with p[L] = p_sr[L] = 1; p[0], p_sr[0], chi1[L] are NaN.
     chi1[l] is the gradient multiplier of the activation at layer l (the
     read-out layer has none).  Covariance arrays are None when the trace was
-    run without a second input.
+    run without a second input; they have shape (L + 1,) for a scalar layer-0
+    covariance and (L + 1, n) for an array of n covariances, column k being
+    the trace of covariance k.
     """
 
     hyper: InitHyper
@@ -270,73 +295,94 @@ class MeanFieldTrace:
         return self.q_sr is not None
 
 
-def run_trace(hyper: InitHyper, depth: int, q0: float = 1.0,
-              q0_sr: float | None = None,
-              width_ratios: Sequence[float] | None = None) -> MeanFieldTrace:
-    """Full forward sweep of the variance/covariance recursions followed by
-    the backward sweep with terminal conditions p^L = p_sr^L = 1.
+def _forward_sweep(hyper: InitHyper, depth: int, q0: float, q0_sr):
+    """Forward recursions of run_trace: returns (q, q_hat, q_sr, q_hat_sr, c),
+    the last three None when q0_sr is None.
 
-    width_ratios, when given, supplies the per-layer width quotient of the
-    backward recursion for layers 1..L-1 (constant-width networks use 1).
+    q0_sr may be a scalar or a 1-D array of layer-0 covariances; every
+    covariance advances through the layers together with the shared
+    variance channel.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not (q0 > 0.0):
         raise ValueError("q0 must be positive")
-    if q0_sr is not None and abs(q0_sr) > q0 * (1.0 + CORRELATION_SLACK):
-        raise ValueError("|q0_sr| must not exceed q0")
+    L = depth
+    q = np.empty(L + 1)
+    q_hat = np.empty(L + 1)
+    q[0] = q0
+    q_sr = q_hat_sr = c = None
+    if q0_sr is not None:
+        q0_sr = np.asarray(q0_sr, dtype=float)
+        if q0_sr.ndim > 1:
+            raise ValueError("q0_sr must be a scalar or a 1-D array")
+        if np.any(np.abs(q0_sr) > q0 * (1.0 + CORRELATION_SLACK)):
+            raise ValueError("|q0_sr| must not exceed q0")
+        shape = (L + 1,) + q0_sr.shape
+        q_sr = np.empty(shape)
+        q_hat_sr = np.empty(shape)
+        c = np.empty(shape)
+        q_sr[0] = q0_sr
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(1, L + 1):
+            try:
+                q[l], q_hat[l - 1] = forward_variance_step(hyper, q[l - 1])
+                if q_sr is not None:
+                    c[l - 1] = _clamp_correlation(q_sr[l - 1] / q[l - 1])
+                    q_sr[l], q_hat_sr[l - 1] = forward_covariance_step(
+                        hyper, q[l - 1], q[l - 1], q_sr[l - 1])
+            except SignalOverflowError as err:
+                raise SignalOverflowError(str(err), layer=l) from err
+    q_hat[L] = avg_phi_sq(hyper.activation, q[L])
+    if q_sr is not None:
+        c[L] = _clamp_correlation(q_sr[L] / q[L])
+        q_hat_sr[L] = avg_phi_prod(hyper.activation, q[L], q[L], c[L])
+    return q, q_hat, q_sr, q_hat_sr, c
+
+
+def run_trace(hyper: InitHyper, depth: int, q0: float = 1.0,
+              q0_sr=None,
+              width_ratios: Sequence[float] | None = None) -> MeanFieldTrace:
+    """Full forward sweep of the variance/covariance recursions followed by
+    the backward sweep with terminal conditions p^L = p_sr^L = 1.
+
+    q0_sr is None (variance channel only), a scalar layer-0 covariance, or a
+    1-D array of them; an array runs every covariance through the layers in
+    one pass, and column k of the covariance arrays equals the trace run
+    with q0_sr = q0_sr[k].
+
+    width_ratios, when given, supplies the per-layer width quotient of the
+    backward recursion for layers 1..L-1 (constant-width networks use 1).
+    """
     if width_ratios is None:
         ratios = np.ones(max(depth - 1, 1))
     else:
         ratios = np.asarray(width_ratios, dtype=float)
         if depth > 1 and len(ratios) != depth - 1:
             raise ValueError(f"width_ratios must have length depth-1={depth - 1}")
+    q, q_hat, q_sr, q_hat_sr, c = _forward_sweep(hyper, depth, q0, q0_sr)
 
     L = depth
-    q = np.empty(L + 1)
-    q_hat = np.empty(L + 1)
-    q[0] = q0
-    with_cov = q0_sr is not None
-    if with_cov:
-        q_sr = np.empty(L + 1)
-        q_hat_sr = np.empty(L + 1)
-        c = np.empty(L + 1)
-        q_sr[0] = q0_sr
-
-    for l in range(1, L + 1):
-        try:
-            q[l], q_hat[l - 1] = forward_variance_step(hyper, q[l - 1])
-            if with_cov:
-                c[l - 1] = _clamp_correlation(q_sr[l - 1] / q[l - 1])
-                q_sr[l], q_hat_sr[l - 1] = forward_covariance_step(
-                    hyper, q[l - 1], q[l - 1], q_sr[l - 1])
-        except SignalOverflowError as err:
-            raise SignalOverflowError(str(err), layer=l) from err
-    q_hat[L] = avg_phi_sq(hyper.activation, q[L])
-    if with_cov:
-        c[L] = _clamp_correlation(q_sr[L] / q[L])
-        q_hat_sr[L] = avg_phi_prod(hyper.activation, q[L], q[L], c[L])
-
     p = np.full(L + 1, np.nan)
     chi1 = np.full(L + 1, np.nan)
     p[L] = 1.0
     chi1[0] = hyper.sigma_w_sq * avg_dphi_sq(hyper.activation, q[0])
-    if with_cov:
-        p_sr = np.full(L + 1, np.nan)
+    p_sr = None
+    if q_sr is not None:
+        p_sr = np.full(q_sr.shape, np.nan)
         p_sr[L] = 1.0
-    for l in range(L - 1, 0, -1):
-        try:
-            p[l], chi1[l] = backward_step(hyper, q[l], p[l + 1], ratios[l - 1])
-            if with_cov:
-                p_sr[l] = backward_covariance_step(
-                    hyper, q[l], q[l], c[l], p_sr[l + 1], ratios[l - 1])
-        except SignalOverflowError as err:
-            raise SignalOverflowError(str(err), layer=l) from err
-
-    if with_cov:
-        return MeanFieldTrace(hyper, q, q_hat, p, chi1,
-                              q_sr=q_sr, q_hat_sr=q_hat_sr, c=c, p_sr=p_sr)
-    return MeanFieldTrace(hyper, q, q_hat, p, chi1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(L - 1, 0, -1):
+            try:
+                p[l], chi1[l] = backward_step(hyper, q[l], p[l + 1], ratios[l - 1])
+                if p_sr is not None:
+                    p_sr[l] = backward_covariance_step(
+                        hyper, q[l], q[l], c[l], p_sr[l + 1], ratios[l - 1])
+            except SignalOverflowError as err:
+                raise SignalOverflowError(str(err), layer=l) from err
+    return MeanFieldTrace(hyper, q, q_hat, p, chi1,
+                          q_sr=q_sr, q_hat_sr=q_hat_sr, c=c, p_sr=p_sr)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +394,18 @@ def variance_fixed_point(hyper: InitHyper, q0: float = 1.0) -> tuple[float, floa
     For activations whose variance map has no finite fixed point (ReLU with
     sigma_w^2 >= 2) the iteration falls back to convergence of the chi1
     sequence, which is what phase classification needs.
+
+    With sigma_b^2 = 0, tanh and erf (odd, smooth at 0) have the fixed point
+    q* = 0 with chi1 = sigma_w^2 phi'(0)^2; it attracts from every q0 when
+    that value is <= 1, where at equality q -> 0 only algebraically, so it
+    is returned directly as (0, sigma_w^2 phi'(0)^2).  ReLU needs no such
+    case: its chi1 is sigma_w^2 / 2 at every q.
     """
+    kind = hyper.activation
+    if hyper.sigma_b_sq == 0.0 and kind is not ActivationKind.RELU:
+        chi0 = hyper.sigma_w_sq * float(dphi(kind, 0.0)) ** 2
+        if chi0 <= 1.0:
+            return 0.0, chi0
     q = q0
     chi_prev = None
     stable = 0
@@ -356,19 +413,19 @@ def variance_fixed_point(hyper: InitHyper, q0: float = 1.0) -> tuple[float, floa
         q_next, _ = forward_variance_step(hyper, q)
         chi = hyper.sigma_w_sq * avg_dphi_sq(hyper.activation, q_next)
         if abs(q_next - q) < FIXED_POINT_RTOL * max(1.0, abs(q_next)):
-            return q_next, chi
+            return float(q_next), float(chi)
         if chi_prev is not None and abs(chi - chi_prev) <= 1e-13 * max(1.0, abs(chi)):
             stable += 1
             if stable >= 16:
-                return q_next, chi
+                return float(q_next), float(chi)
         else:
             stable = 0
         chi_prev = chi
         q = q_next
         if q > 1e280:
             raise FixedPointDivergenceError(
-                "variance map diverged without chi1 settling", last_iterate=q)
-    raise FixedPointDivergenceError("variance map did not converge", last_iterate=q)
+                "variance map diverged without chi1 settling", last_iterate=float(q))
+    raise FixedPointDivergenceError("variance map did not converge", last_iterate=float(q))
 
 
 def classify_phase(hyper: InitHyper, q0: float = 1.0,

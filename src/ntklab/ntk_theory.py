@@ -31,6 +31,11 @@ trained output is
 
     Var(f_inf(x)) ~= (1 + A^2/S)(qbar^L - qbar_sr^L) + (A - 1)^2 qbar_sr^L,
     A = S / (kbar1/kbar2 + (S - 1)).
+
+Kernel matrices come from one array-valued mean-field pass: theta_star_matrix
+sends every distinct off-diagonal layer-0 covariance of the sample, plus the
+reference covariance, through a single run_trace call, and nngp_matrix runs
+only the forward recursions over the distinct covariances.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .meanfield import InitHyper, MeanFieldTrace, run_trace
+from .meanfield import InitHyper, MeanFieldTrace, _forward_sweep, run_trace
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +77,9 @@ class KappaPair:
     p_sum_cross carry the exact bias-parameter sums (the O(1/M) term).
     kappa*_bar hold the data-independent limits; compute_kappas initializes
     them to the pair's own values, which is exact when the trace was run at
-    the reference covariance.
+    the reference covariance.  For a trace run on an array of layer-0
+    covariances, kappa2, kappa2_bar and p_sum_cross are arrays with one entry
+    per covariance; the diagonal quantities stay scalars.
     """
 
     kappa1: float
@@ -87,31 +94,42 @@ class KappaPair:
         return condition_ratio(self)
 
 
+def _width_fractions(depth: int,
+                     width_fractions: Sequence[float] | None) -> tuple[np.ndarray, float]:
+    """alpha_0..alpha_{L-1} (default all ones) and alpha = sum_l alpha_l alpha_{l-1}."""
+    if width_fractions is None:
+        fr = np.ones(depth)
+    else:
+        fr = np.asarray(width_fractions, dtype=float)
+        if len(fr) != depth:
+            raise ValueError(f"width_fractions must have length depth={depth}, got {len(fr)}")
+        if np.any(fr <= 0.0):
+            raise ValueError("width fractions must be positive")
+    alpha = float(np.dot(fr[1:], fr[:-1])) if depth > 1 else float(fr[0])
+    return fr, alpha
+
+
 def compute_kappas(trace: MeanFieldTrace,
                    width_fractions: Sequence[float] | None = None) -> KappaPair:
     """Depth-sum a mean-field trace into (kappa1, kappa2).
 
     width_fractions supplies alpha_0..alpha_{L-1} (defaults to all ones,
-    i.e. input dimension and hidden widths all equal to M).
+    i.e. input dimension and hidden widths all equal to M).  A trace run on
+    an array of covariances gives array-valued kappa2 and p_sum_cross.
     """
     if not trace.has_covariance:
         raise ValueError("trace must carry the covariance channel (run with q0_sr)")
     L = trace.depth
-    if width_fractions is None:
-        fr = np.ones(L)
-    else:
-        fr = np.asarray(width_fractions, dtype=float)
-        if len(fr) != L:
-            raise ValueError(f"width_fractions must have length depth={L}, got {len(fr)}")
-        if np.any(fr <= 0.0):
-            raise ValueError("width fractions must be positive")
-    alpha = float(np.dot(fr[1:], fr[:-1])) if L > 1 else float(fr[0])
+    fr, alpha = _width_fractions(L, width_fractions)
     kappa1 = float(np.dot(fr, trace.q_hat[:L] * trace.p[1:])) / alpha
-    kappa2 = float(np.dot(fr, trace.q_hat_sr[:L] * trace.p_sr[1:])) / alpha
+    kappa2 = np.dot(fr, trace.q_hat_sr[:L] * trace.p_sr[1:]) / alpha
+    p_sum_cross = np.sum(trace.p_sr[1:], axis=0)
+    if kappa2.ndim == 0:
+        kappa2, p_sum_cross = float(kappa2), float(p_sum_cross)
     return KappaPair(kappa1=kappa1, kappa2=kappa2,
                      kappa1_bar=kappa1, kappa2_bar=kappa2,
                      p_sum_diag=float(np.sum(trace.p[1:])),
-                     p_sum_cross=float(np.sum(trace.p_sr[1:])))
+                     p_sum_cross=p_sum_cross)
 
 
 def data_independent_kappas(hyper: InitHyper, depth: int,
@@ -234,43 +252,38 @@ def build_theta_star(kappa1: Sequence[float], kappa2: np.ndarray,
                      epsilon=epsilon)
 
 
-def _pairwise_kappas(hyper: InitHyper, depth: int, cov0: np.ndarray, q0: float,
-                     width_fractions: Sequence[float] | None):
-    """Traces and kappa pairs for every entry of a layer-0 covariance matrix."""
+def _upper_triangle(cov0) -> tuple[np.ndarray, tuple]:
+    """The validated layer-0 covariance matrix and its strict upper-triangle indices."""
     cov0 = np.asarray(cov0, dtype=float)
-    n = cov0.shape[0]
-    if cov0.shape != (n, n) or not np.allclose(cov0, cov0.T, atol=1e-12):
+    if (cov0.ndim != 2 or cov0.shape[0] != cov0.shape[1]
+            or not np.allclose(cov0, cov0.T, atol=1e-12)):
         raise ValueError("cov0 must be a symmetric matrix of layer-0 covariances")
-    cache: dict[float, KappaPair] = {}
-    trace_cache: dict[float, MeanFieldTrace] = {}
+    return cov0, np.triu_indices(cov0.shape[0], 1)
 
-    def for_cov(c0: float) -> tuple[KappaPair, MeanFieldTrace]:
-        key = float(c0)
-        if key not in cache:
-            tr = run_trace(hyper, depth, q0=q0, q0_sr=key)
-            trace_cache[key] = tr
-            cache[key] = compute_kappas(tr, width_fractions)
-        return cache[key], trace_cache[key]
 
-    return n, for_cov
+def _symmetric(n: int, diag, iu: tuple, upper: np.ndarray) -> np.ndarray:
+    """The symmetric n x n matrix with the given diagonal and upper triangle."""
+    m = np.empty((n, n))
+    m[iu] = upper
+    m.T[iu] = upper
+    np.fill_diagonal(m, diag)
+    return m
 
 
 def nngp_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
                 q0: float = 1.0) -> NngpMatrix:
     """NNGP matrix K with K[s][s] = q^L and K[s][r] = q_sr^L for the pairwise
-    layer-0 covariances in cov0 (diagonal entries must equal q0)."""
-    cov0 = np.asarray(cov0, dtype=float)
+    layer-0 covariances in cov0 (diagonal entries must equal q0).
+
+    Only the forward recursions run: the distinct off-diagonal covariances
+    go through the layers together in one pass.
+    """
+    cov0, iu = _upper_triangle(cov0)
     if not np.allclose(np.diag(cov0), q0, rtol=1e-12):
         raise ValueError("diagonal of cov0 must equal q0")
-    n, for_cov = _pairwise_kappas(hyper, depth, cov0, q0, None)
-    k = np.empty((n, n))
-    diag_trace = run_trace(hyper, depth, q0=q0)
-    np.fill_diagonal(k, diag_trace.q[depth])
-    for s in range(n):
-        for r in range(s + 1, n):
-            _, tr = for_cov(cov0[s, r])
-            k[s, r] = k[r, s] = tr.q_sr[depth]
-    return NngpMatrix(matrix=k)
+    covs, inverse = np.unique(cov0[iu], return_inverse=True)
+    q, _, q_sr, _, _ = _forward_sweep(hyper, depth, q0, covs)
+    return NngpMatrix(matrix=_symmetric(len(cov0), q[depth], iu, q_sr[depth][inverse]))
 
 
 def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
@@ -278,25 +291,24 @@ def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
                       width_fractions: Sequence[float] | None = None,
                       reference_cov: float = DEFAULT_REFERENCE_COV) -> ThetaStar:
     """Deterministic NTK for a sample described by its layer-0 covariance
-    matrix, including the exact bias-parameter sums."""
-    n, for_cov = _pairwise_kappas(hyper, depth, cov0, q0, width_fractions)
-    kbars = data_independent_kappas(hyper, depth, reference_cov, q0, width_fractions)
-    diag_pair = for_cov(q0)[0]
-    kappa1 = np.full(n, diag_pair.kappa1)
-    psum1 = np.full(n, diag_pair.p_sum_diag)
-    kappa2 = np.zeros((n, n))
-    psum2 = np.zeros((n, n))
-    cov0 = np.asarray(cov0, dtype=float)
-    for s in range(n):
-        for r in range(s + 1, n):
-            pair, _ = for_cov(cov0[s, r])
-            kappa2[s, r] = kappa2[r, s] = pair.kappa2
-            psum2[s, r] = psum2[r, s] = pair.p_sum_cross
-    fr = np.ones(depth) if width_fractions is None else np.asarray(width_fractions, float)
-    alpha = float(np.dot(fr[1:], fr[:-1])) if depth > 1 else float(fr[0])
-    return build_theta_star(kappa1, kappa2, m_width, alpha,
-                            kbars.kappa1_bar, kbars.kappa2_bar,
-                            p_sum_diag=psum1, p_sum_cross=psum2)
+    matrix, including the exact bias-parameter sums.
+
+    The distinct off-diagonal covariances and the reference covariance
+    (for the data-independent kbar1/kbar2) go through one run_trace call;
+    the diagonal comes from its variance channel.
+    """
+    cov0, iu = _upper_triangle(cov0)
+    n = len(cov0)
+    covs, inverse = np.unique(np.append(cov0[iu], reference_cov * q0),
+                              return_inverse=True)
+    kappas = compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=covs), width_fractions)
+    kappa2 = kappas.kappa2[inverse]
+    p_sum_cross = kappas.p_sum_cross[inverse]
+    _, alpha = _width_fractions(depth, width_fractions)
+    return build_theta_star(np.full(n, kappas.kappa1), _symmetric(n, 0.0, iu, kappa2[:-1]),
+                            m_width, alpha, kappas.kappa1, float(kappa2[-1]),
+                            p_sum_diag=np.full(n, kappas.p_sum_diag),
+                            p_sum_cross=_symmetric(n, 0.0, iu, p_sum_cross[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ rule integrates over a correlated Gaussian pair built from two independent
 standard normals:
 
     u1 = sqrt(q_s) * z1,   u2 = sqrt(q_r) * (c * z1 + sqrt(1 - c^2) * z2).
+
+Both rules are array-valued: normal_expectation takes an array of scales and
+normal_pair_expectation an array of correlations, returning one expectation
+per entry (a NumPy scalar for scalar input).
 """
 from __future__ import annotations
 
@@ -15,6 +19,10 @@ import numpy as np
 
 DEFAULT_NODES = 64
 
+# Correlations per block of the two-dimensional rule; each block holds a
+# (PAIR_CHUNK, n, n) grid, about 0.5 MB at the default 64 nodes.
+PAIR_CHUNK = 16
+
 
 @lru_cache(maxsize=16)
 def gauss_hermite_rule(n_nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
@@ -23,19 +31,33 @@ def gauss_hermite_rule(n_nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.nda
     return x, w / np.sqrt(2.0 * np.pi)
 
 
-def normal_expectation(f, scale: float = 1.0, n_nodes: int = DEFAULT_NODES) -> float:
-    """E[f(scale * Z)] for Z ~ N(0, 1)."""
+def normal_expectation(f, scale=1.0, n_nodes: int = DEFAULT_NODES):
+    """E[f(scale * Z)] for Z ~ N(0, 1), elementwise over an array of scales."""
     x, w = gauss_hermite_rule(n_nodes)
-    return float(np.dot(w, f(scale * x)))
+    return f(np.multiply.outer(scale, x)) @ w
 
 
-def normal_pair_expectation(f, q_s: float, q_r: float, c: float,
-                            n_nodes: int = DEFAULT_NODES) -> float:
-    """E[f(u1) * f(u2)] over the correlated pair with variances q_s, q_r and correlation c."""
+def normal_pair_expectation(f, q_s: float, q_r: float, c,
+                            n_nodes: int = DEFAULT_NODES):
+    """E[f(u1) * f(u2)] over the correlated pair with variances q_s, q_r
+    (scalars) and correlation c (a scalar or an array, one expectation per
+    entry).
+
+    The grid sum is contracted as (f(u2) @ w) . (w * f(u1)), so f(u1) is
+    evaluated once and f(u2) in blocks of PAIR_CHUNK correlations; an entry
+    of an array c equals the result for that correlation alone.
+    """
     x, w = gauss_hermite_rule(n_nodes)
-    z1 = x[:, None]
-    z2 = x[None, :]
-    u1 = np.sqrt(q_s) * z1
-    u2 = np.sqrt(q_r) * (c * z1 + np.sqrt(max(1.0 - c * c, 0.0)) * z2)
-    vals = f(u1) * f(u2)
-    return float(w @ vals @ w)
+    c = np.asarray(c, dtype=float)
+    flat = c.reshape(-1)
+    weighted_u1 = w * f(np.sqrt(q_s) * x)
+    scale_r = np.sqrt(q_r)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, PAIR_CHUNK):
+        ck = flat[start:start + PAIR_CHUNK, None, None]
+        sk = np.sqrt(np.maximum(1.0 - ck * ck, 0.0))
+        u2 = scale_r * (ck * x[:, None] + sk * x[None, :])
+        # a row-wise sum, not a matrix-vector product, so that each entry's
+        # rounding does not depend on the block it falls in
+        out[start:start + PAIR_CHUNK] = ((f(u2) @ w) * weighted_u1).sum(axis=-1)
+    return out.reshape(c.shape)[()]

@@ -21,8 +21,8 @@ import yaml
 from . import __version__
 from .activations import ActivationKind
 from .meanfield import InitHyper, classify_phase, run_trace
-from .ntk_theory import compute_kappas, data_independent_kappas, nngp_matrix, \
-    predict_variance, theta_star_matrix, variance_oracle_mc
+from .ntk_theory import compute_kappas, nngp_matrix, predict_variance, \
+    theta_star_matrix, variance_oracle_mc
 from .finite_net import TrainConfig, init, layer_widths, train_full_batch, forward_batch
 from .empirical_ntk import default_probe, init_variance_ratio, training_drift
 from .data_io import RecordStore, RunRecord, synthetic_dataset, write_csv, \
@@ -59,7 +59,7 @@ class SweepConfig:
     input_dim: int | None = None
     train_steps: int = 2000
     learning_rate: float = 1e-5
-    snapshot_steps: list = field(default_factory=lambda: [0, 10, 100, 1000, 10000])
+    snapshot_steps: list = field(default_factory=lambda: [0, 10, 100, 1000])
     reference_cov: float = 0.5
     mc_samples: int = 100_000
     train_seeds: int = 0           # >0 adds end-to-end trained-network variance
@@ -80,10 +80,19 @@ class SweepConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SweepConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        """Build a config from a mapping; float fields are read with float(),
+        because YAML 1.1 reads a number such as 1e-5 (no dot) as a string."""
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raw = dict(raw)
+        for key, value in raw.items():
+            if fields[key].type in (float, "float"):
+                try:
+                    raw[key] = float(value)
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{key} must be a number, got {value!r}") from None
         return cls(**raw)
 
     def override(self, assignments: Sequence[str]) -> "SweepConfig":
@@ -96,7 +105,7 @@ class SweepConfig:
             if key not in data:
                 raise ConfigError(f"unknown config key {key!r}")
             data[key] = yaml.safe_load(value)
-        return SweepConfig(**data)
+        return SweepConfig.from_mapping(data)
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENT_KINDS:
@@ -122,6 +131,18 @@ class SweepConfig:
             raise ConfigError("n_seeds must be >= 2")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.experiment == "train-drift":
+            outside = [t for t in self.snapshot_steps if not 0 <= int(t) <= self.train_steps]
+            if outside:
+                raise ConfigError(f"snapshot_steps {outside} lie outside "
+                                  f"[0, train_steps={self.train_steps}]")
+        if (self.experiment == "predict-variance" and self.train_seeds > 0
+                and int(self.widths[0]) < self.sample_count + 1):
+            # the trained-network inputs are S + 1 points with a prescribed
+            # Gram matrix in dimension widths[0]
+            raise ConfigError(f"predict-variance with train_seeds > 0 needs "
+                              f"widths[0] >= sample_count + 1 = {self.sample_count + 1}, "
+                              f"got {self.widths[0]}")
 
     @property
     def kind(self) -> ActivationKind:
@@ -294,17 +315,20 @@ def run_kappa_curves(cfg: SweepConfig) -> SweepOutput:
     cfg.validate()
     store = _store(cfg)
     rows, records = [], []
+    covs = np.asarray(cfg.covariances, dtype=float)
     for sw in cfg.sigma_w_sq:
         for sb in cfg.sigma_b_sq:
             hyper = cfg.hyper(sw, sb)
             t0 = time.perf_counter()
-            for c0 in cfg.covariances:
-                for L in cfg.depths:
-                    trace = run_trace(hyper, int(L), q0=1.0, q0_sr=float(c0))
-                    pair = compute_kappas(trace)
-                    ratio = pair.kappa1 / pair.kappa2 if pair.kappa2 else float("inf")
+            # one trace per depth carries every covariance
+            pairs = [compute_kappas(run_trace(hyper, int(L), q0=1.0, q0_sr=covs))
+                     for L in cfg.depths]
+            for k, c0 in enumerate(covs):
+                for L, pair in zip(cfg.depths, pairs):
+                    kappa2 = float(pair.kappa2[k])
+                    ratio = pair.kappa1 / kappa2 if kappa2 else float("inf")
                     rows.append([cfg.activation, float(sw), float(sb), float(c0),
-                                 int(L), pair.kappa1, pair.kappa2, ratio])
+                                 int(L), pair.kappa1, kappa2, ratio])
             params = dict(activation=cfg.activation, sigma_w_sq=float(sw),
                           sigma_b_sq=float(sb), covariances=list(cfg.covariances),
                           depths=[int(d) for d in cfg.depths])
@@ -361,8 +385,10 @@ def run_predict_variance(cfg: SweepConfig) -> SweepOutput:
             hyper = cfg.hyper(sw, sb)
             t0 = time.perf_counter()
             L = int(L)
-            kbars = data_independent_kappas(hyper, L, reference_cov=c0)
+            # every pair, the test point included, shares the reference
+            # covariance, so one trace gives kbar1/kbar2, qbar^L and qbar_sr^L
             ref_trace = run_trace(hyper, L, q0=1.0, q0_sr=c0)
+            kbars = compute_kappas(ref_trace)
             q_bar, q_bar_sr = float(ref_trace.q[L]), float(ref_trace.q_sr[L])
             pred = predict_variance(kbars, q_bar, q_bar_sr, s)
 
@@ -372,9 +398,7 @@ def run_predict_variance(cfg: SweepConfig) -> SweepOutput:
             joint_cov0 = np.full((s + 1, s + 1), c0)
             np.fill_diagonal(joint_cov0, 1.0)
             joint = nngp_matrix(hyper, L, joint_cov0)
-            # test point at the same covariance to every training point
-            pair = compute_kappas(run_trace(hyper, L, q0=1.0, q0_sr=c0))
-            theta_x = np.full(s, theta.scale * pair.kappa2 + pair.p_sum_cross)
+            theta_x = np.full(s, theta.scale * kbars.kappa2 + kbars.p_sum_cross)
             mc = variance_oracle_mc(theta, joint, theta_x, cfg.mc_samples, seed=cfg.seed)
             stats = dict(A=pred.A, predicted=pred.variance, mc=mc.variance,
                          mc_se=mc.standard_error,

@@ -124,3 +124,48 @@ def linear_fit_r_squared(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     ss_res = float(np.sum(resid ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     return float(slope), 1.0 - ss_res / ss_tot
+
+
+# ---------------------------------------------------------------------------
+# Per-pair kernel assembly: one scalar mean-field trace per entry.
+
+def pairwise_theta_star(hyper, depth: int, cov0: np.ndarray, m_width: float,
+                        q0: float = 1.0, width_fractions=None,
+                        reference_cov: float = 0.5):
+    """Theta*(X) assembled entry by entry from scalar run_trace calls, the
+    reference for the one-pass theta_star_matrix."""
+    from ntklab.meanfield import run_trace
+    from ntklab.ntk_theory import build_theta_star, compute_kappas
+
+    def kappas(c0):
+        return compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=c0), width_fractions)
+
+    n = cov0.shape[0]
+    diag = kappas(q0)
+    kbars = kappas(reference_cov * q0)
+    kappa2 = np.zeros((n, n))
+    psum2 = np.zeros((n, n))
+    for s in range(n):
+        for r in range(s + 1, n):
+            pair = kappas(float(cov0[s, r]))
+            kappa2[s, r] = kappa2[r, s] = pair.kappa2
+            psum2[s, r] = psum2[r, s] = pair.p_sum_cross
+    fr = np.ones(depth) if width_fractions is None else np.asarray(width_fractions, float)
+    alpha = float(np.dot(fr[1:], fr[:-1])) if depth > 1 else float(fr[0])
+    return build_theta_star(np.full(n, diag.kappa1), kappa2, m_width, alpha,
+                            kbars.kappa1_bar, kbars.kappa2_bar,
+                            p_sum_diag=np.full(n, diag.p_sum_diag), p_sum_cross=psum2)
+
+
+def pairwise_nngp(hyper, depth: int, cov0: np.ndarray, q0: float = 1.0) -> np.ndarray:
+    """K(X) assembled entry by entry from scalar run_trace calls."""
+    from ntklab.meanfield import run_trace
+
+    n = cov0.shape[0]
+    k = np.empty((n, n))
+    np.fill_diagonal(k, run_trace(hyper, depth, q0=q0).q[depth])
+    for s in range(n):
+        for r in range(s + 1, n):
+            k[s, r] = k[r, s] = run_trace(hyper, depth, q0=q0,
+                                          q0_sr=float(cov0[s, r])).q_sr[depth]
+    return k

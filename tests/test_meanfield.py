@@ -263,3 +263,56 @@ class TestClassifyPhase:
         q_mapped, _ = forward_variance_step(hyper(1.0, 1.0, ERF), q_star)
         assert q_mapped == pytest.approx(q_star, rel=1e-10)
         assert chi < 1.0
+
+
+def test_tanh_edge_of_chaos_without_bias():
+    # q -> 0 only algebraically at sigma_w^2 = 1, sigma_b^2 = 0; the q* = 0
+    # fixed point is read off directly with chi1 = sigma_w^2 tanh'(0)^2 = 1
+    label = classify_phase(InitHyper(1.0, 0.0, TANH))
+    assert label.tag is Phase.EOC
+    assert label.chi1_fixed_point == 1.0
+    q_star, chi = variance_fixed_point(InitHyper(0.5, 0.0, ERF))
+    assert q_star == 0.0
+    assert chi == pytest.approx(0.5 * 4.0 / math.pi, rel=1e-15)
+
+
+def _unit_norm_covariances(n, seed):
+    from ntklab.data_io import synthetic_dataset
+
+    x = synthetic_dataset(n, 16, seed=seed).inputs
+    cov = x @ x.T
+    return cov[np.triu_indices(n, 1)]
+
+
+class TestArrayTrace:
+    @pytest.mark.parametrize("kind,sw,sb", [(RELU, 2.0, 0.5), (ERF, 3.0, 1.0),
+                                            (TANH, 1.5, 0.1)])
+    def test_each_column_is_the_scalar_trace(self, kind, sw, sb):
+        covs = _unit_norm_covariances(7, seed=11)
+        h = InitHyper(sw, sb, kind)
+        trace = run_trace(h, 9, q0_sr=covs)
+        assert trace.q_sr.shape == (10, len(covs))
+        for k, c0 in enumerate(covs):
+            ref = run_trace(h, 9, q0_sr=float(c0))
+            for name in ("q", "q_hat", "p", "chi1"):
+                np.testing.assert_array_equal(getattr(trace, name), getattr(ref, name))
+            for name in ("q_sr", "q_hat_sr", "c", "p_sr"):
+                np.testing.assert_array_equal(getattr(trace, name)[:, k], getattr(ref, name))
+
+    def test_correlation_domain_error_on_array_input(self):
+        with pytest.raises(CorrelationDomainError):
+            forward_covariance_step(hyper(1.0, 0.0), 1.0, 1.0, np.array([0.2, 1.5, 0.3]))
+        with pytest.raises(CorrelationDomainError):
+            avg_dphi_prod(TANH, 1.0, 1.0, np.array([-1.2, 0.0]))
+
+    def test_overflow_on_array_input_identifies_layer(self):
+        with pytest.raises(SignalOverflowError) as scalar:
+            run_trace(hyper(9.0, 0.0), 800, q0_sr=0.5)
+        with pytest.raises(SignalOverflowError) as array:
+            run_trace(hyper(9.0, 0.0), 800, q0_sr=np.array([0.1, 0.5, 0.9]))
+        assert array.value.layer is not None
+        assert array.value.layer == scalar.value.layer
+
+    def test_rejects_two_dimensional_covariances(self):
+        with pytest.raises(ValueError):
+            run_trace(hyper(1.0, 1.0), 3, q0_sr=np.full((2, 2), 0.5))

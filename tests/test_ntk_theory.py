@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import pairwise_nngp, pairwise_theta_star
 from ntklab.activations import ActivationKind
+from ntklab.data_io import synthetic_dataset
 from ntklab.meanfield import InitHyper, run_trace
 from ntklab.ntk_theory import (
     IllConditionedError,
@@ -23,6 +25,7 @@ from ntklab.ntk_theory import (
 
 RELU = ActivationKind.RELU
 ERF = ActivationKind.ERF
+TANH = ActivationKind.TANH
 
 # erf (3,1), depth 10, M = 1000, layer-0 covariances {0, 0.5, 0.9}: pipeline
 # regression fixture.  Cross-checked at authoring time against the mean
@@ -273,3 +276,40 @@ class TestVarianceOracleMc:
     def test_rejects_wrong_joint_shape(self):
         with pytest.raises(ValueError):
             variance_oracle_mc(np.eye(2), np.eye(2), np.ones(2), 1000)
+
+
+class TestOnePassAgainstPerPairAssembly:
+    """theta_star_matrix/nngp_matrix (one array-valued trace over the distinct
+    covariances) against the per-pair double loop of scalar traces."""
+
+    @pytest.mark.parametrize("kind,sw,sb,depth,n", [
+        (RELU, 2.0, 1.0, 16, 12), (RELU, 3.0, 0.2, 5, 9),
+        (ERF, 3.0, 1.0, 10, 10), (TANH, 1.5, 0.1, 8, 6)])
+    def test_random_unit_norm_sample(self, kind, sw, sb, depth, n):
+        x = synthetic_dataset(n, 32, seed=n).inputs
+        cov0 = x @ x.T
+        hyper = InitHyper(sw, sb, kind)
+        theta = theta_star_matrix(hyper, depth, cov0, 64.0)
+        ref = pairwise_theta_star(hyper, depth, cov0, 64.0)
+        np.testing.assert_allclose(theta.matrix, ref.matrix, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(theta.kappa2, ref.kappa2, rtol=1e-13, atol=0)
+        assert theta.mean_kappa1 == ref.mean_kappa1
+        assert theta.mean_kappa2 == pytest.approx(ref.mean_kappa2, rel=1e-13)
+        k = nngp_matrix(hyper, depth, cov0)
+        np.testing.assert_allclose(k.matrix, pairwise_nngp(hyper, depth, cov0),
+                                   rtol=1e-13, atol=0)
+
+    def test_repeated_covariances_and_width_fractions(self):
+        # repeated points give repeated (and unit) covariances; the scatter
+        # back through the unique index must put each value in every place
+        x = synthetic_dataset(4, 8, seed=2).inputs
+        x = np.vstack([x, x[:2]])
+        cov0 = x @ x.T
+        hyper = InitHyper(1.5, 0.5, ERF)
+        fr = [1.0, 0.5, 2.0, 1.0]
+        theta = theta_star_matrix(hyper, 4, cov0, 32.0, width_fractions=fr,
+                                  reference_cov=0.3)
+        ref = pairwise_theta_star(hyper, 4, cov0, 32.0, width_fractions=fr,
+                                  reference_cov=0.3)
+        np.testing.assert_allclose(theta.matrix, ref.matrix, rtol=1e-13, atol=0)
+        assert theta.mean_kappa2 == pytest.approx(ref.mean_kappa2, rel=1e-13)

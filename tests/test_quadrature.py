@@ -31,3 +31,18 @@ def test_pair_expectation_smooth_function_matches_oracle():
     val = normal_pair_expectation(np.tanh, 1.0, 1.0, 0.5)
     ref = avg_phi_prod_oracle(ActivationKind.TANH, 1.0, 1.0, 0.5)
     assert np.isclose(val, ref, rtol=1e-8)
+
+
+def test_pair_expectation_array_entries_equal_scalar_calls():
+    # 37 correlations span three blocks; each entry must not depend on its block
+    c = np.linspace(-1.0, 1.0, 37)
+    vals = normal_pair_expectation(np.tanh, 1.3, 0.7, c)
+    assert vals.shape == c.shape
+    for ck, v in zip(c, vals):
+        assert v == normal_pair_expectation(np.tanh, 1.3, 0.7, ck)
+
+
+def test_normal_expectation_array_of_scales():
+    scales = np.array([0.5, 1.0, 3.0])
+    vals = normal_expectation(lambda u: u ** 2, scales)
+    assert np.allclose(vals, scales ** 2, rtol=1e-12)

@@ -1,0 +1,103 @@
+import csv
+import math
+
+import numpy as np
+import pytest
+
+from ntklab.activations import ActivationKind
+from ntklab.cli import main
+from ntklab.meanfield import InitHyper, run_trace
+from ntklab.ntk_theory import compute_kappas, data_independent_kappas, predict_variance
+from ntklab.sweeps import ConfigError, SweepConfig
+
+
+def _rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _run(argv, out):
+    return main(argv + ["--out-dir", str(out)])
+
+
+class TestValidation:
+    def test_predict_variance_rejects_too_few_dimensions_for_trained_nets(self, tmp_path):
+        out = tmp_path / "out"
+        # default widths [64] cannot hold sample_count + 1 = 129 Gram-anchored points
+        assert _run(["predict-variance", "--set", "train_seeds=2"], out) == 1
+        assert not out.exists()
+
+    def test_predict_variance_accepts_enough_dimensions(self):
+        cfg = SweepConfig(experiment="predict-variance", train_seeds=2,
+                          widths=[9], sample_count=8)
+        cfg.validate()
+
+    def test_snapshot_steps_outside_training_rejected(self, tmp_path):
+        cfg = SweepConfig(experiment="train-drift", train_steps=20,
+                          snapshot_steps=[0, 10, 100])
+        with pytest.raises(ConfigError, match="snapshot_steps"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="snapshot_steps"):
+            SweepConfig(experiment="train-drift", snapshot_steps=[-1, 0]).validate()
+        out = tmp_path / "out"
+        assert _run(["train-drift", "--set", "train_steps=20"], out) == 1
+        assert not out.exists()
+
+    def test_default_snapshot_steps_fit_default_training(self):
+        SweepConfig(experiment="train-drift").validate()
+
+    def test_float_overrides_read_as_numbers(self):
+        # YAML 1.1 reads 1e-5 (no dot) as the string "1e-5"
+        cfg = SweepConfig().override(["learning_rate=1e-5", "reference_cov=3e-1"])
+        assert cfg.learning_rate == 1e-5 and isinstance(cfg.learning_rate, float)
+        assert cfg.reference_cov == 0.3 and isinstance(cfg.reference_cov, float)
+
+    def test_non_numeric_float_override_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            SweepConfig().override(["learning_rate=fast"])
+        with pytest.raises(ConfigError, match="reference_cov"):
+            SweepConfig().override(["reference_cov=[0.5]"])
+        out = tmp_path / "out"
+        assert _run(["train-drift", "--set", "learning_rate=fast"], out) == 1
+        assert not out.exists()
+
+
+def test_tanh_phase_diagram_at_edge_of_chaos_without_bias(tmp_path):
+    out = tmp_path / "out"
+    argv = ["phase-diagram", "--set", "activation=tanh", "--set", "sigma_b_sq=[0.0]",
+            "--set", "sigma_w_sq=[1.0]"]
+    assert _run(argv, out) == 0
+    rows = _rows(out / "phase_diagram.csv")
+    assert [(r["phase"], float(r["chi1_fixed_point"])) for r in rows] == [("eoc", 1.0)]
+
+
+def test_kappa_curves_match_scalar_traces(tmp_path):
+    out = tmp_path / "out"
+    argv = ["kappa-curves", "--set", "activation=erf", "--set", "sigma_w_sq=[1.0,3.0]",
+            "--set", "covariances=[0.0,0.5,0.9]", "--set", "depths=[2,7]"]
+    assert _run(argv, out) == 0
+    rows = _rows(out / "kappa_curves.csv")
+    expected = [(sw, c0, L) for sw in (1.0, 3.0) for c0 in (0.0, 0.5, 0.9) for L in (2, 7)]
+    assert [(float(r["sigma_w_sq"]), float(r["covariance"]), int(r["depth"]))
+            for r in rows] == expected
+    for r, (sw, c0, L) in zip(rows, expected):
+        pair = compute_kappas(run_trace(InitHyper(sw, 1.0, ActivationKind.ERF), L,
+                                        q0=1.0, q0_sr=c0))
+        assert float(r["kappa1"]) == pair.kappa1
+        assert float(r["kappa2"]) == pytest.approx(pair.kappa2, rel=1e-13)
+
+
+def test_predict_variance_prediction_from_reference_trace(tmp_path):
+    out = tmp_path / "out"
+    argv = ["predict-variance", "--set", "sigma_w_sq=[1.5]", "--set", "depths=[3]",
+            "--set", "sample_count=6", "--set", "mc_samples=4000"]
+    assert _run(argv, out) == 0
+    (row,) = _rows(out / "predict_variance.csv")
+    hyper = InitHyper(1.5, 1.0, ActivationKind.RELU)
+    trace = run_trace(hyper, 3, q0=1.0, q0_sr=0.5)
+    pred = predict_variance(data_independent_kappas(hyper, 3, reference_cov=0.5),
+                            float(trace.q[3]), float(trace.q_sr[3]), 6)
+    assert float(row["predicted_variance"]) == pred.variance
+    mc, se = float(row["mc_variance"]), float(row["mc_standard_error"])
+    assert math.isfinite(mc) and abs(mc - pred.variance) < 0.5 * pred.variance
+    assert se > 0.0
