@@ -80,7 +80,7 @@ def main(argv=None) -> int:
 def _job_count(cfg: SweepConfig) -> int:
     if cfg.experiment == "phase-diagram":
         return len(cfg.sigma_w_sq) * len(cfg.sigma_b_sq)
-    if cfg.experiment in ("init-variance", "lm-curves"):
+    if cfg.experiment == "init-variance":
         return len(cfg.sigma_w_sq) * len(cfg.depths) * len(cfg.widths)
     if cfg.experiment == "train-drift":
         return len(cfg.sigma_w_sq) * len(cfg.depths)

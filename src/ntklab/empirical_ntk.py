@@ -17,23 +17,40 @@ Diagnostics:
     kernel is deterministic at initialization);
   * training drift  ||Theta^t - Theta^0||_F / ||Theta^0||_F recorded at
     snapshot steps during full-batch gradient descent.
+
+The variance ratio never draws a weight matrix.  For one input, condition
+each Gaussian W^l (entries N(0, sigma_w^2 / fan_in)) on u = W^l a^{l-1}:
+
+    u ~ N(0, sigma_w^2 |a|^2 / fan_in I),
+    W^T delta = a (u . delta) / |a|^2 + (I - a a^T / |a|^2) G^T delta,
+
+where G is a fresh copy of W, independent of the forward pass, so that
+G^T delta ~ N(0, sigma_w^2 |delta|^2 / fan_in I) given delta (Hanin & Nica,
+arXiv:1909.05989).  Theta^0(x,x) = sum_l |delta^l|^2 (|a^{l-1}|^2 + 1) then
+has exactly the law it has under full initialization, from O(sum_l M_l)
+normals per replicate instead of O(sum_l M_l M_{l-1}); replicates are rows
+of (R, M) arrays.  Where a = 0 (a dead ReLU layer) the projection terms are 0.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import finite_net
-from .finite_net import Mlp, TrainConfig, TrainingDivergenceError
+from .activations import dphi, phi
+from .finite_net import Mlp, TrainConfig, TrainingDivergenceError, checked_widths
 from .meanfield import InitHyper
 
 logger = logging.getLogger(__name__)
 
 SYMMETRY_TOL = 1e-12
 MAX_FAILED_SEED_FRACTION = 0.01
+# Replicates per PRNG stream and per row block of the variance-ratio sampler;
+# at M = 64, L = 32 a block keeps ~2 MB of per-layer arrays.
+REPLICATE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -82,33 +99,6 @@ def self_kernel(net: Mlp, x: np.ndarray) -> float:
     return total
 
 
-def naive_kernel(net: Mlp, x: np.ndarray) -> KernelMatrix:
-    """Reference Gram matrix from explicitly stacked gradient vectors."""
-    x = np.atleast_2d(np.asarray(x, float))
-    grads = np.stack([finite_net.gradient(net, row) for row in x])
-    theta = grads @ grads.T
-    return KernelMatrix(0.5 * (theta + theta.T),
-                        KernelProvenance("empirical", seed=net.seed))
-
-
-def streaming_kernel(net: Mlp, x: np.ndarray) -> KernelMatrix:
-    """Pairwise-streaming Gram matrix holding at most two gradient vectors.
-
-    Recomputes gradients per pair; intended for parameter counts where even
-    the layerwise decomposition's activation buffers are unwelcome.
-    """
-    x = np.atleast_2d(np.asarray(x, float))
-    s = x.shape[0]
-    theta = np.empty((s, s))
-    for i in range(s):
-        g_i = finite_net.gradient(net, x[i])
-        theta[i, i] = g_i @ g_i
-        for j in range(i + 1, s):
-            g_j = finite_net.gradient(net, x[j])
-            theta[i, j] = theta[j, i] = g_i @ g_j
-    return KernelMatrix(theta, KernelProvenance("empirical", seed=net.seed))
-
-
 # ---------------------------------------------------------------------------
 # Initialization variance ratio.
 
@@ -128,16 +118,64 @@ class VarianceRatioStat:
     n_failed: int = 0
 
 
-def replicate_seeds(seed: int, n: int) -> np.ndarray:
-    """Derived per-replicate seeds; deterministic in (seed, n)."""
-    return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
-
-
 def default_probe(dim: int, seed: int) -> np.ndarray:
     """Fixed unit-norm probe vector derived from the experiment seed."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x9e37))))
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def _theta0_chunk(rng: np.random.Generator, widths: tuple[int, ...], hyper: InitHyper,
+                  probe: np.ndarray, n: int) -> np.ndarray:
+    """Theta^0(x, x) of n independent networks, one per row, drawn from the
+    rank-one conditional law of the module docstring."""
+    kind = hyper.activation
+    depth = len(widths) - 1
+    w_scale = np.sqrt(hyper.sigma_w_sq / np.asarray(widths[:-1], dtype=float))
+    b_scale = np.sqrt(hyper.sigma_b_sq)
+    # Per layer only h and u = W a are kept; a = phi(h) is recomputed backward.
+    pre, wa, a_sq = [], [], [np.full(n, float(probe @ probe))]
+    for l in range(depth):
+        u = rng.standard_normal((n, widths[l + 1])) * (w_scale[l] * np.sqrt(a_sq[l]))[:, None]
+        h = u + b_scale * rng.standard_normal((n, widths[l + 1]))
+        pre.append(h)
+        wa.append(u)
+        if l + 1 < depth:
+            a = phi(kind, h)
+            a_sq.append(np.einsum("ij,ij->i", a, a))
+    d = np.ones((n, 1))
+    theta = a_sq[-1] + 1.0
+    for l in range(depth - 1, 0, -1):
+        # W^T d = a (u.d)/|a|^2 + (I - P_a) G^T d with G independent of the
+        # forward pass; the projection terms vanish where a = 0
+        a = phi(kind, pre[l - 1])
+        g = rng.standard_normal((n, widths[l])) * (
+            w_scale[l] * np.sqrt(np.einsum("ij,ij->i", d, d)))[:, None]
+        coef = np.divide(np.einsum("ij,ij->i", wa[l], d) - np.einsum("ij,ij->i", a, g),
+                         a_sq[l], out=np.zeros(n), where=a_sq[l] > 0.0)
+        d = dphi(kind, pre[l - 1]) * (g + a * coef[:, None])
+        theta += np.einsum("ij,ij->i", d, d) * (a_sq[l - 1] + 1.0)
+    return theta
+
+
+def sample_theta0(widths: Sequence[int], hyper: InitHyper, probe: np.ndarray,
+                  n_seeds: int, seed: int = 0) -> np.ndarray:
+    """Theta^0(x, x) at the probe for n_seeds independent initializations.
+
+    Replicates are drawn in chunks of REPLICATE_CHUNK rows, each chunk from
+    its own Philox stream spawned from SeedSequence(seed), so the values are
+    deterministic in (seed, n_seeds).  Entries that overflowed are inf or nan.
+    """
+    widths = checked_widths(widths)
+    probe = np.asarray(probe, dtype=float)
+    if probe.shape != (widths[0],):
+        raise ValueError(f"probe shape {probe.shape} != ({widths[0]},)")
+    streams = np.random.SeedSequence(seed).spawn(-(-n_seeds // REPLICATE_CHUNK))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([
+            _theta0_chunk(np.random.Generator(np.random.Philox(stream)), widths, hyper, probe,
+                          min(REPLICATE_CHUNK, n_seeds - k * REPLICATE_CHUNK))
+            for k, stream in enumerate(streams)])
 
 
 def _jackknife_ratio_se(values: np.ndarray) -> float:
@@ -150,42 +188,36 @@ def _jackknife_ratio_se(values: np.ndarray) -> float:
     return float(np.sqrt((n - 1) / n * np.sum((loo_ratio - loo_ratio.mean()) ** 2)))
 
 
-def init_variance_ratio(widths: Sequence[int], hyper: InitHyper, probe: np.ndarray,
-                        n_seeds: int, seed: int = 0,
-                        kernel_fn: Callable[[Sequence[int], InitHyper, np.ndarray, int], float] | None = None,
-                        ) -> VarianceRatioStat:
-    """E[Theta^0(x,x)^2] / E[Theta^0(x,x)]^2 over n_seeds fresh initializations.
+def variance_ratio_stat(values: np.ndarray) -> VarianceRatioStat:
+    """Moments, ratio and jackknife SE of per-replicate Theta^0(x, x) values.
 
-    kernel_fn(widths, hyper, probe, seed) may replace the default
-    init-then-evaluate kernel (used by tests); seeds whose kernel overflows
-    are dropped as long as they stay under 1% of the total, else this raises.
+    Non-finite (overflowed) values are dropped as long as they stay under
+    MAX_FAILED_SEED_FRACTION of the total; beyond that this raises.
     """
-    if n_seeds < 2:
-        raise ValueError("n_seeds must be >= 2")
-    if kernel_fn is None:
-        def kernel_fn(w, h, x, s):
-            return self_kernel(finite_net.init(w, h, s), x)
-    values = []
-    failed = 0
-    for rep_seed in replicate_seeds(seed, n_seeds):
-        val = kernel_fn(widths, hyper, probe, int(rep_seed))
-        if np.isfinite(val):
-            values.append(val)
-        else:
-            failed += 1
-    if failed > MAX_FAILED_SEED_FRACTION * n_seeds:
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    failed = int(values.size - np.count_nonzero(finite))
+    if failed > MAX_FAILED_SEED_FRACTION * values.size:
         raise FloatingPointError(
-            f"{failed}/{n_seeds} replicate kernels overflowed; configuration too deep "
+            f"{failed}/{values.size} replicate kernels overflowed; configuration too deep "
             "in the chaotic phase for this precision")
     if failed:
-        logger.warning("dropped %d/%d overflowed replicate kernels", failed, n_seeds)
-    values = np.asarray(values)
+        logger.warning("dropped %d/%d overflowed replicate kernels", failed, values.size)
+    values = values[finite]
     mean = float(values.mean())
     m2 = float(np.mean(values ** 2))
     ratio = m2 / mean ** 2
     se = _jackknife_ratio_se(values) if len(values) > 1 else np.nan
     return VarianceRatioStat(ratio=ratio, n_seeds=len(values), mean=mean,
                              second_moment=m2, standard_error=se, n_failed=failed)
+
+
+def init_variance_ratio(widths: Sequence[int], hyper: InitHyper, probe: np.ndarray,
+                        n_seeds: int, seed: int = 0) -> VarianceRatioStat:
+    """E[Theta^0(x,x)^2] / E[Theta^0(x,x)]^2 over n_seeds fresh initializations."""
+    if n_seeds < 2:
+        raise ValueError("n_seeds must be >= 2")
+    return variance_ratio_stat(sample_theta0(widths, hyper, probe, n_seeds, seed))
 
 
 # ---------------------------------------------------------------------------

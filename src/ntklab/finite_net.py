@@ -82,8 +82,8 @@ class Mlp:
                                for w, b in zip(self.weights, self.biases)])
 
 
-def init(widths: Sequence[int], hyper: InitHyper, seed: int) -> Mlp:
-    """Draw a network with variances sigma_w^2/fan_in and sigma_b^2."""
+def checked_widths(widths: Sequence[int]) -> tuple[int, ...]:
+    """Network widths as ints: an input dimension, positive sizes, scalar output."""
     widths = tuple(int(m) for m in widths)
     if len(widths) < 2:
         raise ValueError("need at least an input dimension and the output layer")
@@ -91,6 +91,12 @@ def init(widths: Sequence[int], hyper: InitHyper, seed: int) -> Mlp:
         raise ValueError(f"widths must be positive, got {widths}")
     if widths[-1] != 1:
         raise ValueError("the final layer must map to a scalar output")
+    return widths
+
+
+def init(widths: Sequence[int], hyper: InitHyper, seed: int) -> Mlp:
+    """Draw a network with variances sigma_w^2/fan_in and sigma_b^2."""
+    widths = checked_widths(widths)
     streams = np.random.SeedSequence(seed).spawn(len(widths) - 1)
     weights, biases = [], []
     for l, child in enumerate(streams):

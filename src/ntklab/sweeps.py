@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import yaml
@@ -23,14 +23,15 @@ from .activations import ActivationKind
 from .meanfield import InitHyper, classify_phase, run_trace
 from .ntk_theory import compute_kappas, nngp_matrix, predict_variance, \
     theta_star_matrix, variance_oracle_mc
-from .finite_net import TrainConfig, init, layer_widths, train_full_batch, forward_batch
+from .finite_net import TrainConfig, TrainingDivergenceError, init, layer_widths, \
+    train_full_batch, forward_batch
 from .empirical_ntk import default_probe, init_variance_ratio, training_drift
 from .data_io import RecordStore, RunRecord, synthetic_dataset, write_csv, \
     gram_anchored_inputs
 from .meanfield import avg_phi_prod, avg_phi_sq
 
-EXPERIMENT_KINDS = ("phase-diagram", "init-variance", "lm-curves", "train-drift",
-                    "kappa-curves", "predict-variance")
+EXPERIMENT_KINDS = ("phase-diagram", "init-variance", "train-drift", "kappa-curves",
+                    "predict-variance")
 
 
 class ConfigError(Exception):
@@ -159,12 +160,15 @@ def cell_seeds(master_seed: int, n_cells: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(n_cells, dtype=np.uint64)
 
 
-def _run_cells(cells: list, worker: Callable, threads: int) -> list:
-    """Evaluate cells in deterministic order; output order equals input order."""
+def _run_cells(cells: list, worker: Callable, threads: int) -> Iterator:
+    """Yield worker results in input order, each as soon as it and every
+    earlier cell are done, so callers can record cells as they finish."""
     if threads <= 1:
-        return [worker(c) for c in cells]
+        for c in cells:
+            yield worker(c)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, cells))
+        yield from pool.map(worker, cells)
 
 
 @dataclass
@@ -213,7 +217,7 @@ def run_phase_diagram(cfg: SweepConfig) -> SweepOutput:
 
 
 # ---------------------------------------------------------------------------
-# init-variance (heatmap) and lm-curves share one runner
+# init-variance
 
 def run_init_variance(cfg: SweepConfig) -> SweepOutput:
     """Kernel variance ratio over (sigma_w^2, depth) plus depth-to-width curves."""
@@ -252,14 +256,17 @@ def run_init_variance(cfg: SweepConfig) -> SweepOutput:
     return SweepOutput(records=records, csv_paths=[heat_path, curve_path])
 
 
-run_lm_curves = run_init_variance
-
-
 # ---------------------------------------------------------------------------
 # train-drift
 
 def run_train_drift(cfg: SweepConfig) -> SweepOutput:
-    """Final kernel drift and final loss over (sigma_w^2, depth), plus per-step curves."""
+    """Final kernel drift and final loss over (sigma_w^2, depth), plus per-step curves.
+
+    A replicate whose loss becomes non-finite is kept: its curve runs up to
+    the divergence, and its cell's record has status "diverged", n_diverged
+    and the step at which each diverged replicate stopped.  Heatmap columns
+    average the replicates that finished (NaN when none did).
+    """
     cfg.validate()
     store = _store(cfg)
     sb = float(cfg.sigma_b_sq[0])
@@ -274,24 +281,34 @@ def run_train_drift(cfg: SweepConfig) -> SweepOutput:
     def worker(args):
         (sw, L), cell_seed = args
         t0 = time.perf_counter()
-        reps = []
+        reps, divergence_steps = [], []
         for k in range(cfg.n_seeds):
-            reps.append(training_drift(layer_widths(dim, M, L), cfg.hyper(sw, sb),
-                                       data.inputs, data.targets, tc,
-                                       snapshot_steps=snaps,
-                                       seed=int(cell_seed) + k))
-        return (sw, L), reps, time.perf_counter() - t0
+            try:
+                reps.append(training_drift(layer_widths(dim, M, L), cfg.hyper(sw, sb),
+                                           data.inputs, data.targets, tc,
+                                           snapshot_steps=snaps,
+                                           seed=int(cell_seed) + k))
+            except TrainingDivergenceError as err:
+                # a diverging replicate is a result: keep its curve up to the blow-up
+                reps.append(err.partial)
+                divergence_steps.append(err.step)
+        return (sw, L), reps, divergence_steps, time.perf_counter() - t0
 
     rows, curve_rows, records = [], [], []
-    for (sw, L), reps, elapsed in _run_cells(list(zip(cells, seeds)), worker, cfg.threads):
-        drift = float(np.mean([r.final_drift for r in reps]))
-        final_loss = float(np.mean([r.final_loss for r in reps]))
-        initial_loss = float(np.mean([r.initial_loss for r in reps]))
+    for (sw, L), reps, divergence_steps, elapsed in _run_cells(list(zip(cells, seeds)),
+                                                               worker, cfg.threads):
+        # the heatmap averages finished replicates only: NaN where none finished
+        finished = [r for r in reps if not r.diverged]
+        drift, final_loss, initial_loss = (
+            float(np.mean([getattr(r, name) for r in finished])) if finished else float("nan")
+            for name in ("final_drift", "final_loss", "initial_loss"))
         params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb,
                       depth=L, width=M, sample_count=cfg.sample_count,
                       learning_rate=cfg.learning_rate, steps=cfg.train_steps,
                       n_seeds=cfg.n_seeds)
-        stats = dict(final_drift=drift, final_loss=final_loss, initial_loss=initial_loss)
+        stats = dict(status="diverged" if divergence_steps else "ok",
+                     n_diverged=len(divergence_steps), divergence_steps=divergence_steps,
+                     final_drift=drift, final_loss=final_loss, initial_loss=initial_loss)
         records.append(_record(store, "train-drift", params, stats, cfg.seed, elapsed))
         rows.append([cfg.activation, sw, sb, L, M, drift, final_loss, initial_loss])
         for rep_idx, rep in enumerate(reps):
@@ -426,7 +443,6 @@ def run_predict_variance(cfg: SweepConfig) -> SweepOutput:
 RUNNERS = {
     "phase-diagram": run_phase_diagram,
     "init-variance": run_init_variance,
-    "lm-curves": run_lm_curves,
     "train-drift": run_train_drift,
     "kappa-curves": run_kappa_curves,
     "predict-variance": run_predict_variance,

@@ -169,3 +169,51 @@ def pairwise_nngp(hyper, depth: int, cov0: np.ndarray, q0: float = 1.0) -> np.nd
             k[s, r] = k[r, s] = run_trace(hyper, depth, q0=q0,
                                           q0_sr=float(cov0[s, r])).q_sr[depth]
     return k
+
+
+# ---------------------------------------------------------------------------
+# Empirical kernels from explicit gradients, and Theta^0(x, x) from full
+# initializations: the references for the library's layerwise kernel and its
+# rank-one variance-ratio sampler.
+
+def naive_kernel(net, x: np.ndarray):
+    """Reference Gram matrix from explicitly stacked gradient vectors."""
+    from ntklab.empirical_ntk import KernelMatrix, KernelProvenance
+    from ntklab.finite_net import gradient
+
+    x = np.atleast_2d(np.asarray(x, float))
+    grads = np.stack([gradient(net, row) for row in x])
+    theta = grads @ grads.T
+    return KernelMatrix(0.5 * (theta + theta.T),
+                        KernelProvenance("empirical", seed=net.seed))
+
+
+def streaming_kernel(net, x: np.ndarray):
+    """Pairwise-streaming Gram matrix holding at most two gradient vectors;
+    recomputes gradients per pair."""
+    from ntklab.empirical_ntk import KernelMatrix, KernelProvenance
+    from ntklab.finite_net import gradient
+
+    x = np.atleast_2d(np.asarray(x, float))
+    s = x.shape[0]
+    theta = np.empty((s, s))
+    for i in range(s):
+        g_i = gradient(net, x[i])
+        theta[i, i] = g_i @ g_i
+        for j in range(i + 1, s):
+            g_j = gradient(net, x[j])
+            theta[i, j] = theta[j, i] = g_i @ g_j
+    return KernelMatrix(theta, KernelProvenance("empirical", seed=net.seed))
+
+
+def replicate_seeds(seed: int, n: int) -> np.ndarray:
+    """Derived per-replicate seeds; deterministic in (seed, n)."""
+    return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
+
+
+def full_init_theta0(widths, hyper, probe: np.ndarray, seeds) -> np.ndarray:
+    """Theta^0(x, x) at the probe of one fully initialized network per seed."""
+    from ntklab.empirical_ntk import self_kernel
+    from ntklab.finite_net import init
+
+    return np.array([self_kernel(init(widths, hyper, int(s)), probe) for s in seeds])

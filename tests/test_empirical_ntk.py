@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from ntklab.activations import ActivationKind
 from ntklab.empirical_ntk import (
     DriftStat,
+    _theta0_chunk,
     default_probe,
     empirical_kernel,
     init_variance_ratio,
-    naive_kernel,
-    replicate_seeds,
+    sample_theta0,
     self_kernel,
-    streaming_kernel,
     training_drift,
+    variance_ratio_stat,
 )
-from ntklab.finite_net import TrainConfig, forward_batch, init, layer_widths
+from ntklab.finite_net import TrainConfig, backward_deltas, forward_batch, init, layer_widths
 from ntklab.meanfield import InitHyper, run_trace
+from oracles import full_init_theta0, naive_kernel, replicate_seeds, streaming_kernel
 
 RELU = ActivationKind.RELU
 ERF = ActivationKind.ERF
+TANH = ActivationKind.TANH
 
 
 @pytest.fixture
@@ -69,9 +72,7 @@ class TestEmpiricalKernel:
 
 class TestInitVarianceRatio:
     def test_constant_stub_kernel_gives_ratio_one(self):
-        stat = init_variance_ratio((4, 8, 1), InitHyper(1.0, 0.0, RELU),
-                                   np.ones(4), n_seeds=50, seed=0,
-                                   kernel_fn=lambda w, h, x, s: 7.5)
+        stat = variance_ratio_stat(np.full(50, 7.5))
         assert stat.ratio == pytest.approx(1.0, abs=1e-14)
         assert stat.standard_error == pytest.approx(0.0, abs=1e-14)
 
@@ -83,15 +84,10 @@ class TestInitVarianceRatio:
         assert stat.n_failed == 0
 
     def test_overflow_seeds_hard_error_when_frequent(self):
-        calls = {"n": 0}
-
-        def flaky(w, h, x, s):
-            calls["n"] += 1
-            return float("inf") if calls["n"] % 3 == 0 else 1.0
-
+        # every third replicate overflows
+        flaky = np.where(np.arange(1, 31) % 3 == 0, np.inf, 1.0)
         with pytest.raises(FloatingPointError):
-            init_variance_ratio((4, 8, 1), InitHyper(1.0, 0.0, RELU), np.ones(4),
-                                n_seeds=30, seed=0, kernel_fn=flaky)
+            variance_ratio_stat(flaky)
 
     def test_replicate_seeds_deterministic(self):
         assert np.array_equal(replicate_seeds(5, 10), replicate_seeds(5, 10))
@@ -100,6 +96,98 @@ class TestInitVarianceRatio:
     def test_requires_two_seeds(self):
         with pytest.raises(ValueError):
             init_variance_ratio((4, 8, 1), InitHyper(1.0, 0.0, RELU), np.ones(4), 1)
+
+
+class _CoupledDraws:
+    """Stands in for the sampler's Generator and returns, in the order the
+    sampler asks for them, the standardized u = W a, b and G^T delta of real
+    networks.  G = W + z a^T differs from W only along a, so the conditional
+    identity W^T delta = a (u.delta)/|a|^2 + (I - P_a) G^T delta holds exactly
+    and the sampler must reproduce each network's Theta(x, x); dropping either
+    projection term would leave a (z.delta) behind."""
+
+    def __init__(self, nets, x):
+        rng = np.random.default_rng(0)
+        draws = []
+        for net in nets:
+            _, cache = forward_batch(net, x[None, :])
+            deltas = backward_deltas(net, cache)
+            sw, sb = net.hyper.sigma_w_sq, net.hyper.sigma_b_sq
+            fwd, bwd = [], []
+            for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+                a = cache.activations[l][0]
+                scale = np.sqrt(sw / w.shape[1])
+                fwd += [w @ a / (scale * np.linalg.norm(a)), b / np.sqrt(sb)]
+                if l > 0:
+                    d = deltas[l][0]
+                    g = w + np.outer(rng.standard_normal(w.shape[0]), a)
+                    bwd.insert(0, g.T @ d / (scale * np.linalg.norm(d)))
+            draws.append(fwd + bwd)
+        self._queue = [np.stack(rows) for rows in zip(*draws)]
+
+    def standard_normal(self, shape):
+        out = self._queue.pop(0)
+        assert out.shape == shape
+        return out
+
+
+class TestRankOneSampler:
+    def test_coupled_draws_reproduce_full_networks(self):
+        widths = layer_widths(5, 7, 4)
+        x = default_probe(5, 2)
+        for kind in (RELU, ERF, TANH):
+            hyper = InitHyper(1.7, 0.3, kind)
+            nets = [init(widths, hyper, seed) for seed in range(3)]
+            theta = _theta0_chunk(_CoupledDraws(nets, x), widths, hyper, x, len(nets))
+            expected = [self_kernel(net, x) for net in nets]
+            assert theta == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,sigma_b_sq,sigma_w_sq", [
+        (RELU, 0.5, 1.0), (RELU, 0.5, 2.0), (RELU, 0.5, 3.0),   # ordered, EOC, chaotic
+        (TANH, 0.0, 0.5), (TANH, 0.0, 1.0), (TANH, 0.0, 3.0),
+    ])
+    def test_same_law_as_full_initialization(self, kind, sigma_b_sq, sigma_w_sq):
+        widths = layer_widths(12, 12, 6)
+        hyper = InitHyper(sigma_w_sq, sigma_b_sq, kind)
+        x = default_probe(12, 1)
+        full = full_init_theta0(widths, hyper, x, replicate_seeds(1, 400))
+        fast = sample_theta0(widths, hyper, x, 4000, seed=2)
+        assert ks_2samp(full, fast).pvalue > 0.01
+
+    def test_dead_relu_width_one(self):
+        # width-1 ReLU layers without bias are dead half the time: |a| = 0
+        widths = (3, 1, 1, 1)
+        hyper = InitHyper(2.0, 0.0, RELU)
+        x = default_probe(3, 4)
+        fast = sample_theta0(widths, hyper, x, 2000, seed=5)
+        assert np.all(np.isfinite(fast))
+        full = full_init_theta0(widths, hyper, x, replicate_seeds(6, 400))
+        # a dead first layer leaves only the read-out bias: Theta = 1
+        assert np.mean(fast == 1.0) == pytest.approx(np.mean(full == 1.0), abs=0.08)
+        assert ks_2samp(full, fast).pvalue > 0.01
+
+    def test_single_layer_is_deterministic(self):
+        # f = w.x + b: Theta(x, x) = |x|^2 + 1 for every draw
+        x = default_probe(6, 0) * 2.0
+        stat = init_variance_ratio((6, 1), InitHyper(1.3, 0.7, TANH), x, n_seeds=150, seed=8)
+        assert stat.ratio == pytest.approx(1.0, abs=1e-14)
+        assert stat.standard_error == pytest.approx(0.0, abs=1e-14)
+        assert stat.mean == pytest.approx(5.0, rel=1e-14)
+
+    def test_bitwise_deterministic_in_seed_and_count(self):
+        widths = layer_widths(8, 8, 5)
+        hyper = InitHyper(2.0, 1.0, RELU)
+        x = default_probe(8, 3)
+        a = sample_theta0(widths, hyper, x, 150, seed=9)
+        assert a.shape == (150,)
+        assert np.array_equal(a, sample_theta0(widths, hyper, x, 150, seed=9))
+        assert not np.array_equal(a, sample_theta0(widths, hyper, x, 150, seed=10))
+        assert init_variance_ratio(widths, hyper, x, 150, seed=9) == \
+            init_variance_ratio(widths, hyper, x, 150, seed=9)
+
+    def test_rejects_probe_of_wrong_dimension(self):
+        with pytest.raises(ValueError, match="probe"):
+            sample_theta0((4, 8, 1), InitHyper(1.0, 0.0, RELU), np.ones(5), 10)
 
 
 class TestTrainingDrift:

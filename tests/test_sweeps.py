@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from ntklab import sweeps
 from ntklab.activations import ActivationKind
 from ntklab.cli import main
+from ntklab.data_io import RecordStore
 from ntklab.meanfield import InitHyper, run_trace
 from ntklab.ntk_theory import compute_kappas, data_independent_kappas, predict_variance
-from ntklab.sweeps import ConfigError, SweepConfig
+from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig
 
 
 def _rows(path):
@@ -101,3 +103,55 @@ def test_predict_variance_prediction_from_reference_trace(tmp_path):
     mc, se = float(row["mc_variance"]), float(row["mc_standard_error"])
     assert math.isfinite(mc) and abs(mc - pred.variance) < 0.5 * pred.variance
     assert se > 0.0
+
+
+def test_diverging_train_drift_cell_is_recorded(tmp_path):
+    out = tmp_path / "out"
+    argv = ["train-drift", "--set", "sigma_w_sq=[3.0]", "--set", "depths=[32]",
+            "--set", "n_seeds=2", "--set", "train_steps=20", "--set", "snapshot_steps=[0,10]"]
+    assert _run(argv, out) == 0
+    (rec,) = RecordStore(out / "records.jsonl")
+    assert rec.stats["status"] == "diverged"
+    assert rec.stats["n_diverged"] == 2
+    assert all(0 < step <= 20 for step in rec.stats["divergence_steps"])
+    # no replicate finished, so the heatmap holds no drift, not the partial's 0.0
+    (row,) = _rows(out / "train_drift_heatmap.csv")
+    assert math.isnan(float(row["final_drift"]))
+    # the partial curves up to the divergence are kept
+    curves = _rows(out / "train_drift_curves.csv")
+    assert {(r["replicate"], r["step"], r["rel_change"]) for r in curves
+            if r["step"] == "0"} == {("0", "0", "0.0"), ("1", "0", "0.0")}
+
+
+def test_init_variance_writes_heatmap_and_depth_to_width_curves(tmp_path):
+    assert "lm-curves" not in EXPERIMENT_KINDS
+    out = tmp_path / "out"
+    argv = ["init-variance", "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,8]",
+            "--set", "widths=[16]", "--set", "n_seeds=20"]
+    assert _run(argv, out) == 0
+    heat = _rows(out / "init_variance_heatmap.csv")
+    curves = _rows(out / "init_variance_lm_curves.csv")
+    assert [(r["sigma_w_sq"], r["depth"]) for r in heat] == \
+        [("1.0", "2"), ("3.0", "2"), ("1.0", "8"), ("3.0", "8")]
+    assert [r["ratio"] for r in curves] == [r["ratio"] for r in heat]
+    assert all(float(r["ratio"]) >= 1.0 for r in heat)
+    assert len(list(RecordStore(out / "records.jsonl"))) == 4
+
+
+def test_cells_recorded_before_a_later_cell_fails(tmp_path, monkeypatch):
+    real = sweeps.init_variance_ratio
+    calls = []
+
+    def fail_on_second_cell(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("cell failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "init_variance_ratio", fail_on_second_cell)
+    out = tmp_path / "out"
+    argv = ["init-variance", "--set", "sigma_w_sq=[1.0,2.0,3.0]", "--set", "depths=[2]",
+            "--set", "widths=[8]", "--set", "n_seeds=10"]
+    assert _run(argv, out) == 2
+    (rec,) = RecordStore(out / "records.jsonl")
+    assert rec.params["sigma_w_sq"] == 1.0
