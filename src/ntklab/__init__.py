@@ -43,8 +43,6 @@ from .finite_net import (
     gradient,
     init,
     layer_widths,
-    load_checkpoint,
-    save_checkpoint,
     train_full_batch,
 )
 from .empirical_ntk import (

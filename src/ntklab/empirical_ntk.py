@@ -75,12 +75,17 @@ def empirical_kernel(net: Mlp, x: np.ndarray, step: int | None = None) -> Kernel
     _, cache = finite_net.forward_batch(net, x)
     s = cache.activations[0].shape[0]
     theta = np.zeros((s, s))
+    d_gram, block = np.empty((s, s)), np.empty((s, s))
     with np.errstate(over="ignore", invalid="ignore"):
         deltas = finite_net.backward_deltas(net, cache)
         for l in range(net.depth):
-            d_gram = deltas[l] @ deltas[l].T
+            # theta += (D D^T) * (A A^T + 1), assembled in two reused buffers
+            np.matmul(deltas[l], deltas[l].T, out=d_gram)
             a = cache.activations[l]
-            theta += d_gram * (a @ a.T + 1.0)
+            np.matmul(a, a.T, out=block)
+            block += 1.0
+            block *= d_gram
+            theta += block
     if not np.all(np.isfinite(theta)):
         raise FloatingPointError("empirical kernel is not finite")
     theta = 0.5 * (theta + theta.T)
@@ -268,13 +273,22 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
     def on_snapshot(step: int, live_net: Mlp):
         steps_rec.append(step)
         try:
-            theta_t = empirical_kernel(live_net, inputs, step=step).matrix
+            # step 0 is the initial network, whose kernel theta0 already is
+            theta_t = theta0 if step == 0 else \
+                empirical_kernel(live_net, inputs, step=step).matrix
             drift_rec.append(float(np.linalg.norm(theta_t - theta0)) / norm0)
         except FloatingPointError:
             drift_rec.append(float("nan"))
 
-    out0, _ = finite_net.forward_batch(net, inputs)
-    initial_loss = finite_net.mse_loss(out0, targets)
+    def initial_loss(losses: np.ndarray) -> float:
+        # step 1 evaluates the initial network; a separate forward pass is
+        # needed only when no step recorded a loss (max_steps = 0, or a
+        # divergence at step 1, which happens before any update)
+        if len(losses):
+            return float(losses[0])
+        out0, _ = finite_net.forward_batch(net, inputs)
+        return finite_net.mse_loss(out0, np.ravel(targets))
+
     try:
         log = finite_net.train_full_batch(net, inputs, targets, cfg,
                                           snapshot_steps=sorted(set(snapshot_steps)),
@@ -282,10 +296,11 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
     except TrainingDivergenceError as err:
         err.partial = DriftStat(steps=np.asarray(steps_rec), rel_change=np.asarray(drift_rec),
                                 final_loss=float(err.losses[-1]) if len(err.losses) else np.nan,
-                                initial_loss=initial_loss, stop_reason="diverged",
+                                initial_loss=initial_loss(err.losses), stop_reason="diverged",
                                 diverged=True)
         raise
-    final_loss = float(log.losses[-1]) if len(log.losses) else initial_loss
+    loss0 = initial_loss(log.losses)
+    final_loss = float(log.losses[-1]) if len(log.losses) else loss0
     return DriftStat(steps=np.asarray(steps_rec), rel_change=np.asarray(drift_rec),
-                     final_loss=final_loss, initial_loss=initial_loss,
+                     final_loss=final_loss, initial_loss=loss0,
                      stop_reason=log.stop_reason)

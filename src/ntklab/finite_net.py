@@ -15,6 +15,23 @@ The scalar output's parameter gradient is computed by the exact chain
 with the ReLU derivative at 0 taken to be 0.  Training is plain full-batch
 gradient descent on the mean-squared error (mean over samples) with an
 early-stopping rule on the loss sequence.
+
+One forward routine and one backward routine serve inference and
+training alike.  _forward_into writes every pre-activation and activation
+into the buffers of a ForwardCache; _backward_into writes every delta into
+per-layer buffers, with phi'(h) in a slope buffer.  forward_batch and
+backward_deltas fill fresh buffers with them.  train_full_batch allocates
+the cache, the deltas and slopes and the weight and bias gradients once per
+call, and each step refills them in place: matmuls with out=, then the bias
+add, activation, derivative, learning-rate scaling and update, all in place.
+Every delta is taken before any weight moves.
+
+The buffered step is bitwise the step that builds fresh arrays
+(tests/oracles.py, reference_train_full_batch): each operation runs on the
+same operands in the same order, so losses, parameters, snapshot weights,
+stop reasons and divergence steps all match.  The ReLU derivative is a bool
+mask multiplied into delta; the cast gives exactly 1.0 and 0.0, so the
+products keep their signed zeros and NaNs.
 """
 from __future__ import annotations
 
@@ -25,8 +42,6 @@ import numpy as np
 
 from .activations import ActivationKind, dphi, phi
 from .meanfield import InitHyper
-
-CHECKPOINT_FORMAT = 1
 
 
 class TrainingDivergenceError(Exception):
@@ -119,29 +134,40 @@ class ForwardCache:
     activations: list[np.ndarray]
     preacts: list[np.ndarray]
 
+    @classmethod
+    def allocate(cls, net: Mlp, x: np.ndarray) -> "ForwardCache":
+        """Unfilled buffers for the batch x (S, M_0), which becomes activations[0]."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != net.widths[0]:
+            raise ValueError(f"input dimension {x.shape[1]} != {net.widths[0]}")
+        s = x.shape[0]
+        return cls(activations=[x] + [np.empty((s, m)) for m in net.widths[1:-1]],
+                   preacts=[np.empty((s, m)) for m in net.widths[1:]])
+
     @property
     def outputs(self) -> np.ndarray:
         return self.preacts[-1][:, 0]
 
 
-def forward_batch(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Outputs (S,) and the cache for a batch of inputs (S, M_0)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != net.widths[0]:
-        raise ValueError(f"input dimension {x.shape[1]} != {net.widths[0]}")
-    acts = [x]
-    pres = []
-    a = x
-    last = net.depth - 1
+def _forward_into(net: Mlp, cache: ForwardCache) -> None:
+    """Run the network on cache.activations[0], overwriting the cache's
+    pre-activations and hidden activations in place."""
+    kind = net.activation
+    acts, pres = cache.activations, cache.preacts
     # overflow flows through as inf/nan and is checked by the consumers
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-            h = a @ w.T + b
-            pres.append(h)
-            if l < last:
-                a = phi(net.activation, h)
-                acts.append(a)
-    return pres[-1][:, 0], ForwardCache(activations=acts, preacts=pres)
+            h = np.matmul(acts[l], w.T, out=pres[l])
+            h += b
+            if l + 1 < len(acts):
+                phi(kind, h, out=acts[l + 1])
+
+
+def forward_batch(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Outputs (S,) and the cache for a batch of inputs (S, M_0)."""
+    cache = ForwardCache.allocate(net, x)
+    _forward_into(net, cache)
+    return cache.outputs, cache
 
 
 def forward(net: Mlp, x: np.ndarray) -> tuple[float, ForwardCache]:
@@ -150,19 +176,33 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[float, ForwardCache]:
     return float(out[0]), cache
 
 
+def _backward_buffers(net: Mlp, cache: ForwardCache) -> tuple[list, list]:
+    """Unfilled (deltas, slopes) for _backward_into: deltas[l] (S, M_{l+1})
+    like preacts[l]; slopes hold phi'(h), as a bool mask for ReLU."""
+    slope_type = bool if net.activation is ActivationKind.RELU else float
+    return ([np.empty_like(h) for h in cache.preacts],
+            [np.empty(h.shape, dtype=slope_type) for h in cache.preacts[:-1]])
+
+
+def _backward_into(net: Mlp, cache: ForwardCache, deltas: list, slopes: list) -> None:
+    """Propagate deltas[-1] down the chain in place:
+    deltas[l-1] = (deltas[l] W^{l+1}) * phi'(preacts[l-1]) for l = L-1, ..., 1."""
+    kind = net.activation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(net.depth - 1, 0, -1):
+            np.matmul(deltas[l], net.weights[l], out=deltas[l - 1])
+            deltas[l - 1] *= dphi(kind, cache.preacts[l - 1], out=slopes[l - 1])
+
+
 def backward_deltas(net: Mlp, cache: ForwardCache) -> list[np.ndarray]:
     """Per-layer output sensitivities delta^l = df/dh^l for the whole batch.
 
     Returns a list indexed l = 1..L of arrays (S, M_l); the last entry is the
     constant 1 of the linear read-out.
     """
-    s = cache.preacts[-1].shape[0]
-    deltas = [np.ones((s, 1))]
-    d = deltas[0]
-    for l in range(net.depth - 1, 0, -1):
-        d = (d @ net.weights[l]) * dphi(net.activation, cache.preacts[l - 1])
-        deltas.append(d)
-    deltas.reverse()
+    deltas, slopes = _backward_buffers(net, cache)
+    deltas[-1][:] = 1.0
+    _backward_into(net, cache, deltas, slopes)
     return deltas
 
 
@@ -240,6 +280,15 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
             on_snapshot(step, net)
             snapped.add(step)
 
+    # Every step reuses these buffers (see the module docstring).
+    cache = ForwardCache.allocate(net, x)
+    out = cache.outputs
+    deltas, slopes = _backward_buffers(net, cache)
+    grad_w = [np.empty(w.shape) for w in net.weights]
+    grad_b = [np.empty(b.shape) for b in net.biases]
+    resid, resid_sq = np.empty(s), np.empty(s)
+    lr = cfg.learning_rate
+
     snapshot(0)
     losses = np.empty(cfg.max_steps)
     best = np.inf
@@ -247,22 +296,25 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     reason = "max_steps"
     step = 0
     for step in range(1, cfg.max_steps + 1):
-        out, cache = forward_batch(net, x)
-        loss = mse_loss(out, y)
+        _forward_into(net, cache)
+        np.subtract(out, y, out=resid)
+        loss = float(np.mean(np.square(resid, out=resid_sq)))
         if not np.isfinite(loss):
             raise TrainingDivergenceError(step, losses[:step - 1].copy())
         losses[step - 1] = loss
 
-        # backprop of dL/dh^L = 2 (f - y) / S through the chain
+        # backprop of dL/dh^L = 2 (f - y) / S through the chain; every delta
+        # is taken before any weight moves
+        np.multiply(resid, 2.0 / s, out=deltas[-1][:, 0])
+        _backward_into(net, cache, deltas, slopes)
         with np.errstate(over="ignore", invalid="ignore"):
-            d = (2.0 / s) * (out - y)[:, None]
-            for l in range(net.depth - 1, -1, -1):
-                grad_w = d.T @ cache.activations[l]
-                grad_b = d.sum(axis=0)
-                if l > 0:
-                    d = (d @ net.weights[l]) * dphi(net.activation, cache.preacts[l - 1])
-                net.weights[l] -= cfg.learning_rate * grad_w
-                net.biases[l] -= cfg.learning_rate * grad_b
+            for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+                np.matmul(deltas[l].T, cache.activations[l], out=grad_w[l])
+                np.sum(deltas[l], axis=0, out=grad_b[l])
+                grad_w[l] *= lr
+                w -= grad_w[l]
+                grad_b[l] *= lr
+                b -= grad_b[l]
 
         snapshot(step)
         if best - loss >= cfg.early_stop_delta:
@@ -276,41 +328,3 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
 
     snapshot(step, force=True)
     return TrainLog(losses=losses[:step].copy(), stop_reason=reason, steps_run=step)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints.
-
-def save_checkpoint(net: Mlp, path) -> None:
-    """Versioned binary dump of widths + flat parameters; round-trip exact."""
-    np.savez(path,
-             format_version=np.int64(CHECKPOINT_FORMAT),
-             widths=np.asarray(net.widths, dtype=np.int64),
-             params=net.flat_params(),
-             sigma_w_sq=np.float64(net.hyper.sigma_w_sq),
-             sigma_b_sq=np.float64(net.hyper.sigma_b_sq),
-             activation=np.str_(net.activation.value),
-             seed=np.int64(net.seed))
-
-
-def load_checkpoint(path) -> Mlp:
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {version}")
-        widths = tuple(int(m) for m in data["widths"])
-        flat = np.asarray(data["params"], dtype=float)
-        hyper = InitHyper(float(data["sigma_w_sq"]), float(data["sigma_b_sq"]),
-                          ActivationKind.from_name(str(data["activation"])))
-        seed = int(data["seed"])
-    weights, biases = [], []
-    pos = 0
-    for l in range(len(widths) - 1):
-        n_w = widths[l + 1] * widths[l]
-        weights.append(flat[pos:pos + n_w].reshape(widths[l + 1], widths[l]).copy())
-        pos += n_w
-        biases.append(flat[pos:pos + widths[l + 1]].copy())
-        pos += widths[l + 1]
-    if pos != len(flat):
-        raise ValueError("checkpoint parameter count does not match widths")
-    return Mlp(widths=widths, weights=weights, biases=biases, hyper=hyper, seed=seed)

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .meanfield import InitHyper, MeanFieldTrace, _forward_sweep, run_trace
 
@@ -321,6 +320,8 @@ def _as_matrix(obj) -> np.ndarray:
 def spd_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve a x = b for symmetric positive-definite a via Cholesky with an
     escalating diagonal jitter ladder; returns (x, jitter_used)."""
+    from scipy.linalg import cho_factor, cho_solve  # imported here: slow, and only needed here
+
     a = _as_matrix(a)
     n = a.shape[0]
     scale = float(np.trace(a)) / n if n else 1.0

@@ -217,3 +217,101 @@ def full_init_theta0(widths, hyper, probe: np.ndarray, seeds) -> np.ndarray:
     from ntklab.finite_net import init
 
     return np.array([self_kernel(init(widths, hyper, int(s)), probe) for s in seeds])
+
+
+# ---------------------------------------------------------------------------
+# Forward pass, deltas and full-batch gradient descent that allocate fresh
+# arrays at every step: the references for the library's buffered routines,
+# which must match them bit for bit.
+
+def _reference_phi(kind: ActivationKind, u: np.ndarray) -> np.ndarray:
+    if kind is ActivationKind.RELU:
+        return np.maximum(u, 0.0)
+    return _erf(u) if kind is ActivationKind.ERF else np.tanh(u)
+
+
+def _reference_dphi(kind: ActivationKind, u: np.ndarray) -> np.ndarray:
+    if kind is ActivationKind.RELU:
+        return np.where(u > 0.0, 1.0, 0.0)
+    if kind is ActivationKind.ERF:
+        return 2.0 / np.sqrt(np.pi) * np.exp(-np.square(u))
+    return 1.0 / np.square(np.cosh(u))
+
+
+def reference_forward_batch(net, x: np.ndarray):
+    """(outputs, activations, preacts) of a forward pass that builds fresh arrays."""
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    acts, pres = [a], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+            h = a @ w.T + b
+            pres.append(h)
+            if l < net.depth - 1:
+                a = _reference_phi(net.activation, h)
+                acts.append(a)
+    return pres[-1][:, 0], acts, pres
+
+
+def reference_backward_deltas(net, preacts) -> list:
+    """delta^l = df/dh^l (S, M_l) for l = 1..L, each a fresh array."""
+    d = np.ones((preacts[-1].shape[0], 1))
+    deltas = [d]
+    for l in range(net.depth - 1, 0, -1):
+        d = (d @ net.weights[l]) * _reference_dphi(net.activation, preacts[l - 1])
+        deltas.append(d)
+    return deltas[::-1]
+
+
+def reference_train_full_batch(net, x: np.ndarray, y: np.ndarray, cfg,
+                               snapshot_steps=(), on_snapshot=None):
+    """train_full_batch with an out-of-place forward pass, derivative and update."""
+    from ntklab.finite_net import TrainingDivergenceError, TrainLog
+
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    s = len(y)
+    wanted = set(int(t) for t in snapshot_steps)
+    snapped: set[int] = set()
+
+    def snapshot(step: int, force: bool = False):
+        if on_snapshot is None or step in snapped:
+            return
+        if force or step in wanted:
+            on_snapshot(step, net)
+            snapped.add(step)
+
+    snapshot(0)
+    losses = np.empty(cfg.max_steps)
+    best = np.inf
+    stale = 0
+    reason = "max_steps"
+    step = 0
+    for step in range(1, cfg.max_steps + 1):
+        out, acts, pres = reference_forward_batch(net, x)
+        loss = float(np.mean((out - y) ** 2))
+        if not np.isfinite(loss):
+            raise TrainingDivergenceError(step, losses[:step - 1].copy())
+        losses[step - 1] = loss
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (2.0 / s) * (out - y)[:, None]
+            for l in range(net.depth - 1, -1, -1):
+                grad_w = d.T @ acts[l]
+                grad_b = d.sum(axis=0)
+                if l > 0:
+                    d = (d @ net.weights[l]) * _reference_dphi(net.activation, pres[l - 1])
+                net.weights[l] -= cfg.learning_rate * grad_w
+                net.biases[l] -= cfg.learning_rate * grad_b
+
+        snapshot(step)
+        if best - loss >= cfg.early_stop_delta:
+            best = loss
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.early_stop_patience:
+                reason = "early_stop"
+                break
+
+    snapshot(step, force=True)
+    return TrainLog(losses=losses[:step].copy(), stop_reason=reason, steps_run=step)

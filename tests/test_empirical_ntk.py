@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from ntklab.activations import ActivationKind
+from ntklab import empirical_ntk
 from ntklab.empirical_ntk import (
     DriftStat,
     _theta0_chunk,
@@ -14,9 +15,11 @@ from ntklab.empirical_ntk import (
     training_drift,
     variance_ratio_stat,
 )
-from ntklab.finite_net import TrainConfig, backward_deltas, forward_batch, init, layer_widths
+from ntklab.finite_net import TrainConfig, TrainingDivergenceError, backward_deltas, \
+    forward_batch, init, layer_widths, mse_loss
 from ntklab.meanfield import InitHyper, run_trace
-from oracles import full_init_theta0, naive_kernel, replicate_seeds, streaming_kernel
+from oracles import full_init_theta0, naive_kernel, reference_backward_deltas, \
+    reference_forward_batch, replicate_seeds, streaming_kernel
 
 RELU = ActivationKind.RELU
 ERF = ActivationKind.ERF
@@ -56,6 +59,16 @@ class TestEmpiricalKernel:
         stream = streaming_kernel(erf_net, batch).matrix
         assert np.allclose(fast, slow, rtol=1e-12)
         assert np.allclose(fast, stream, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", [RELU, ERF, TANH])
+    def test_bitwise_equals_out_of_place_passes_and_assembly(self, kind, batch):
+        net = init((7, 11, 9, 1), InitHyper(1.3, 0.6, kind), 42)
+        _, acts, pres = reference_forward_batch(net, batch)
+        theta = np.zeros((len(batch), len(batch)))
+        for d, a in zip(reference_backward_deltas(net, pres), acts):
+            theta += (d @ d.T) * (a @ a.T + 1.0)
+        want = 0.5 * (theta + theta.T)
+        assert empirical_kernel(net, batch).matrix.tobytes() == want.tobytes()
 
     def test_gram_properties(self, erf_net, batch):
         theta = empirical_kernel(erf_net, batch).matrix
@@ -234,6 +247,49 @@ class TestTrainingDrift:
         drift_b = dict(zip(b.steps.tolist(), b.rel_change.tolist()))
         for step in (0, 10, 25):
             assert drift_a[step] == drift_b[step]
+
+    def test_initial_kernel_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(net, x, step=None):
+            calls.append(step)
+            return empirical_kernel(net, x, step=step)
+
+        monkeypatch.setattr(empirical_ntk, "empirical_kernel", counted)
+        stat = training_drift(self.widths, self.hyper, self.x, self.y,
+                              TrainConfig(learning_rate=1e-2, max_steps=30),
+                              snapshot_steps=(0, 10, 30), seed=2)
+        assert calls == [0, 10, 30]
+        assert list(stat.steps) == [0, 10, 30] and stat.rel_change[0] == 0.0
+
+    @pytest.mark.parametrize("steps", [0, 1, 30])
+    def test_initial_loss_is_the_initial_networks_loss(self, steps):
+        net = init(self.widths, self.hyper, 5)
+        want = mse_loss(forward_batch(net, self.x)[0], self.y)
+        stat = training_drift(self.widths, self.hyper, self.x, self.y,
+                              TrainConfig(learning_rate=1e-2, max_steps=steps),
+                              snapshot_steps=(0,), seed=5)
+        assert stat.initial_loss == want
+        if steps == 0:
+            assert stat.final_loss == want
+
+    def test_initial_loss_with_column_targets(self):
+        # targets of shape (S, 1) give the same initial loss with and without steps
+        stats = [training_drift(self.widths, self.hyper, self.x, self.y[:, None],
+                                TrainConfig(learning_rate=1e-2, max_steps=steps),
+                                snapshot_steps=(0,), seed=5) for steps in (0, 3)]
+        assert stats[0].initial_loss == stats[1].initial_loss
+
+    def test_initial_loss_when_step_one_diverges(self):
+        y = self.y.copy()
+        y[0] = np.inf  # the kernel is finite, the first loss is not
+        with pytest.raises(TrainingDivergenceError) as err:
+            training_drift(self.widths, self.hyper, self.x, y,
+                           TrainConfig(learning_rate=1e-2, max_steps=10),
+                           snapshot_steps=(0,), seed=5)
+        assert err.value.step == 1
+        assert err.value.partial.initial_loss == np.inf
+        assert list(err.value.partial.rel_change) == [0.0]
 
     def test_drift_grows_with_training(self):
         stat = training_drift(self.widths, self.hyper, self.x, self.y,

@@ -6,18 +6,18 @@ from ntklab.finite_net import (
     Mlp,
     TrainConfig,
     TrainingDivergenceError,
+    backward_deltas,
     forward,
     forward_batch,
     gradient,
     init,
     layer_widths,
-    load_checkpoint,
     mse_loss,
-    save_checkpoint,
     train_full_batch,
 )
-from ntklab.meanfield import InitHyper
-from oracles import finite_difference_gradient
+from ntklab.meanfield import InitHyper, edge_of_chaos_sigma_w_sq
+from oracles import finite_difference_gradient, reference_backward_deltas, \
+    reference_forward_batch, reference_train_full_batch
 
 RELU = ActivationKind.RELU
 ERF = ActivationKind.ERF
@@ -207,18 +207,108 @@ class TestTraining:
         assert seen == [0]
 
 
-class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path):
-        net = small_net(TANH, seed=9, widths=(4, 7, 3, 1))
-        path = tmp_path / "net.npz"
-        save_checkpoint(net, path)
-        loaded = load_checkpoint(path)
-        assert loaded.widths == net.widths
-        assert loaded.seed == net.seed
-        assert loaded.hyper == net.hyper
-        assert np.array_equal(loaded.flat_params(), net.flat_params())
-        x = np.random.default_rng(9).standard_normal(4)
-        assert forward(loaded, x)[0] == forward(net, x)[0]
+def _bits(a) -> tuple:
+    """dtype, shape and raw bytes: equal only for bitwise-identical arrays,
+    signed zeros and NaN payloads included."""
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _param_bits(net) -> list:
+    return [_bits(p) for p in net.weights + net.biases]
+
+
+def _train_both(make_net, x, y, cfg, snapshot_steps=(0, 5, 17)):
+    """(outcome, final parameters, parameters at each snapshot) of the library
+    step and of the allocating reference, each on a fresh copy of the net."""
+    runs = []
+    for train in (train_full_batch, reference_train_full_batch):
+        net = make_net()
+        seen = []
+        try:
+            log = train(net, x, y, cfg, snapshot_steps=snapshot_steps,
+                        on_snapshot=lambda step, live: seen.append((step, _param_bits(live))))
+            outcome = ("finished", _bits(log.losses), log.stop_reason, log.steps_run)
+        except TrainingDivergenceError as err:
+            outcome = ("diverged", err.step, _bits(err.losses))
+        runs.append((outcome, _param_bits(net), seen))
+    return runs
+
+
+class TestBufferedStepMatchesAllocatingStep:
+    """train_full_batch reuses its buffers; every result must equal, bit for
+    bit, the step that allocates fresh arrays (oracles.reference_train_full_batch)."""
+
+    SIGMA_B_SQ = 0.5
+
+    @staticmethod
+    def _data(seed=0, s=12, dim=6):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((s, dim)), rng.uniform(-1.0, 1.0, size=s)
+
+    @pytest.mark.parametrize("kind", [RELU, ERF, TANH])
+    @pytest.mark.parametrize("phase, factor", [("ordered", 0.5), ("eoc", 1.0),
+                                               ("chaotic", 2.0)])
+    def test_losses_parameters_and_snapshots(self, kind, phase, factor):
+        sw = factor * edge_of_chaos_sigma_w_sq(kind, self.SIGMA_B_SQ)
+        x, y = self._data()
+        cfg = TrainConfig(learning_rate=1e-2, max_steps=40)
+        lib, ref = _train_both(
+            lambda: init((6, 16, 16, 16, 16, 1), InitHyper(sw, self.SIGMA_B_SQ, kind), 3),
+            x, y, cfg)
+        assert lib[0][0] == "finished" and lib[0][2] == "max_steps"
+        assert [step for step, _ in lib[2]] == [0, 5, 17, 40]
+        assert lib == ref
+
+    def test_relu_kink_and_signed_zeros(self):
+        # zero input rows with zero biases put pre-activations exactly on the
+        # kink; dead units send -0.0 and 0.0 deltas back
+        x, y = self._data(seed=1)
+        x[::3] = 0.0
+
+        def make_net():
+            net = init((6, 10, 10, 1), InitHyper(2.0, 0.0, RELU), 4)
+            for b in net.biases:
+                b[:] = 0.0
+            return net
+
+        lib, ref = _train_both(make_net, x, y, TrainConfig(learning_rate=5e-2, max_steps=25))
+        assert lib == ref
+
+    def test_early_stopping_run(self):
+        x, y = self._data(seed=2)
+        cfg = TrainConfig(learning_rate=1e-2, max_steps=500, early_stop_delta=1e-2,
+                          early_stop_patience=5)
+        lib, ref = _train_both(lambda: small_net(ERF, seed=5, widths=(6, 8, 8, 1)), x, y, cfg)
+        assert lib[0][2] == "early_stop" and lib[0][3] < 500
+        assert lib == ref
+
+    def test_zero_steps(self):
+        x, y = self._data(seed=3)
+        lib, ref = _train_both(lambda: small_net(TANH, seed=6, widths=(6, 8, 1)), x, y,
+                               TrainConfig(learning_rate=1.0, max_steps=0))
+        assert lib[0][3] == 0 and [step for step, _ in lib[2]] == [0]
+        assert lib == ref
+
+    def test_diverging_run(self):
+        x, y = self._data(seed=4)
+        cfg = TrainConfig(learning_rate=1e6, max_steps=500)
+        lib, ref = _train_both(lambda: small_net(RELU, seed=5, widths=(6, 8, 8, 1), sw=3.0,
+                                                 sb=1.0), 10.0 * x, np.zeros(len(y)), cfg)
+        assert lib[0][0] == "diverged" and lib[0][1] >= 2
+        assert lib == ref
+
+    @pytest.mark.parametrize("kind", [RELU, ERF, TANH])
+    def test_forward_and_deltas_match_allocating_passes(self, kind):
+        net = small_net(kind, seed=7, widths=(6, 9, 7, 1))
+        x, _ = self._data(seed=5)
+        out, cache = forward_batch(net, x)
+        ref_out, ref_acts, ref_pres = reference_forward_batch(net, x)
+        assert _bits(out) == _bits(ref_out)
+        assert [_bits(a) for a in cache.activations] == [_bits(a) for a in ref_acts]
+        assert [_bits(h) for h in cache.preacts] == [_bits(h) for h in ref_pres]
+        assert [_bits(d) for d in backward_deltas(net, cache)] == \
+            [_bits(d) for d in reference_backward_deltas(net, ref_pres)]
 
 
 def test_mse_loss_mean_over_samples():

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from ntklab import sweeps
+from ntklab import finite_net, sweeps
 from ntklab.activations import ActivationKind
 from ntklab.cli import main
 from ntklab.data_io import RecordStore
 from ntklab.meanfield import InitHyper, run_trace
 from ntklab.ntk_theory import compute_kappas, data_independent_kappas, predict_variance
 from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig
+from oracles import reference_train_full_batch
 
 
 def _rows(path):
@@ -155,3 +156,32 @@ def test_cells_recorded_before_a_later_cell_fails(tmp_path, monkeypatch):
     assert _run(argv, out) == 2
     (rec,) = RecordStore(out / "records.jsonl")
     assert rec.params["sigma_w_sq"] == 1.0
+
+
+@pytest.mark.parametrize("argv, csv_names", [
+    # includes the chaotic cell sigma_w^2 = 3, L = 32, whose replicates diverge
+    (["train-drift", "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,32]",
+      "--set", "n_seeds=2", "--set", "train_steps=20", "--set", "snapshot_steps=[0,5,20]"],
+     ["train_drift_heatmap.csv", "train_drift_curves.csv"]),
+    (["predict-variance", "--set", "train_seeds=3", "--set", "widths=[9]",
+      "--set", "sample_count=8", "--set", "sigma_w_sq=[1.0,2.0]", "--set", "depths=[3]",
+      "--set", "mc_samples=2000", "--set", "train_steps=200", "--set", "learning_rate=1e-2"],
+     ["predict_variance.csv"]),
+])
+def test_csv_bytes_identical_across_reruns_and_training_steps(tmp_path, monkeypatch, argv,
+                                                              csv_names):
+    assert _run(argv, tmp_path / "first") == 0
+    assert _run(argv, tmp_path / "second") == 0
+    # the same sweep trained by the allocating reference step
+    monkeypatch.setattr(finite_net, "train_full_batch", reference_train_full_batch)
+    monkeypatch.setattr(sweeps, "train_full_batch", reference_train_full_batch)
+    assert _run(argv, tmp_path / "reference") == 0
+    for name in csv_names:
+        first = (tmp_path / "first" / name).read_bytes()
+        assert first == (tmp_path / "second" / name).read_bytes()
+        assert first == (tmp_path / "reference" / name).read_bytes()
+    if argv[0] == "train-drift":
+        status = {rec.params["sigma_w_sq"]: rec.stats["status"]
+                  for rec in RecordStore(tmp_path / "first" / "records.jsonl")
+                  if rec.params["depth"] == 32}
+        assert status == {1.0: "ok", 3.0: "diverged"}
