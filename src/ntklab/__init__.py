@@ -22,6 +22,7 @@ from .ntk_theory import (
     KappaPair,
     NngpMatrix,
     ThetaStar,
+    TrainedVariance,
     VariancePrediction,
     build_theta_star,
     compute_kappas,
@@ -32,7 +33,7 @@ from .ntk_theory import (
     spd_solve,
     theta_star_matrix,
     trained_output,
-    variance_oracle_mc,
+    trained_output_variance,
 )
 from .finite_net import (
     Mlp,

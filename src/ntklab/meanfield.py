@@ -170,7 +170,7 @@ def avg_phi_prod(kind: ActivationKind, q_s, q_r, c,
         cov = c * np.sqrt(q_s * q_r)
         arg = 2.0 * cov / np.sqrt((1.0 + 2.0 * q_s) * (1.0 + 2.0 * q_r))
         return 2.0 / math.pi * np.arcsin(np.minimum(np.maximum(arg, -1.0), 1.0))
-    return quadrature.normal_pair_expectation(lambda u: phi(kind, u),
+    return quadrature.normal_pair_expectation(lambda u: phi(kind, u, out=u),
                                               q_s, q_r, c, n_nodes)
 
 
@@ -184,7 +184,7 @@ def avg_dphi_prod(kind: ActivationKind, q_s, q_r, c,
         cov = c * np.sqrt(q_s * q_r)
         det = (1.0 + 2.0 * q_s) * (1.0 + 2.0 * q_r) - 4.0 * cov * cov
         return 4.0 / math.pi / np.sqrt(det)
-    return quadrature.normal_pair_expectation(lambda u: dphi(kind, u),
+    return quadrature.normal_pair_expectation(lambda u: dphi(kind, u, out=u),
                                               q_s, q_r, c, n_nodes)
 
 

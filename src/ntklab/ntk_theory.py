@@ -32,6 +32,18 @@ trained output is
     Var(f_inf(x)) ~= (1 + A^2/S)(qbar^L - qbar_sr^L) + (A - 1)^2 qbar_sr^L,
     A = S / (kbar1/kbar2 + (S - 1)).
 
+Exactly, the trained output is the linear functional u^T f0 of the joint
+Gaussian f0 = [f0(x), f0(X)] with covariance K (test point first),
+
+    f_inf(x) = const + u^T f0,   u = [1, -Theta(X)^{-1} theta_x],
+
+so Var(f_inf(x)) = u^T K u (Lee et al., arXiv:1902.06720), computed from one
+SPD solve.  Its Monte-Carlo check draws the scalar sqrt(u^T K u) * g with
+g ~ N(0, 1).  Sampling f0 = B z from any factor B B^T = K and forming u^T f0
+gives the Gaussian (B^T u)^T z with variance |B^T u|^2 = u^T K u: the same
+law, from one normal per sample instead of S + 1, with no eigendecomposition
+of K and no matrix product.  The dense sampler remains as a test oracle.
+
 Kernel matrices come from one array-valued mean-field pass: theta_star_matrix
 sends every distinct off-diagonal layer-0 covariance of the sample, plus the
 reference covariance, through a single run_trace call, and nngp_matrix runs
@@ -360,7 +372,8 @@ def trained_output(theta, theta_x: np.ndarray, f0_x: float,
 
 
 # ---------------------------------------------------------------------------
-# Trained-output variance: closed-form prediction and Monte-Carlo oracle.
+# Trained-output variance: data-independent prediction, exact u^T K u and its
+# rank-one Monte-Carlo estimate.
 
 @dataclass(frozen=True)
 class VariancePrediction:
@@ -391,48 +404,46 @@ def predict_variance(kappas: KappaPair, q_bar_L: float, q_bar_sr_L: float,
                               q_bar_L=q_bar_L, q_bar_sr_L=q_bar_sr_L)
 
 
-@dataclass(frozen=True)
-class McVariance:
-    variance: float
-    standard_error: float
-    n_samples: int
-
-    def __float__(self) -> float:
-        return self.variance
-
-
-def _psd_sampler(cov: np.ndarray) -> np.ndarray:
-    """Factor a covariance for sampling, clipping tiny negative eigenvalues.
+def _check_psd(cov: np.ndarray) -> None:
+    """Check that a covariance is symmetric and close to PSD.
 
     Warns when the most negative eigenvalue exceeds the PSD tolerance; raises
     if the matrix is not close to symmetric PSD at all.
     """
-    cov = _as_matrix(cov)
     n = cov.shape[0]
     if not np.allclose(cov, cov.T, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
         raise ValueError("covariance must be symmetric")
-    vals, vecs = np.linalg.eigh(cov)
+    lam_min = float(np.linalg.eigvalsh(cov)[0])
     tol = PSD_WARN_TOL * max(float(np.trace(cov)) / n, 0.0)
-    if vals[0] < -tol:
-        if vals[0] < -1e-4 * max(float(np.trace(cov)) / n, 1e-300):
-            raise ValueError(f"covariance strongly indefinite (lambda_min={vals[0]:.3e})")
-        logger.warning("clipping negative NNGP eigenvalue %.3e", vals[0])
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    if lam_min < -tol:
+        if lam_min < -1e-4 * max(float(np.trace(cov)) / n, 1e-300):
+            raise ValueError(f"covariance strongly indefinite (lambda_min={lam_min:.3e})")
+        logger.warning("negative NNGP eigenvalue %.3e", lam_min)
 
 
-MC_CHUNK = 8192
+@dataclass(frozen=True)
+class TrainedVariance:
+    """Var(f_inf(x)) = u^T K u and its rank-one Monte-Carlo estimate.
+
+    jitter is the diagonal jitter of the SPD solve that gave u.
+    """
+
+    exact: float
+    mc_variance: float
+    mc_standard_error: float
+    n_samples: int
+    jitter: float
 
 
-def variance_oracle_mc(theta_star, nngp_joint, theta_x_row: np.ndarray,
-                       n_samples: int, seed: int = 0) -> McVariance:
-    """Monte-Carlo estimate of Var(f_inf(x)) used as the brute-force check of
-    the closed-form prediction.
+def trained_output_variance(theta_star, nngp_joint, theta_x_row: np.ndarray,
+                            n_samples: int, seed: int = 0) -> TrainedVariance:
+    """Exact variance of the fully trained output and its Monte-Carlo check.
 
     nngp_joint is the (S+1) x (S+1) output covariance of [x] + X with the
-    test point FIRST.  Initial outputs f0 are sampled from it, the trained
-    output is evaluated per sample, and the empirical variance is returned.
-    Samples are drawn in fixed chunks by sample index from per-chunk PRNG
-    streams, so the result depends only on (seed, n_samples).
+    test point FIRST.  u = [1, -Theta^{-1} theta_x] comes from one SPD solve,
+    exact = u^T K u, and the Monte-Carlo estimate is the sample variance of
+    n_samples draws sqrt(u^T K u) * g, g ~ N(0, 1) from the Philox stream of
+    seed.
     """
     theta = _as_matrix(theta_star)
     joint = _as_matrix(nngp_joint)
@@ -445,23 +456,15 @@ def variance_oracle_mc(theta_star, nngp_joint, theta_x_row: np.ndarray,
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
 
-    v, _ = spd_solve(theta, theta_x_row)
-    sampler = _psd_sampler(joint)
-
-    ss = np.random.SeedSequence(seed)
-    n_chunks = (n_samples + MC_CHUNK - 1) // MC_CHUNK
-    children = ss.spawn(n_chunks)
-    out = np.empty(n_samples)
-    pos = 0
-    for child in children:
-        take = min(MC_CHUNK, n_samples - pos)
-        rng = np.random.Generator(np.random.Philox(child))
-        z = rng.standard_normal((take, s + 1))
-        f0 = z @ sampler.T
-        # f_inf(x) up to the Y-dependent constant, which does not move variance
-        out[pos:pos + take] = f0[:, 0] - f0[:, 1:] @ v
-        pos += take
-    var = float(np.var(out, ddof=1))
-    # standard error of a variance estimate for ~Gaussian samples
+    _check_psd(joint)
+    v, jitter = spd_solve(theta, theta_x_row)
+    u = np.concatenate(([1.0], -v))
+    exact = float(u @ (joint @ u))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    # u^T K u can round below zero when K is PSD only to the warn tolerance
+    draws = math.sqrt(max(exact, 0.0)) * rng.standard_normal(n_samples)
+    var = float(np.var(draws, ddof=1))
+    # standard error of a variance estimate for Gaussian samples
     se = var * math.sqrt(2.0 / (n_samples - 1))
-    return McVariance(variance=var, standard_error=se, n_samples=n_samples)
+    return TrainedVariance(exact=exact, mc_variance=var, mc_standard_error=se,
+                           n_samples=n_samples, jitter=jitter)

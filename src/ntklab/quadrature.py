@@ -10,6 +10,12 @@ standard normals:
 Both rules are array-valued: normal_expectation takes an array of scales and
 normal_pair_expectation an array of correlations, returning one expectation
 per entry (a NumPy scalar for scalar input).
+
+normal_pair_expectation fills the u2 grid of each block of correlations
+into one buffer allocated per call and hands that buffer to f, which may
+overwrite and return it; callers pass in-place integrands such as
+lambda u: phi(kind, u, out=u), so the rule allocates no grid-sized
+temporary per block.
 """
 from __future__ import annotations
 
@@ -19,8 +25,8 @@ import numpy as np
 
 DEFAULT_NODES = 64
 
-# Correlations per block of the two-dimensional rule; each block holds a
-# (PAIR_CHUNK, n, n) grid, about 0.5 MB at the default 64 nodes.
+# Correlations per block of the two-dimensional rule; each call holds one
+# (PAIR_CHUNK, n, n) block buffer, 0.5 MB at the default 64 nodes.
 PAIR_CHUNK = 16
 
 
@@ -46,6 +52,9 @@ def normal_pair_expectation(f, q_s: float, q_r: float, c,
     The grid sum is contracted as (f(u2) @ w) . (w * f(u1)), so f(u1) is
     evaluated once and f(u2) in blocks of PAIR_CHUNK correlations; an entry
     of an array c equals the result for that correlation alone.
+
+    f may overwrite its argument (the per-call block buffer) and return it;
+    it must return an array of its argument's shape.
     """
     x, w = gauss_hermite_rule(n_nodes)
     c = np.asarray(c, dtype=float)
@@ -53,10 +62,14 @@ def normal_pair_expectation(f, q_s: float, q_r: float, c,
     weighted_u1 = w * f(np.sqrt(q_s) * x)
     scale_r = np.sqrt(q_r)
     out = np.empty(flat.shape)
+    buf = np.empty((min(PAIR_CHUNK, flat.size), n_nodes, n_nodes))
     for start in range(0, flat.size, PAIR_CHUNK):
         ck = flat[start:start + PAIR_CHUNK, None, None]
         sk = np.sqrt(np.maximum(1.0 - ck * ck, 0.0))
-        u2 = scale_r * (ck * x[:, None] + sk * x[None, :])
+        u2 = buf[:len(ck)]
+        # scale_r * (ck x_i + sk x_j), the same operations in the same order
+        np.add(ck * x[:, None], sk * x[None, :], out=u2)
+        u2 *= scale_r
         # a row-wise sum, not a matrix-vector product, so that each entry's
         # rounding does not depend on the block it falls in
         out[start:start + PAIR_CHUNK] = ((f(u2) @ w) * weighted_u1).sum(axis=-1)

@@ -9,7 +9,9 @@ and thread counts.
 """
 from __future__ import annotations
 
+import math
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -22,7 +24,7 @@ from . import __version__
 from .activations import ActivationKind
 from .meanfield import InitHyper, classify_phase, run_trace
 from .ntk_theory import compute_kappas, nngp_matrix, predict_variance, \
-    theta_star_matrix, variance_oracle_mc
+    theta_star_matrix, trained_output_variance
 from .finite_net import TrainConfig, TrainingDivergenceError, init, layer_widths, \
     train_full_batch, forward_batch
 from .empirical_ntk import default_probe, init_variance_ratio, training_drift
@@ -130,6 +132,10 @@ class SweepConfig:
             raise ConfigError("covariances must lie in [0, 1]")
         if self.n_seeds < 2:
             raise ConfigError("n_seeds must be >= 2")
+        if self.mc_samples < 2:
+            raise ConfigError("mc_samples must be >= 2")
+        if self.train_seeds == 1 or self.train_seeds < 0:
+            raise ConfigError("train_seeds must be 0 or >= 2 (a variance over seeds)")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.experiment == "train-drift":
@@ -361,9 +367,11 @@ def run_kappa_curves(cfg: SweepConfig) -> SweepOutput:
 # ---------------------------------------------------------------------------
 # predict-variance
 
-def _trained_variance_mc(hyper: InitHyper, depth: int, m_width: int, s: int,
-                         c0: float, tc: TrainConfig, n_nets: int, seed: int) -> float:
-    """Variance over seeds of trained finite networks' output on a held-out point.
+def _trained_outputs(hyper: InitHyper, depth: int, m_width: int, s: int,
+                     c0: float, tc: TrainConfig, n_nets: int,
+                     seed: int) -> tuple[np.ndarray, list]:
+    """Outputs on a held-out point of n_nets trained finite networks, and
+    their training logs.
 
     The training inputs and the test point all share the layer-0 covariance
     c0, realized exactly through a Gram-anchored input construction.
@@ -379,64 +387,72 @@ def _trained_variance_mc(hyper: InitHyper, depth: int, m_width: int, s: int,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x7a11))))
     y = rng.uniform(0.0, 1.0, size=s)
     outs = np.empty(n_nets)
+    logs = []
     for k in range(n_nets):
         net = init(layer_widths(dim, m_width, depth), hyper, seed + 1000 + k)
-        train_full_batch(net, x_train, y, tc)
+        logs.append(train_full_batch(net, x_train, y, tc))
         out, _ = forward_batch(net, x_test[None, :])
         outs[k] = out[0]
-    return float(np.var(outs, ddof=1))
+    return outs, logs
 
 
 def run_predict_variance(cfg: SweepConfig) -> SweepOutput:
-    """Closed-form trained-output variance vs the Monte-Carlo oracle (and,
-    when train_seeds > 0, vs end-to-end trained wide networks)."""
+    """Data-independent trained-output variance against the exact u^T K u and
+    its Monte-Carlo estimate (and, when train_seeds > 0, against end-to-end
+    trained wide networks)."""
     cfg.validate()
     store = _store(cfg)
     sb = float(cfg.sigma_b_sq[0])
     M = int(cfg.widths[0])
     s = int(cfg.sample_count)
     c0 = float(cfg.reference_cov)
+    cells = [(float(sw), int(L)) for sw in cfg.sigma_w_sq for L in cfg.depths]
     rows, records = [], []
-    for sw in cfg.sigma_w_sq:
-        for L in cfg.depths:
-            hyper = cfg.hyper(sw, sb)
-            t0 = time.perf_counter()
-            L = int(L)
-            # every pair, the test point included, shares the reference
-            # covariance, so one trace gives kbar1/kbar2, qbar^L and qbar_sr^L
-            ref_trace = run_trace(hyper, L, q0=1.0, q0_sr=c0)
-            kbars = compute_kappas(ref_trace)
-            q_bar, q_bar_sr = float(ref_trace.q[L]), float(ref_trace.q_sr[L])
-            pred = predict_variance(kbars, q_bar, q_bar_sr, s)
+    for (sw, L), cell_seed in zip(cells, cell_seeds(cfg.seed, len(cells))):
+        hyper = cfg.hyper(sw, sb)
+        t0 = time.perf_counter()
+        # every pair, the test point included, shares the reference
+        # covariance, so one trace gives kbar1/kbar2, qbar^L and qbar_sr^L
+        ref_trace = run_trace(hyper, L, q0=1.0, q0_sr=c0)
+        kbars = compute_kappas(ref_trace)
+        q_bar, q_bar_sr = float(ref_trace.q[L]), float(ref_trace.q_sr[L])
+        pred = predict_variance(kbars, q_bar, q_bar_sr, s)
 
-            cov0 = np.full((s, s), c0)
-            np.fill_diagonal(cov0, 1.0)
-            theta = theta_star_matrix(hyper, L, cov0, M, reference_cov=c0)
-            joint_cov0 = np.full((s + 1, s + 1), c0)
-            np.fill_diagonal(joint_cov0, 1.0)
-            joint = nngp_matrix(hyper, L, joint_cov0)
-            theta_x = np.full(s, theta.scale * kbars.kappa2 + kbars.p_sum_cross)
-            mc = variance_oracle_mc(theta, joint, theta_x, cfg.mc_samples, seed=cfg.seed)
-            stats = dict(A=pred.A, predicted=pred.variance, mc=mc.variance,
-                         mc_se=mc.standard_error,
-                         rel_gap=abs(pred.variance - mc.variance) / mc.variance)
-            trained = None
-            if cfg.train_seeds > 0:
-                trained = _trained_variance_mc(hyper, L, M, s, c0, cfg.train_config(),
-                                               cfg.train_seeds, cfg.seed)
-                stats["trained"] = trained
-            params = dict(activation=cfg.activation, sigma_w_sq=float(sw),
-                          sigma_b_sq=sb, depth=L, width=M, sample_count=s,
-                          reference_cov=c0, mc_samples=cfg.mc_samples)
-            records.append(_record(store, "predict-variance", params, stats,
-                                   cfg.seed, time.perf_counter() - t0))
-            rows.append([cfg.activation, float(sw), sb, L, M, s, pred.A,
-                         pred.variance, mc.variance, mc.standard_error,
-                         "" if trained is None else trained])
+        cov0 = np.full((s, s), c0)
+        np.fill_diagonal(cov0, 1.0)
+        theta = theta_star_matrix(hyper, L, cov0, M, reference_cov=c0)
+        joint_cov0 = np.full((s + 1, s + 1), c0)
+        np.fill_diagonal(joint_cov0, 1.0)
+        joint = nngp_matrix(hyper, L, joint_cov0)
+        theta_x = np.full(s, theta.scale * kbars.kappa2 + kbars.p_sum_cross)
+        var = trained_output_variance(theta, joint, theta_x, cfg.mc_samples,
+                                      seed=int(cell_seed))
+        stats = dict(A=pred.A, predicted=pred.variance, exact=var.exact,
+                     mc=var.mc_variance, mc_se=var.mc_standard_error,
+                     rel_gap=abs(pred.variance - var.exact) / var.exact,
+                     spd_jitter=var.jitter)
+        trained = trained_se = ""
+        if cfg.train_seeds > 0:
+            outs, logs = _trained_outputs(hyper, L, M, s, c0, cfg.train_config(),
+                                          cfg.train_seeds, cfg.seed)
+            trained = float(np.var(outs, ddof=1))
+            trained_se = trained * math.sqrt(2.0 / (len(outs) - 1))
+            stats.update(trained=trained, trained_se=trained_se,
+                         stop_reasons=dict(Counter(log.stop_reason for log in logs)),
+                         median_final_loss=float(np.median([log.losses[-1] for log in logs])))
+        params = dict(activation=cfg.activation, sigma_w_sq=sw,
+                      sigma_b_sq=sb, depth=L, width=M, sample_count=s,
+                      reference_cov=c0, mc_samples=cfg.mc_samples)
+        records.append(_record(store, "predict-variance", params, stats,
+                               cfg.seed, time.perf_counter() - t0))
+        rows.append([cfg.activation, sw, sb, L, M, s, pred.A, pred.variance,
+                     var.exact, var.mc_variance, var.mc_standard_error,
+                     trained, trained_se])
     csv_path = Path(cfg.out_dir) / "predict_variance.csv"
     write_csv(csv_path, ["activation", "sigma_w_sq", "sigma_b_sq", "depth", "width",
-                         "sample_count", "A", "predicted_variance", "mc_variance",
-                         "mc_standard_error", "trained_variance"], rows)
+                         "sample_count", "A", "predicted_variance", "exact_variance",
+                         "mc_variance", "mc_standard_error", "trained_variance",
+                         "trained_standard_error"], rows)
     return SweepOutput(records=records, csv_paths=[csv_path])
 
 

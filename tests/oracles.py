@@ -18,7 +18,9 @@ use these oracles instead.
 """
 from __future__ import annotations
 
+import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,6 +28,9 @@ from scipy.special import erf as _erf
 from scipy.stats import norm
 
 from ntklab.activations import ActivationKind, dphi, phi
+from ntklab.quadrature import PAIR_CHUNK, gauss_hermite_rule
+
+logger = logging.getLogger(__name__)
 
 _CUT = 12.0  # Gaussian mass beyond +-12 sigma is < 1e-31
 _QUAD_OPTS = dict(limit=400, epsabs=1e-14, epsrel=1e-13)
@@ -315,3 +320,108 @@ def reference_train_full_batch(net, x: np.ndarray, y: np.ndarray, cfg,
 
     snapshot(step, force=True)
     return TrainLog(losses=losses[:step].copy(), stop_reason=reason, steps_run=step)
+
+
+# ---------------------------------------------------------------------------
+# The two-dimensional Gauss-Hermite rule with fresh temporaries per block:
+# the reference for the library's buffered rule, which must match it bit for
+# bit.
+
+def reference_pair_expectation(f, q_s: float, q_r: float, c, n_nodes: int = 64):
+    """E[f(u1) f(u2)] by the block loop that allocates u2 and f(u2) per block."""
+    x, w = gauss_hermite_rule(n_nodes)
+    c = np.asarray(c, dtype=float)
+    flat = c.reshape(-1)
+    weighted_u1 = w * f(np.sqrt(q_s) * x)
+    scale_r = np.sqrt(q_r)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, PAIR_CHUNK):
+        ck = flat[start:start + PAIR_CHUNK, None, None]
+        sk = np.sqrt(np.maximum(1.0 - ck * ck, 0.0))
+        u2 = scale_r * (ck * x[:, None] + sk * x[None, :])
+        out[start:start + PAIR_CHUNK] = ((f(u2) @ w) * weighted_u1).sum(axis=-1)
+    return out.reshape(c.shape)[()]
+
+
+# ---------------------------------------------------------------------------
+# Trained-output variance by sampling the whole initial function f0 from the
+# joint NNGP covariance: the reference for the library's exact u^T K u and its
+# rank-one Monte-Carlo draw.
+
+@dataclass(frozen=True)
+class McVariance:
+    variance: float
+    standard_error: float
+    n_samples: int
+
+    def __float__(self) -> float:
+        return self.variance
+
+
+def psd_sampler(cov: np.ndarray) -> np.ndarray:
+    """Factor B with B B^T = cov from eigh, clipping tiny negative eigenvalues.
+
+    Warns when the most negative eigenvalue exceeds the PSD tolerance; raises
+    if the matrix is not close to symmetric PSD at all.
+    """
+    from ntklab.ntk_theory import PSD_WARN_TOL
+
+    cov = np.asarray(getattr(cov, "matrix", cov), dtype=float)
+    n = cov.shape[0]
+    if not np.allclose(cov, cov.T, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
+        raise ValueError("covariance must be symmetric")
+    vals, vecs = np.linalg.eigh(cov)
+    tol = PSD_WARN_TOL * max(float(np.trace(cov)) / n, 0.0)
+    if vals[0] < -tol:
+        if vals[0] < -1e-4 * max(float(np.trace(cov)) / n, 1e-300):
+            raise ValueError(f"covariance strongly indefinite (lambda_min={vals[0]:.3e})")
+        logger.warning("clipping negative NNGP eigenvalue %.3e", vals[0])
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+MC_CHUNK = 8192
+
+
+def variance_oracle_mc(theta_star, nngp_joint, theta_x_row: np.ndarray,
+                       n_samples: int, seed: int = 0) -> McVariance:
+    """Monte-Carlo estimate of Var(f_inf(x)) from whole sampled f0.
+
+    nngp_joint is the (S+1) x (S+1) output covariance of [x] + X with the
+    test point FIRST.  Initial outputs f0 are sampled from it, the trained
+    output is evaluated per sample, and the empirical variance is returned.
+    Samples are drawn in fixed chunks by sample index from per-chunk PRNG
+    streams, so the result depends only on (seed, n_samples).
+    """
+    from ntklab.ntk_theory import spd_solve
+
+    theta = np.asarray(getattr(theta_star, "matrix", theta_star), dtype=float)
+    joint = np.asarray(getattr(nngp_joint, "matrix", nngp_joint), dtype=float)
+    s = theta.shape[0]
+    if joint.shape != (s + 1, s + 1):
+        raise ValueError(f"joint NNGP must be ({s + 1}, {s + 1}), got {joint.shape}")
+    theta_x_row = np.asarray(theta_x_row, dtype=float)
+    if len(theta_x_row) != s:
+        raise ValueError("theta_x_row length must match the training sample size")
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+
+    v, _ = spd_solve(theta, theta_x_row)
+    sampler = psd_sampler(joint)
+
+    ss = np.random.SeedSequence(seed)
+    n_chunks = (n_samples + MC_CHUNK - 1) // MC_CHUNK
+    children = ss.spawn(n_chunks)
+    out = np.empty(n_samples)
+    pos = 0
+    for child in children:
+        take = min(MC_CHUNK, n_samples - pos)
+        rng = np.random.Generator(np.random.Philox(child))
+        z = rng.standard_normal((take, s + 1))
+        f0 = z @ sampler.T
+        # f_inf(x) up to the Y-dependent constant, which does not move variance
+        out[pos:pos + take] = f0[:, 0] - f0[:, 1:] @ v
+        pos += take
+    var = float(np.var(out, ddof=1))
+    # standard error of a variance estimate for ~Gaussian samples
+    se = var * math.sqrt(2.0 / (n_samples - 1))
+    return McVariance(variance=var, standard_error=se, n_samples=n_samples)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import pairwise_nngp, pairwise_theta_star
+from scipy.stats import ks_2samp
+
+from oracles import pairwise_nngp, pairwise_theta_star, psd_sampler, variance_oracle_mc
 from ntklab.activations import ActivationKind
 from ntklab.data_io import synthetic_dataset
-from ntklab.meanfield import InitHyper, run_trace
+from ntklab.meanfield import InitHyper, edge_of_chaos_sigma_w_sq, run_trace
 from ntklab.ntk_theory import (
     IllConditionedError,
     KappaPair,
@@ -20,7 +22,7 @@ from ntklab.ntk_theory import (
     spd_solve,
     theta_star_matrix,
     trained_output,
-    variance_oracle_mc,
+    trained_output_variance,
 )
 
 RELU = ActivationKind.RELU
@@ -276,6 +278,119 @@ class TestVarianceOracleMc:
     def test_rejects_wrong_joint_shape(self):
         with pytest.raises(ValueError):
             variance_oracle_mc(np.eye(2), np.eye(2), np.ones(2), 1000)
+
+
+def _shared_covariance_cell(hyper, depth, s, c0=0.5, m_width=64.0):
+    """Theta*, joint K (test point first) and theta_x of a predict-variance
+    cell: S training points and the test point, all pairs at covariance c0."""
+    cov0 = np.full((s, s), c0)
+    np.fill_diagonal(cov0, 1.0)
+    theta = theta_star_matrix(hyper, depth, cov0, m_width, reference_cov=c0)
+    kbars = compute_kappas(run_trace(hyper, depth, q0=1.0, q0_sr=c0))
+    joint_cov0 = np.full((s + 1, s + 1), c0)
+    np.fill_diagonal(joint_cov0, 1.0)
+    joint = nngp_matrix(hyper, depth, joint_cov0).matrix
+    theta_x = np.full(s, theta.scale * kbars.kappa2 + kbars.p_sum_cross)
+    return theta, joint, theta_x
+
+
+def _phase_hypers():
+    """Ordered, edge-of-chaos and chaotic sigma_w^2 for each activation."""
+    for kind, sb in ((RELU, 1.0), (ERF, 0.1), (TANH, 0.1)):
+        eoc = 2.0 if kind is RELU else edge_of_chaos_sigma_w_sq(kind, sb)
+        for sw in (0.5 * eoc, eoc, 2.0 * eoc):
+            yield InitHyper(sw, sb, kind)
+
+
+class TestTrainedOutputVariance:
+    """Exact u^T K u and its rank-one Monte-Carlo draw, pinned to the dense
+    f0 sampler of the oracle."""
+
+    def test_single_training_point_closed_form(self):
+        theta = np.array([[2.0]])
+        theta_x = np.array([0.8])
+        joint = np.array([[1.5, 0.6], [0.6, 1.1]])
+        v = 0.8 / 2.0
+        expect = 1.5 - 2 * v * 0.6 + v * v * 1.1
+        var = trained_output_variance(theta, joint, theta_x, 200_000, seed=7)
+        assert var.exact == pytest.approx(expect, rel=1e-15)
+        assert abs(var.mc_variance - expect) <= 3.0 * var.mc_standard_error
+        assert var.n_samples == 200_000 and var.jitter == 0.0
+
+    @pytest.mark.parametrize("depth", [4, 32])
+    def test_exact_equals_oracle_factorization(self, depth):
+        # u^T K u against |B^T u|^2 with B B^T = K from the oracle's eigh
+        # factor.  Both are sums of O(S^2) products, so they agree to
+        # rounding on the scale |u|^T |K| |u|; in the deep ordered phase
+        # u^T K u itself is ~1e-11 of that scale.
+        for hyper in _phase_hypers():
+            theta, joint, theta_x = _shared_covariance_cell(hyper, depth, 16)
+            var = trained_output_variance(theta, joint, theta_x, 100, seed=0)
+            v, jitter = spd_solve(theta, theta_x)
+            u = np.concatenate(([1.0], -v))
+            oracle = float(np.sum((psd_sampler(joint).T @ u) ** 2))
+            scale = float(np.abs(u) @ np.abs(joint) @ np.abs(u))
+            assert abs(var.exact - oracle) <= 1e-12 * scale, hyper
+            assert var.jitter == jitter
+
+    def test_rank_one_draw_has_the_oracle_law(self):
+        # the Monte-Carlo variance over 200 seeds, rank-one draw against the
+        # dense sampler: same scaled chi-square law at small S and n
+        theta, joint, theta_x = _shared_covariance_cell(InitHyper(2.0, 1.0, ERF), 3, 6)
+        n = 40
+        fast = [trained_output_variance(theta, joint, theta_x, n, seed=k).mc_variance
+                for k in range(200)]
+        dense = [variance_oracle_mc(theta, joint, theta_x, n, seed=10_000 + k).variance
+                 for k in range(200)]
+        assert ks_2samp(fast, dense).pvalue > 0.01
+
+    def test_one_ulp_change_of_k_does_not_move_mc(self):
+        # every covariance equal: K has a degenerate eigenspace whose eigh
+        # basis flips with one-ulp changes of K; the rank-one draw does not
+        # factor K, so mc moves only with u^T K u
+        theta, joint, theta_x = _shared_covariance_cell(InitHyper(2.0, 1.0, ERF), 3, 16)
+        bumped = joint.copy()
+        bumped[2, 5] = bumped[5, 2] = np.nextafter(joint[2, 5], np.inf)
+        a = trained_output_variance(theta, joint, theta_x, 5000, seed=3)
+        b = trained_output_variance(theta, bumped, theta_x, 5000, seed=3)
+        assert abs(b.mc_variance - a.mc_variance) <= 1e-12 * a.mc_variance
+
+    def test_zero_nngp_gives_zero_variance(self):
+        var = trained_output_variance(np.eye(3), np.zeros((4, 4)), np.zeros(3), 2000, seed=1)
+        assert var.exact == 0.0 and var.mc_variance == 0.0
+
+    def test_deterministic_in_seed(self):
+        theta = np.array([[2.0, 0.5], [0.5, 2.0]])
+        joint = np.array([[1.0, 0.4, 0.4], [0.4, 1.0, 0.5], [0.4, 0.5, 1.0]])
+        a = trained_output_variance(theta, joint, np.array([0.6, 0.6]), 10_000, seed=11)
+        b = trained_output_variance(theta, joint, np.array([0.6, 0.6]), 10_000, seed=11)
+        c = trained_output_variance(theta, joint, np.array([0.6, 0.6]), 10_000, seed=12)
+        assert a == b
+        assert c.mc_variance != a.mc_variance and c.exact == a.exact
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError, match="joint NNGP"):
+            trained_output_variance(np.eye(2), np.eye(2), np.ones(2), 1000)
+        with pytest.raises(ValueError, match="theta_x_row"):
+            trained_output_variance(np.eye(2), np.eye(3), np.ones(3), 1000)
+        with pytest.raises(ValueError, match="n_samples"):
+            trained_output_variance(np.eye(2), np.eye(3), np.ones(2), 1)
+        asym = np.eye(3)
+        asym[0, 1] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            trained_output_variance(np.eye(2), asym, np.ones(2), 1000)
+
+    def test_psd_thresholds(self, caplog):
+        # the warn and raise thresholds of the oracle's sampler, on eigvalsh
+        theta = np.eye(2)
+        slightly = np.diag([1.0, 1.0, -1e-6])
+        with caplog.at_level("WARNING", logger="ntklab.ntk_theory"):
+            trained_output_variance(theta, slightly, np.zeros(2), 100)
+        assert "negative NNGP eigenvalue" in caplog.text
+        with pytest.raises(ValueError, match="strongly indefinite"):
+            trained_output_variance(theta, np.diag([1.0, 1.0, -1e-3]), np.zeros(2), 100)
+        with pytest.raises(ValueError, match="strongly indefinite"):
+            psd_sampler(np.diag([1.0, 1.0, -1e-3]))
 
 
 class TestOnePassAgainstPerPairAssembly:

@@ -46,3 +46,42 @@ def test_normal_expectation_array_of_scales():
     scales = np.array([0.5, 1.0, 3.0])
     vals = normal_expectation(lambda u: u ** 2, scales)
     assert np.allclose(vals, scales ** 2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["tanh-in-place", "dtanh-in-place", "np.tanh", "identity"])
+def test_buffered_pair_rule_matches_block_loop_bitwise(name):
+    from oracles import reference_pair_expectation
+    from ntklab.activations import ActivationKind, dphi, phi
+
+    tanh = ActivationKind.TANH
+    f = {"tanh-in-place": lambda u: phi(tanh, u, out=u),
+         "dtanh-in-place": lambda u: dphi(tanh, u, out=u),
+         "np.tanh": np.tanh, "identity": lambda u: u}[name]
+    # 37 correlations: two full blocks and a partial one
+    c = np.linspace(-1.0, 1.0, 37)
+    for q_s, q_r in [(1.3, 0.7), (0.2, 4.0)]:
+        got = normal_pair_expectation(f, q_s, q_r, c)
+        want = reference_pair_expectation(f, q_s, q_r, c)
+        assert np.array_equal(got, want)
+        assert normal_pair_expectation(f, q_s, q_r, 0.3) == \
+            reference_pair_expectation(f, q_s, q_r, 0.3)
+
+
+def test_pair_rule_allocates_one_block_buffer():
+    import tracemalloc
+
+    from ntklab.activations import ActivationKind
+    from ntklab.meanfield import avg_phi_prod
+    from ntklab.quadrature import DEFAULT_NODES, PAIR_CHUNK
+
+    # the 276 pairs of a 24-point sample: 18 blocks of correlations
+    c = np.linspace(-0.9, 0.95, 276)
+    avg_phi_prod(ActivationKind.TANH, 1.2, 1.2, c)  # warm the cached rule
+    block = PAIR_CHUNK * DEFAULT_NODES * DEFAULT_NODES * 8
+    tracemalloc.start()
+    try:
+        avg_phi_prod(ActivationKind.TANH, 1.2, 1.2, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block

@@ -35,6 +35,14 @@ class TestValidation:
                           widths=[9], sample_count=8)
         cfg.validate()
 
+    @pytest.mark.parametrize("key, value", [("train_seeds", 1), ("train_seeds", -1),
+                                            ("mc_samples", 1)])
+    def test_variance_over_one_draw_rejected(self, key, value):
+        cfg = SweepConfig(experiment="predict-variance", widths=[9], sample_count=8,
+                          **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            cfg.validate()
+
     def test_snapshot_steps_outside_training_rejected(self, tmp_path):
         cfg = SweepConfig(experiment="train-drift", train_steps=20,
                           snapshot_steps=[0, 10, 100])
@@ -104,6 +112,44 @@ def test_predict_variance_prediction_from_reference_trace(tmp_path):
     mc, se = float(row["mc_variance"]), float(row["mc_standard_error"])
     assert math.isfinite(mc) and abs(mc - pred.variance) < 0.5 * pred.variance
     assert se > 0.0
+
+
+def test_predict_variance_reports_exact_variance_and_per_cell_mc_seeds(tmp_path):
+    argv = ["predict-variance", "--set", "sigma_w_sq=[1.5,2.5]", "--set", "depths=[3]",
+            "--set", "sample_count=6", "--set", "mc_samples=4000"]
+    assert _run(argv, tmp_path / "first") == 0
+    assert _run(argv, tmp_path / "second") == 0
+    csv_bytes = (tmp_path / "first" / "predict_variance.csv").read_bytes()
+    assert csv_bytes == (tmp_path / "second" / "predict_variance.csv").read_bytes()
+    rows = _rows(tmp_path / "first" / "predict_variance.csv")
+    records = list(RecordStore(tmp_path / "first" / "records.jsonl"))
+    ratios = []
+    for row, rec in zip(rows, records):
+        exact, mc, se = (float(row[k]) for k in ("exact_variance", "mc_variance",
+                                                  "mc_standard_error"))
+        assert abs(mc - exact) <= 5.0 * se
+        assert rec.stats["exact"] == exact and rec.stats["spd_jitter"] == 0.0
+        pred = float(row["predicted_variance"])
+        assert rec.stats["rel_gap"] == abs(pred - exact) / exact
+        assert row["trained_variance"] == row["trained_standard_error"] == ""
+        ratios.append(mc / exact)
+    # one Monte-Carlo stream per cell: with a shared stream both ratios would
+    # be the same chi-square draw up to rounding
+    assert abs(ratios[0] - ratios[1]) > 1e-6
+
+
+def test_predict_variance_records_trained_network_convergence(tmp_path):
+    argv = ["predict-variance", "--set", "train_seeds=3", "--set", "widths=[9]",
+            "--set", "sample_count=8", "--set", "sigma_w_sq=[2.0]", "--set", "depths=[3]",
+            "--set", "mc_samples=2000", "--set", "train_steps=50"]
+    assert _run(argv, tmp_path) == 0
+    (row,) = _rows(tmp_path / "predict_variance.csv")
+    (rec,) = RecordStore(tmp_path / "records.jsonl")
+    trained, se = float(row["trained_variance"]), float(row["trained_standard_error"])
+    assert se == pytest.approx(trained * math.sqrt(2.0 / 2), rel=1e-15)
+    assert rec.stats["trained"] == trained and rec.stats["trained_se"] == se
+    assert rec.stats["stop_reasons"] == {"max_steps": 3}
+    assert math.isfinite(rec.stats["median_final_loss"]) and rec.stats["median_final_loss"] > 0
 
 
 def test_diverging_train_drift_cell_is_recorded(tmp_path):
