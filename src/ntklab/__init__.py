@@ -9,12 +9,8 @@ from .meanfield import (
     MeanFieldTrace,
     Phase,
     PhaseLabel,
-    backward_covariance_step,
-    backward_step,
     classify_phase,
     edge_of_chaos_sigma_w_sq,
-    forward_covariance_step,
-    forward_variance_step,
     run_trace,
     variance_fixed_point,
 )
@@ -27,12 +23,10 @@ from .ntk_theory import (
     build_theta_star,
     compute_kappas,
     condition_ratio,
-    data_independent_kappas,
     nngp_matrix,
     predict_variance,
     spd_solve,
     theta_star_matrix,
-    trained_output,
     trained_output_variance,
 )
 from .finite_net import (
@@ -41,7 +35,6 @@ from .finite_net import (
     TrainLog,
     forward,
     forward_batch,
-    gradient,
     init,
     layer_widths,
     train_full_batch,
@@ -61,5 +54,4 @@ from .data_io import (
     RunRecord,
     load_mnist_subset,
     synthetic_dataset,
-    synthetic_pair,
 )

@@ -16,10 +16,6 @@ class ActivationKind(enum.Enum):
     ERF = "erf"
     TANH = "tanh"
 
-    @property
-    def has_closed_form(self) -> bool:
-        return self in (ActivationKind.RELU, ActivationKind.ERF)
-
     @classmethod
     def from_name(cls, name: str) -> "ActivationKind":
         try:

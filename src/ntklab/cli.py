@@ -8,8 +8,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
-from .sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, run_experiment
+from .sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid, run_experiment
 
 DATA_DIR_ENV = "NTKLAB_DATA_DIR"
 
@@ -39,18 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args) -> SweepConfig:
     cfg = SweepConfig.from_yaml(args.config) if args.config else SweepConfig()
     cfg = cfg.override(args.overrides)
-    updates = {}
-    if args.out_dir is not None:
-        updates["out_dir"] = args.out_dir
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    if updates:
-        cfg = cfg.override([f"{k}={v}" for k, v in updates.items()])
-    cfg.experiment = args.command
-    if "out_dir" not in updates and args.config is None and DATA_DIR_ENV in os.environ:
-        cfg.out_dir = os.environ[DATA_DIR_ENV]
+    out_dir = args.out_dir
+    if out_dir is None and args.config is None:
+        out_dir = os.environ.get(DATA_DIR_ENV)
+    flags = dict(experiment=args.command, out_dir=out_dir, seed=args.seed,
+                 threads=args.threads)
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     cfg.validate()
     return cfg
 
@@ -62,7 +57,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    print(f"{cfg.experiment}: {_job_count(cfg)} grid cells -> {cfg.out_dir}")
+    print(f"{cfg.experiment}: {len(grid(cfg))} grid cells -> {cfg.out_dir}")
     try:
         out = run_experiment(cfg)
     except ConfigError as err:
@@ -75,18 +70,6 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
     print(f"{len(out.records)} records appended")
     return 0
-
-
-def _job_count(cfg: SweepConfig) -> int:
-    if cfg.experiment == "phase-diagram":
-        return len(cfg.sigma_w_sq) * len(cfg.sigma_b_sq)
-    if cfg.experiment == "init-variance":
-        return len(cfg.sigma_w_sq) * len(cfg.depths) * len(cfg.widths)
-    if cfg.experiment == "train-drift":
-        return len(cfg.sigma_w_sq) * len(cfg.depths)
-    if cfg.experiment == "kappa-curves":
-        return len(cfg.sigma_w_sq) * len(cfg.sigma_b_sq)
-    return len(cfg.sigma_w_sq) * len(cfg.depths)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Dataset ingestion and experiment-record persistence.
 
 Supports the big-endian IDX format (magic 0x00000803 for image tensors,
-0x00000801 for label vectors, optionally gzipped), a synthetic generator for
-unit-norm input pairs with controlled covariance, and a JSON-lines store of
-experiment outcomes with CSV export.
+0x00000801 for label vectors, optionally gzipped), synthetic unit-norm
+datasets, Gram-anchored inputs with a prescribed Gram matrix, a JSON-lines
+store of experiment outcomes and a deterministic CSV writer.
 """
 from __future__ import annotations
 
@@ -116,25 +116,6 @@ def load_mnist_subset(path, count: int, seed: int = 0, normalize: bool = True,
     return Dataset(inputs=x, targets=encoder(labels[idx]), normalized=normalize)
 
 
-def synthetic_pair(dim: int, covariance: float, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit-norm vectors with x_s . x_r = covariance, by Gram-Schmidt."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if not 0.0 <= covariance <= 1.0:
-        raise ValueError("covariance must lie in [0, 1]")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    e1 = rng.standard_normal(dim)
-    e1 /= np.linalg.norm(e1)
-    if covariance == 1.0:
-        return e1, e1.copy()
-    v = rng.standard_normal(dim)
-    for _ in range(2):  # re-orthogonalize to kill floating-point residue
-        v -= (e1 @ v) * e1
-    e2 = v / np.linalg.norm(v)
-    x_r = covariance * e1 + np.sqrt(1.0 - covariance ** 2) * e2
-    return e1, x_r / np.linalg.norm(x_r)
-
-
 def synthetic_dataset(count: int, dim: int, seed: int = 0,
                       normalize: bool = True) -> Dataset:
     """Random dataset: rows drawn isotropically (unit-norm when normalize)
@@ -239,14 +220,3 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # NumPy scalars repr as "np.float64(...)"
     return str(value)
-
-
-def records_to_csv(path, records: Sequence[RunRecord]) -> None:
-    """CSV export of query results: one row per record statistic (long format)."""
-    rows = []
-    for rec in records:
-        base = [rec.kind, rec.seed]
-        params = json.dumps(rec.params, sort_keys=True)
-        for stat, value in sorted(rec.stats.items()):
-            rows.append(base + [params, stat, value])
-    write_csv(path, ["kind", "seed", "params", "statistic", "value"], rows)

@@ -81,17 +81,6 @@ class Mlp:
     def param_count(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def param_layout(self) -> list[tuple[int, str, slice]]:
-        """Flat parameter layout: layer-major, weights (row-major) before biases."""
-        layout = []
-        pos = 0
-        for l, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
-            layout.append((l, "w", slice(pos, pos + w.size)))
-            pos += w.size
-            layout.append((l, "b", slice(pos, pos + b.size)))
-            pos += b.size
-        return layout
-
     def flat_params(self) -> np.ndarray:
         return np.concatenate([np.concatenate((w.ravel(), b))
                                for w, b in zip(self.weights, self.biases)])
@@ -204,23 +193,6 @@ def backward_deltas(net: Mlp, cache: ForwardCache) -> list[np.ndarray]:
     deltas[-1][:] = 1.0
     _backward_into(net, cache, deltas, slopes)
     return deltas
-
-
-def gradient(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Exact flat gradient of the scalar output with respect to all parameters.
-
-    Layout is layer-major with weights (row-major) before biases, matching
-    Mlp.param_layout().
-    """
-    _, cache = forward(net, x)
-    deltas = backward_deltas(net, cache)
-    parts = []
-    for l in range(net.depth):
-        d = deltas[l][0]
-        a = cache.activations[l][0]
-        parts.append(np.outer(d, a).ravel())
-        parts.append(d)
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -143,15 +143,6 @@ def compute_kappas(trace: MeanFieldTrace,
                      p_sum_cross=p_sum_cross)
 
 
-def data_independent_kappas(hyper: InitHyper, depth: int,
-                            reference_cov: float = DEFAULT_REFERENCE_COV,
-                            q0: float = 1.0,
-                            width_fractions: Sequence[float] | None = None) -> KappaPair:
-    """kbar1/kbar2 from the trace started at q^0 = q0 and the reference covariance."""
-    trace = run_trace(hyper, depth, q0=q0, q0_sr=reference_cov * q0)
-    return compute_kappas(trace, width_fractions)
-
-
 def condition_ratio(kappas: KappaPair, n_points: int | None = None) -> float:
     """kbar1 / kbar2; +inf when kbar2 = 0.
 
@@ -323,7 +314,7 @@ def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Solves and the trained-output closed form.
+# Symmetric positive-definite solves.
 
 def _as_matrix(obj) -> np.ndarray:
     return np.asarray(getattr(obj, "matrix", obj), dtype=float)
@@ -352,23 +343,6 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
             jitter = min(jitter * JITTER_GROWTH, JITTER_MAX * scale)
         else:
             raise IllConditionedError("SPD solve failed", jitter=jitter)
-
-
-def trained_output(theta, theta_x: np.ndarray, f0_x: float,
-                   f0_train: np.ndarray, y: np.ndarray) -> float:
-    """Output of a network trained to convergence under a constant kernel:
-
-        f_inf(x) = f0(x) + Theta(x,X) Theta(X)^{-1} (Y - f0(X)),
-
-    computed through an SPD solve (never an explicit inverse)."""
-    theta = _as_matrix(theta)
-    theta_x = np.asarray(theta_x, dtype=float)
-    f0_train = np.asarray(f0_train, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (theta.shape[0] == theta.shape[1] == len(theta_x) == len(f0_train) == len(y)):
-        raise ValueError("inconsistent kernel/label dimensions")
-    w, _ = spd_solve(theta, y - f0_train)
-    return float(f0_x + theta_x @ w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,23 @@
 """Configurable experiment sweeps behind the command-line front end.
 
-Every sweep expands a hyperparameter grid into a deterministic list of cells,
-derives one PRNG seed per cell from the master seed, optionally fans the
-cells out over a thread pool, writes one RunRecord per cell (before any CSV,
-so partial failures leave a queryable audit trail), and emits long-format
-CSV grids.  Given (config, seed) the output bytes are identical across runs
-and thread counts.
+Every experiment is one entry of SWEEPS, and one loop, run_experiment, runs
+them all.  An entry gives three things:
+
+  grid(cfg)   the cells of the hyperparameter grid, in a deterministic order;
+  setup(cfg)  the per-sweep work (data, training settings), returning a cell
+              function (cell, seed) -> (params, stats, rows for each CSV);
+  csvs        the name and header of each long-format CSV it writes.
+
+run_experiment validates the config once, derives one PRNG seed per cell
+from the master seed (cell_seeds), times each cell (optionally fanning the
+cells out over a thread pool), and appends each cell's RunRecord as soon as
+that cell and every earlier one are done, before any CSV is written, so a
+sweep that fails part way leaves a queryable audit trail.  Every record's
+stats carry a status: "ok", or "diverged" when a trained network of the
+cell (a train-drift replicate, a predict-variance network) reached a
+non-finite loss.  Divergence is a result, not an error: the cell still
+writes its rows.  Given (config, seed) the output bytes are identical
+across runs and thread counts.
 """
 from __future__ import annotations
 
@@ -31,10 +43,6 @@ from .empirical_ntk import default_probe, init_variance_ratio, training_drift
 from .data_io import RecordStore, RunRecord, synthetic_dataset, write_csv, \
     gram_anchored_inputs
 from .meanfield import avg_phi_prod, avg_phi_sq
-
-EXPERIMENT_KINDS = ("phase-diagram", "init-variance", "train-drift", "kappa-curves",
-                    "predict-variance")
-
 
 class ConfigError(Exception):
     """Invalid sweep configuration (reported as exit code 1 by the CLI)."""
@@ -83,20 +91,17 @@ class SweepConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SweepConfig":
-        """Build a config from a mapping; float fields are read with float(),
-        because YAML 1.1 reads a number such as 1e-5 (no dot) as a string."""
+        """Build a config from a mapping, checking each value against its
+        field's declared type.  Numbers are read with float() where floats
+        are expected, because YAML 1.1 reads a number such as 1e-5 (no dot)
+        as a string."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a mapping, got {raw!r}")
         fields = cls.__dataclass_fields__
         unknown = set(raw) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        raw = dict(raw)
-        for key, value in raw.items():
-            if fields[key].type in (float, "float"):
-                try:
-                    raw[key] = float(value)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{key} must be a number, got {value!r}") from None
-        return cls(**raw)
+        return cls(**{key: _typed(key, fields[key].type, value) for key, value in raw.items()})
 
     def override(self, assignments: Sequence[str]) -> "SweepConfig":
         """Apply key=value overrides (values parsed as YAML scalars/lists)."""
@@ -121,7 +126,7 @@ class SweepConfig:
         try:
             for sw in self.sigma_w_sq:
                 for sb in self.sigma_b_sq:
-                    InitHyper(float(sw), float(sb), self.kind)
+                    self.hyper(sw, sb)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"invalid hyperparameter grid: {err}") from None
         if any(int(d) < 1 for d in self.depths):
@@ -151,15 +156,41 @@ class SweepConfig:
                               f"widths[0] >= sample_count + 1 = {self.sample_count + 1}, "
                               f"got {self.widths[0]}")
 
-    @property
-    def kind(self) -> ActivationKind:
-        return ActivationKind.from_name(self.activation)
-
     def hyper(self, sw: float, sb: float) -> InitHyper:
-        return InitHyper(float(sw), float(sb), self.kind)
+        return InitHyper(float(sw), float(sb), ActivationKind.from_name(self.activation))
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(learning_rate=self.learning_rate, max_steps=self.train_steps)
+
+
+_TYPE_NAMES = {"str": "a string", "int": "an integer", "int | None": "an integer or null",
+               "float": "a number", "list": "a list of numbers"}
+
+
+def _typed(key: str, kind: str, value):
+    """value as config field `key` of declared type `kind`, or a ConfigError
+    naming the key."""
+    def number(v):
+        if isinstance(v, str):  # YAML 1.1 reads 1e-5 (no dot) as a string
+            return float(v)
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            return v
+        raise TypeError
+
+    try:
+        if kind == "float":
+            return float(number(value))
+        if kind == "list" and isinstance(value, list):
+            return [number(v) for v in value]
+        if kind == "str" and isinstance(value, str):
+            return value
+        if kind == "int | None" and value is None:
+            return value
+        if kind.startswith("int") and isinstance(value, int) and not isinstance(value, bool):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def cell_seeds(master_seed: int, n_cells: int) -> np.ndarray:
@@ -177,133 +208,127 @@ def _run_cells(cells: list, worker: Callable, threads: int) -> Iterator:
         yield from pool.map(worker, cells)
 
 
+# A cell function maps (cell, cell seed) to the cell's record params, its
+# record stats and its rows for each of the sweep's CSVs.
+CellFn = Callable[[tuple, int], tuple[dict, dict, tuple[list, ...]]]
+
+
+@dataclass(frozen=True)
+class Sweep:
+    grid: Callable[[SweepConfig], list]     # the cells, in record and CSV order
+    setup: Callable[[SweepConfig], CellFn]  # per-sweep work, then the cell function
+    csvs: tuple                             # (file name, header) per CSV
+
+
 @dataclass
 class SweepOutput:
     records: list
     csv_paths: list
 
 
-def _store(cfg: SweepConfig) -> RecordStore:
-    return RecordStore(Path(cfg.out_dir) / "records.jsonl")
+def grid(cfg: SweepConfig) -> list:
+    return SWEEPS[cfg.experiment].grid(cfg)
 
 
-def _record(store: RecordStore, kind: str, params: dict, stats: dict,
-            seed: int, elapsed: float) -> RunRecord:
-    rec = RunRecord(kind=kind, params=params, stats=stats, seed=int(seed),
-                    wall_clock_s=round(elapsed, 6), code_version=__version__)
-    store.append(rec)
-    return rec
+def run_experiment(cfg: SweepConfig) -> SweepOutput:
+    """Run every cell of cfg's grid, append its RunRecord as it finishes,
+    then write the sweep's CSVs."""
+    cfg.validate()
+    sweep = SWEEPS[cfg.experiment]
+    cells = sweep.grid(cfg)
+    run_cell = sweep.setup(cfg)
+    out_dir = Path(cfg.out_dir)
+    store = RecordStore(out_dir / "records.jsonl")
+
+    def timed(job):
+        cell, seed = job
+        t0 = time.perf_counter()
+        result = run_cell(cell, int(seed))
+        return result, time.perf_counter() - t0
+
+    records, tables = [], [[] for _ in sweep.csvs]
+    jobs = list(zip(cells, cell_seeds(cfg.seed, len(cells))))
+    for (params, stats, rows), elapsed in _run_cells(jobs, timed, cfg.threads):
+        rec = RunRecord(kind=cfg.experiment, params=params, stats={"status": "ok", **stats},
+                        seed=cfg.seed, wall_clock_s=round(elapsed, 6),
+                        code_version=__version__)
+        store.append(rec)
+        records.append(rec)
+        for table, cell_rows in zip(tables, rows):
+            table.extend(cell_rows)
+    paths = [out_dir / name for name, _ in sweep.csvs]
+    for path, (_, header), table in zip(paths, sweep.csvs, tables):
+        write_csv(path, header, table)
+    return SweepOutput(records=records, csv_paths=paths)
 
 
 # ---------------------------------------------------------------------------
-# phase-diagram
+# phase-diagram: chi1 fixed-point values and phase labels over the
+# (sigma_w^2, sigma_b^2) grid.
 
-def run_phase_diagram(cfg: SweepConfig) -> SweepOutput:
-    """chi1 fixed-point values and phase labels over the (sigma_w^2, sigma_b^2) grid."""
-    cfg.validate()
-    store = _store(cfg)
-    cells = [(float(sw), float(sb)) for sb in cfg.sigma_b_sq for sw in cfg.sigma_w_sq]
-
-    def worker(cell):
+def _phase_diagram(cfg: SweepConfig) -> CellFn:
+    def run(cell, _seed):
         sw, sb = cell
-        t0 = time.perf_counter()
         label = classify_phase(cfg.hyper(sw, sb))
-        return cell, label, time.perf_counter() - t0
-
-    rows, records = [], []
-    for (sw, sb), label, elapsed in _run_cells(cells, worker, cfg.threads):
         params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb)
         stats = dict(chi1_fixed_point=label.chi1_fixed_point, phase=label.tag.value)
-        records.append(_record(store, "phase-diagram", params, stats, cfg.seed, elapsed))
-        rows.append([cfg.activation, sw, sb, label.chi1_fixed_point, label.tag.value])
-    csv_path = Path(cfg.out_dir) / "phase_diagram.csv"
-    write_csv(csv_path, ["activation", "sigma_w_sq", "sigma_b_sq",
-                         "chi1_fixed_point", "phase"], rows)
-    return SweepOutput(records=records, csv_paths=[csv_path])
+        return params, stats, ([[cfg.activation, sw, sb, label.chi1_fixed_point,
+                                 label.tag.value]],)
+    return run
 
 
 # ---------------------------------------------------------------------------
-# init-variance
+# init-variance: kernel variance ratio over (sigma_w^2, depth, width), written
+# as a heatmap and as depth-to-width curves.
 
-def run_init_variance(cfg: SweepConfig) -> SweepOutput:
-    """Kernel variance ratio over (sigma_w^2, depth) plus depth-to-width curves."""
-    cfg.validate()
-    store = _store(cfg)
+def _init_variance(cfg: SweepConfig) -> CellFn:
     sb = float(cfg.sigma_b_sq[0])
-    heat_cells = [(float(sw), int(L), int(M))
-                  for M in cfg.widths for L in cfg.depths for sw in cfg.sigma_w_sq]
-    seeds = cell_seeds(cfg.seed, len(heat_cells))
 
-    def worker(args):
-        (sw, L, M), cell_seed = args
-        t0 = time.perf_counter()
+    def run(cell, seed):
+        sw, L, M = cell
         dim = cfg.input_dim or M
-        probe = default_probe(dim, int(cell_seed))
+        probe = default_probe(dim, seed)
         stat = init_variance_ratio(layer_widths(dim, M, L), cfg.hyper(sw, sb),
-                                   probe, cfg.n_seeds, seed=int(cell_seed))
-        return (sw, L, M), stat, time.perf_counter() - t0
-
-    rows, curve_rows, records = [], [], []
-    for (sw, L, M), stat, elapsed in _run_cells(list(zip(heat_cells, seeds)),
-                                                worker, cfg.threads):
+                                   probe, cfg.n_seeds, seed=seed)
         params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb,
                       depth=L, width=M, n_seeds=cfg.n_seeds)
         stats = dict(ratio=stat.ratio, standard_error=stat.standard_error,
                      mean=stat.mean, n_failed=stat.n_failed)
-        records.append(_record(store, "init-variance", params, stats, cfg.seed, elapsed))
-        rows.append([cfg.activation, sw, sb, L, M, stat.ratio, stat.standard_error])
-        curve_rows.append([cfg.activation, sw, sb, M, L, L / M, stat.ratio])
-    heat_path = Path(cfg.out_dir) / "init_variance_heatmap.csv"
-    write_csv(heat_path, ["activation", "sigma_w_sq", "sigma_b_sq", "depth",
-                          "width", "ratio", "standard_error"], rows)
-    curve_path = Path(cfg.out_dir) / "init_variance_lm_curves.csv"
-    write_csv(curve_path, ["activation", "sigma_w_sq", "sigma_b_sq", "width",
-                           "depth", "depth_over_width", "ratio"], curve_rows)
-    return SweepOutput(records=records, csv_paths=[heat_path, curve_path])
+        return params, stats, ([[cfg.activation, sw, sb, L, M, stat.ratio,
+                                 stat.standard_error]],
+                               [[cfg.activation, sw, sb, M, L, L / M, stat.ratio]])
+    return run
 
 
 # ---------------------------------------------------------------------------
-# train-drift
+# train-drift: final kernel drift and final loss over (sigma_w^2, depth),
+# plus per-step curves.
+#
+# A replicate whose loss becomes non-finite is kept: its curve runs up to the
+# divergence, and its cell's record has status "diverged", n_diverged and the
+# step at which each diverged replicate stopped.  Heatmap columns average the
+# replicates that finished (NaN when none did).
 
-def run_train_drift(cfg: SweepConfig) -> SweepOutput:
-    """Final kernel drift and final loss over (sigma_w^2, depth), plus per-step curves.
-
-    A replicate whose loss becomes non-finite is kept: its curve runs up to
-    the divergence, and its cell's record has status "diverged", n_diverged
-    and the step at which each diverged replicate stopped.  Heatmap columns
-    average the replicates that finished (NaN when none did).
-    """
-    cfg.validate()
-    store = _store(cfg)
+def _train_drift(cfg: SweepConfig) -> CellFn:
     sb = float(cfg.sigma_b_sq[0])
     M = int(cfg.widths[0])
     dim = cfg.input_dim or M
     data = synthetic_dataset(cfg.sample_count, dim, seed=cfg.seed)
-    cells = [(float(sw), int(L)) for L in cfg.depths for sw in cfg.sigma_w_sq]
-    seeds = cell_seeds(cfg.seed, len(cells))
     tc = cfg.train_config()
     snaps = sorted(set(int(t) for t in cfg.snapshot_steps) | {0, cfg.train_steps})
 
-    def worker(args):
-        (sw, L), cell_seed = args
-        t0 = time.perf_counter()
+    def run(cell, seed):
+        sw, L = cell
         reps, divergence_steps = [], []
         for k in range(cfg.n_seeds):
             try:
                 reps.append(training_drift(layer_widths(dim, M, L), cfg.hyper(sw, sb),
                                            data.inputs, data.targets, tc,
-                                           snapshot_steps=snaps,
-                                           seed=int(cell_seed) + k))
+                                           snapshot_steps=snaps, seed=seed + k))
             except TrainingDivergenceError as err:
                 # a diverging replicate is a result: keep its curve up to the blow-up
                 reps.append(err.partial)
                 divergence_steps.append(err.step)
-        return (sw, L), reps, divergence_steps, time.perf_counter() - t0
-
-    rows, curve_rows, records = [], [], []
-    for (sw, L), reps, divergence_steps, elapsed in _run_cells(list(zip(cells, seeds)),
-                                                               worker, cfg.threads):
-        # the heatmap averages finished replicates only: NaN where none finished
         finished = [r for r in reps if not r.diverged]
         drift, final_loss, initial_loss = (
             float(np.mean([getattr(r, name) for r in finished])) if finished else float("nan")
@@ -315,66 +340,55 @@ def run_train_drift(cfg: SweepConfig) -> SweepOutput:
         stats = dict(status="diverged" if divergence_steps else "ok",
                      n_diverged=len(divergence_steps), divergence_steps=divergence_steps,
                      final_drift=drift, final_loss=final_loss, initial_loss=initial_loss)
-        records.append(_record(store, "train-drift", params, stats, cfg.seed, elapsed))
-        rows.append([cfg.activation, sw, sb, L, M, drift, final_loss, initial_loss])
-        for rep_idx, rep in enumerate(reps):
-            for step, rel in zip(rep.steps, rep.rel_change):
-                curve_rows.append([cfg.activation, sw, sb, L, M, rep_idx,
-                                   int(step), float(rel)])
-    heat_path = Path(cfg.out_dir) / "train_drift_heatmap.csv"
-    write_csv(heat_path, ["activation", "sigma_w_sq", "sigma_b_sq", "depth", "width",
-                          "final_drift", "final_loss", "initial_loss"], rows)
-    curve_path = Path(cfg.out_dir) / "train_drift_curves.csv"
-    write_csv(curve_path, ["activation", "sigma_w_sq", "sigma_b_sq", "depth", "width",
-                           "replicate", "step", "rel_change"], curve_rows)
-    return SweepOutput(records=records, csv_paths=[heat_path, curve_path])
+        curves = [[cfg.activation, sw, sb, L, M, rep_idx, int(step), float(rel)]
+                  for rep_idx, rep in enumerate(reps)
+                  for step, rel in zip(rep.steps, rep.rel_change)]
+        return params, stats, ([[cfg.activation, sw, sb, L, M, drift, final_loss,
+                                 initial_loss]], curves)
+    return run
 
 
 # ---------------------------------------------------------------------------
-# kappa-curves
+# kappa-curves: kappa2(L) and kappa1/kappa2(L) for the configured covariances,
+# one cell per (sigma_w^2, sigma_b^2).
 
-def run_kappa_curves(cfg: SweepConfig) -> SweepOutput:
-    """kappa2(L) and kappa1/kappa2(L) for the configured covariances and hypers."""
-    cfg.validate()
-    store = _store(cfg)
-    rows, records = [], []
+def _kappa_curves(cfg: SweepConfig) -> CellFn:
     covs = np.asarray(cfg.covariances, dtype=float)
-    for sw in cfg.sigma_w_sq:
-        for sb in cfg.sigma_b_sq:
-            hyper = cfg.hyper(sw, sb)
-            t0 = time.perf_counter()
-            # one trace per depth carries every covariance
-            pairs = [compute_kappas(run_trace(hyper, int(L), q0=1.0, q0_sr=covs))
-                     for L in cfg.depths]
-            for k, c0 in enumerate(covs):
-                for L, pair in zip(cfg.depths, pairs):
-                    kappa2 = float(pair.kappa2[k])
-                    ratio = pair.kappa1 / kappa2 if kappa2 else float("inf")
-                    rows.append([cfg.activation, float(sw), float(sb), float(c0),
-                                 int(L), pair.kappa1, kappa2, ratio])
-            params = dict(activation=cfg.activation, sigma_w_sq=float(sw),
-                          sigma_b_sq=float(sb), covariances=list(cfg.covariances),
-                          depths=[int(d) for d in cfg.depths])
-            records.append(_record(store, "kappa-curves", params,
-                                   dict(rows=len(cfg.covariances) * len(cfg.depths)),
-                                   cfg.seed, time.perf_counter() - t0))
-    csv_path = Path(cfg.out_dir) / "kappa_curves.csv"
-    write_csv(csv_path, ["activation", "sigma_w_sq", "sigma_b_sq", "covariance",
-                         "depth", "kappa1", "kappa2", "kappa_ratio"], rows)
-    return SweepOutput(records=records, csv_paths=[csv_path])
+
+    def run(cell, _seed):
+        sw, sb = cell
+        hyper = cfg.hyper(sw, sb)
+        # one trace per depth carries every covariance
+        pairs = [compute_kappas(run_trace(hyper, int(L), q0=1.0, q0_sr=covs))
+                 for L in cfg.depths]
+        rows = []
+        for k, c0 in enumerate(covs):
+            for L, pair in zip(cfg.depths, pairs):
+                kappa2 = float(pair.kappa2[k])
+                ratio = pair.kappa1 / kappa2 if kappa2 else float("inf")
+                rows.append([cfg.activation, sw, sb, float(c0), int(L), pair.kappa1,
+                             kappa2, ratio])
+        params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb,
+                      covariances=list(cfg.covariances),
+                      depths=[int(d) for d in cfg.depths])
+        return params, dict(rows=len(rows)), (rows,)
+    return run
 
 
 # ---------------------------------------------------------------------------
-# predict-variance
+# predict-variance: data-independent trained-output variance against the
+# exact u^T K u and its Monte-Carlo estimate (and, when train_seeds > 0,
+# against end-to-end trained wide networks).
 
-def _trained_outputs(hyper: InitHyper, depth: int, m_width: int, s: int,
-                     c0: float, tc: TrainConfig, n_nets: int,
-                     seed: int) -> tuple[np.ndarray, list]:
-    """Outputs on a held-out point of n_nets trained finite networks, and
-    their training logs.
+def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
+                           c0: float, tc: TrainConfig, n_nets: int, seed: int) -> dict:
+    """Output variance on a held-out point over n_nets trained finite
+    networks, with its standard error and their training logs' summary.
 
     The training inputs and the test point all share the layer-0 covariance
-    c0, realized exactly through a Gram-anchored input construction.
+    c0, realized exactly through a Gram-anchored input construction.  A
+    network whose loss becomes non-finite is counted as diverged and left
+    out of the variance, which is NaN when fewer than two networks finished.
     """
     kind = hyper.activation
     q_hat0 = avg_phi_sq(kind, 1.0)
@@ -386,31 +400,38 @@ def _trained_outputs(hyper: InitHyper, depth: int, m_width: int, s: int,
     x_test, x_train = points[0], points[1:]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x7a11))))
     y = rng.uniform(0.0, 1.0, size=s)
-    outs = np.empty(n_nets)
-    logs = []
+    outs, logs, divergence_steps = [], [], []
     for k in range(n_nets):
         net = init(layer_widths(dim, m_width, depth), hyper, seed + 1000 + k)
-        logs.append(train_full_batch(net, x_train, y, tc))
+        try:
+            logs.append(train_full_batch(net, x_train, y, tc))
+        except TrainingDivergenceError as err:
+            divergence_steps.append(err.step)
+            continue
         out, _ = forward_batch(net, x_test[None, :])
-        outs[k] = out[0]
-    return outs, logs
+        outs.append(out[0])
+    nan = float("nan")
+    trained = float(np.var(outs, ddof=1)) if len(outs) > 1 else nan
+    trained_se = trained * math.sqrt(2.0 / (len(outs) - 1)) if len(outs) > 1 else nan
+    losses = [log.losses[-1] for log in logs]
+    stats = dict(trained=trained, trained_se=trained_se,
+                 stop_reasons=dict(Counter(log.stop_reason for log in logs)),
+                 median_final_loss=float(np.median(losses)) if losses else nan)
+    if divergence_steps:
+        stats.update(status="diverged", n_diverged=len(divergence_steps),
+                     divergence_steps=divergence_steps)
+    return stats
 
 
-def run_predict_variance(cfg: SweepConfig) -> SweepOutput:
-    """Data-independent trained-output variance against the exact u^T K u and
-    its Monte-Carlo estimate (and, when train_seeds > 0, against end-to-end
-    trained wide networks)."""
-    cfg.validate()
-    store = _store(cfg)
+def _predict_variance(cfg: SweepConfig) -> CellFn:
     sb = float(cfg.sigma_b_sq[0])
     M = int(cfg.widths[0])
     s = int(cfg.sample_count)
     c0 = float(cfg.reference_cov)
-    cells = [(float(sw), int(L)) for sw in cfg.sigma_w_sq for L in cfg.depths]
-    rows, records = [], []
-    for (sw, L), cell_seed in zip(cells, cell_seeds(cfg.seed, len(cells))):
+
+    def run(cell, seed):
+        sw, L = cell
         hyper = cfg.hyper(sw, sb)
-        t0 = time.perf_counter()
         # every pair, the test point included, shares the reference
         # covariance, so one trace gives kbar1/kbar2, qbar^L and qbar_sr^L
         ref_trace = run_trace(hyper, L, q0=1.0, q0_sr=c0)
@@ -425,46 +446,60 @@ def run_predict_variance(cfg: SweepConfig) -> SweepOutput:
         np.fill_diagonal(joint_cov0, 1.0)
         joint = nngp_matrix(hyper, L, joint_cov0)
         theta_x = np.full(s, theta.scale * kbars.kappa2 + kbars.p_sum_cross)
-        var = trained_output_variance(theta, joint, theta_x, cfg.mc_samples,
-                                      seed=int(cell_seed))
+        var = trained_output_variance(theta, joint, theta_x, cfg.mc_samples, seed=seed)
         stats = dict(A=pred.A, predicted=pred.variance, exact=var.exact,
                      mc=var.mc_variance, mc_se=var.mc_standard_error,
                      rel_gap=abs(pred.variance - var.exact) / var.exact,
                      spd_jitter=var.jitter)
         trained = trained_se = ""
         if cfg.train_seeds > 0:
-            outs, logs = _trained_outputs(hyper, L, M, s, c0, cfg.train_config(),
-                                          cfg.train_seeds, cfg.seed)
-            trained = float(np.var(outs, ddof=1))
-            trained_se = trained * math.sqrt(2.0 / (len(outs) - 1))
-            stats.update(trained=trained, trained_se=trained_se,
-                         stop_reasons=dict(Counter(log.stop_reason for log in logs)),
-                         median_final_loss=float(np.median([log.losses[-1] for log in logs])))
-        params = dict(activation=cfg.activation, sigma_w_sq=sw,
-                      sigma_b_sq=sb, depth=L, width=M, sample_count=s,
-                      reference_cov=c0, mc_samples=cfg.mc_samples)
-        records.append(_record(store, "predict-variance", params, stats,
-                               cfg.seed, time.perf_counter() - t0))
-        rows.append([cfg.activation, sw, sb, L, M, s, pred.A, pred.variance,
-                     var.exact, var.mc_variance, var.mc_standard_error,
-                     trained, trained_se])
-    csv_path = Path(cfg.out_dir) / "predict_variance.csv"
-    write_csv(csv_path, ["activation", "sigma_w_sq", "sigma_b_sq", "depth", "width",
-                         "sample_count", "A", "predicted_variance", "exact_variance",
-                         "mc_variance", "mc_standard_error", "trained_variance",
-                         "trained_standard_error"], rows)
-    return SweepOutput(records=records, csv_paths=[csv_path])
+            stats.update(_trained_network_stats(hyper, L, M, s, c0, cfg.train_config(),
+                                                cfg.train_seeds, cfg.seed))
+            trained, trained_se = stats["trained"], stats["trained_se"]
+        params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb, depth=L,
+                      width=M, sample_count=s, reference_cov=c0, mc_samples=cfg.mc_samples)
+        return params, stats, ([[cfg.activation, sw, sb, L, M, s, pred.A, pred.variance,
+                                 var.exact, var.mc_variance, var.mc_standard_error,
+                                 trained, trained_se]],)
+    return run
 
 
-RUNNERS = {
-    "phase-diagram": run_phase_diagram,
-    "init-variance": run_init_variance,
-    "train-drift": run_train_drift,
-    "kappa-curves": run_kappa_curves,
-    "predict-variance": run_predict_variance,
+_COORDS = ("activation", "sigma_w_sq", "sigma_b_sq")
+
+SWEEPS = {
+    "phase-diagram": Sweep(
+        grid=lambda cfg: [(float(sw), float(sb))
+                          for sb in cfg.sigma_b_sq for sw in cfg.sigma_w_sq],
+        setup=_phase_diagram,
+        csvs=(("phase_diagram.csv", _COORDS + ("chi1_fixed_point", "phase")),)),
+    "init-variance": Sweep(
+        grid=lambda cfg: [(float(sw), int(L), int(M))
+                          for M in cfg.widths for L in cfg.depths for sw in cfg.sigma_w_sq],
+        setup=_init_variance,
+        csvs=(("init_variance_heatmap.csv",
+               _COORDS + ("depth", "width", "ratio", "standard_error")),
+              ("init_variance_lm_curves.csv",
+               _COORDS + ("width", "depth", "depth_over_width", "ratio")))),
+    "train-drift": Sweep(
+        grid=lambda cfg: [(float(sw), int(L)) for L in cfg.depths for sw in cfg.sigma_w_sq],
+        setup=_train_drift,
+        csvs=(("train_drift_heatmap.csv",
+               _COORDS + ("depth", "width", "final_drift", "final_loss", "initial_loss")),
+              ("train_drift_curves.csv",
+               _COORDS + ("depth", "width", "replicate", "step", "rel_change")))),
+    "kappa-curves": Sweep(
+        grid=lambda cfg: [(float(sw), float(sb))
+                          for sw in cfg.sigma_w_sq for sb in cfg.sigma_b_sq],
+        setup=_kappa_curves,
+        csvs=(("kappa_curves.csv", _COORDS + ("covariance", "depth", "kappa1", "kappa2",
+                                              "kappa_ratio")),)),
+    "predict-variance": Sweep(
+        grid=lambda cfg: [(float(sw), int(L)) for sw in cfg.sigma_w_sq for L in cfg.depths],
+        setup=_predict_variance,
+        csvs=(("predict_variance.csv",
+               _COORDS + ("depth", "width", "sample_count", "A", "predicted_variance",
+                          "exact_variance", "mc_variance", "mc_standard_error",
+                          "trained_variance", "trained_standard_error")),)),
 }
 
-
-def run_experiment(cfg: SweepConfig) -> SweepOutput:
-    cfg.validate()
-    return RUNNERS[cfg.experiment](cfg)
+EXPERIMENT_KINDS = tuple(SWEEPS)

@@ -92,7 +92,23 @@ def avg_dphi_prod_oracle(kind: ActivationKind, q_s: float, q_r: float, c: float)
 
 
 # ---------------------------------------------------------------------------
-# Finite differences.
+# Parameter gradients: the exact chain rule and finite differences.
+
+def gradient(net, x: np.ndarray) -> np.ndarray:
+    """Exact flat gradient of the scalar output with respect to all
+    parameters, in the layout of Mlp.flat_params (layer-major, weights
+    row-major before biases)."""
+    from ntklab.finite_net import backward_deltas, forward
+
+    _, cache = forward(net, x)
+    deltas = backward_deltas(net, cache)
+    parts = []
+    for l in range(net.depth):
+        d = deltas[l][0]
+        parts.append(np.outer(d, cache.activations[l][0]).ravel())
+        parts.append(d)
+    return np.concatenate(parts)
+
 
 def finite_difference_gradient(net, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the scalar output in all parameters."""
@@ -162,6 +178,35 @@ def pairwise_theta_star(hyper, depth: int, cov0: np.ndarray, m_width: float,
                             p_sum_diag=np.full(n, diag.p_sum_diag), p_sum_cross=psum2)
 
 
+def data_independent_kappas(hyper, depth: int, reference_cov: float = 0.5,
+                            q0: float = 1.0, width_fractions=None):
+    """kbar1/kbar2 from the trace started at q^0 = q0 and the reference covariance."""
+    from ntklab.meanfield import run_trace
+    from ntklab.ntk_theory import compute_kappas
+
+    return compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=reference_cov * q0),
+                          width_fractions)
+
+
+def trained_output(theta, theta_x: np.ndarray, f0_x: float,
+                   f0_train: np.ndarray, y: np.ndarray) -> float:
+    """Output of a network trained to convergence under a constant kernel,
+
+        f_inf(x) = f0(x) + Theta(x,X) Theta(X)^{-1} (Y - f0(X)),
+
+    through an SPD solve (never an explicit inverse)."""
+    from ntklab.ntk_theory import spd_solve
+
+    theta = np.asarray(getattr(theta, "matrix", theta), dtype=float)
+    theta_x = np.asarray(theta_x, dtype=float)
+    f0_train = np.asarray(f0_train, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (theta.shape[0] == theta.shape[1] == len(theta_x) == len(f0_train) == len(y)):
+        raise ValueError("inconsistent kernel/label dimensions")
+    w, _ = spd_solve(theta, y - f0_train)
+    return float(f0_x + theta_x @ w)
+
+
 def pairwise_nngp(hyper, depth: int, cov0: np.ndarray, q0: float = 1.0) -> np.ndarray:
     """K(X) assembled entry by entry from scalar run_trace calls."""
     from ntklab.meanfield import run_trace
@@ -184,7 +229,6 @@ def pairwise_nngp(hyper, depth: int, cov0: np.ndarray, q0: float = 1.0) -> np.nd
 def naive_kernel(net, x: np.ndarray):
     """Reference Gram matrix from explicitly stacked gradient vectors."""
     from ntklab.empirical_ntk import KernelMatrix, KernelProvenance
-    from ntklab.finite_net import gradient
 
     x = np.atleast_2d(np.asarray(x, float))
     grads = np.stack([gradient(net, row) for row in x])
@@ -197,7 +241,6 @@ def streaming_kernel(net, x: np.ndarray):
     """Pairwise-streaming Gram matrix holding at most two gradient vectors;
     recomputes gradients per pair."""
     from ntklab.empirical_ntk import KernelMatrix, KernelProvenance
-    from ntklab.finite_net import gradient
 
     x = np.atleast_2d(np.asarray(x, float))
     s = x.shape[0]

@@ -12,9 +12,7 @@ from ntklab.data_io import (
     digit_to_target,
     gram_anchored_inputs,
     load_mnist_subset,
-    records_to_csv,
     synthetic_dataset,
-    synthetic_pair,
     write_csv,
 )
 
@@ -115,30 +113,6 @@ class TestMnistReader:
         assert np.allclose(digit_to_target(np.array([0, 9])), [0.0, 1.0])
 
 
-class TestSyntheticPair:
-    def test_identical_at_full_covariance(self):
-        x_s, x_r = synthetic_pair(10, 1.0, seed=4)
-        assert np.array_equal(x_s, x_r)
-        assert np.linalg.norm(x_s) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_at_zero(self):
-        x_s, x_r = synthetic_pair(10, 0.0, seed=4)
-        assert abs(float(x_s @ x_r)) < 1e-12
-
-    @pytest.mark.parametrize("c", [0.1, 0.5, 0.73])
-    def test_prescribed_covariance(self, c):
-        x_s, x_r = synthetic_pair(100, c, seed=5)
-        assert np.linalg.norm(x_s) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(x_r) == pytest.approx(1.0, abs=1e-12)
-        assert float(x_s @ x_r) == pytest.approx(c, abs=1e-10)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            synthetic_pair(1, 0.5)
-        with pytest.raises(ValueError):
-            synthetic_pair(10, 1.5)
-
-
 class TestSyntheticDataset:
     def test_unit_norm_rows(self):
         ds = synthetic_dataset(12, 30, seed=1)
@@ -206,9 +180,3 @@ class TestCsv:
         write_csv(tmp_path / "a.csv", ["i", "v"], rows)
         write_csv(tmp_path / "b.csv", ["i", "v"], rows)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    def test_records_export(self, tmp_path):
-        recs = [RunRecord(kind="k", params={"p": 1}, stats={"s": 2.0, "t": 3.0}, seed=0)]
-        records_to_csv(tmp_path / "out.csv", recs)
-        lines = (tmp_path / "out.csv").read_text().splitlines()
-        assert len(lines) == 3  # header + one row per statistic

@@ -45,7 +45,7 @@ class TestEmpiricalKernel:
         assert np.allclose(theta, x @ x.T + 1.0, rtol=1e-12)
 
     def test_single_input_is_gradient_norm(self, erf_net):
-        from ntklab.finite_net import gradient
+        from oracles import gradient
 
         x = np.random.default_rng(3).standard_normal(7)
         theta = empirical_kernel(erf_net, x[None, :]).matrix

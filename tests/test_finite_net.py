@@ -9,14 +9,13 @@ from ntklab.finite_net import (
     backward_deltas,
     forward,
     forward_batch,
-    gradient,
     init,
     layer_widths,
     mse_loss,
     train_full_batch,
 )
 from ntklab.meanfield import InitHyper, edge_of_chaos_sigma_w_sq
-from oracles import finite_difference_gradient, reference_backward_deltas, \
+from oracles import finite_difference_gradient, gradient, reference_backward_deltas, \
     reference_forward_batch, reference_train_full_batch
 
 RELU = ActivationKind.RELU

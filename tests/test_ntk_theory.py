@@ -5,7 +5,8 @@ import pytest
 
 from scipy.stats import ks_2samp
 
-from oracles import pairwise_nngp, pairwise_theta_star, psd_sampler, variance_oracle_mc
+from oracles import data_independent_kappas, pairwise_nngp, pairwise_theta_star, \
+    psd_sampler, trained_output, variance_oracle_mc
 from ntklab.activations import ActivationKind
 from ntklab.data_io import synthetic_dataset
 from ntklab.meanfield import InitHyper, edge_of_chaos_sigma_w_sq, run_trace
@@ -15,13 +16,11 @@ from ntklab.ntk_theory import (
     build_theta_star,
     compute_kappas,
     condition_ratio,
-    data_independent_kappas,
     mean_theta_inverse,
     nngp_matrix,
     predict_variance,
     spd_solve,
     theta_star_matrix,
-    trained_output,
     trained_output_variance,
 )
 

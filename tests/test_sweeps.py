@@ -6,12 +6,12 @@ import pytest
 
 from ntklab import finite_net, sweeps
 from ntklab.activations import ActivationKind
-from ntklab.cli import main
+from ntklab.cli import build_parser, load_config, main
 from ntklab.data_io import RecordStore
 from ntklab.meanfield import InitHyper, run_trace
-from ntklab.ntk_theory import compute_kappas, data_independent_kappas, predict_variance
-from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig
-from oracles import reference_train_full_batch
+from ntklab.ntk_theory import compute_kappas, predict_variance
+from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid
+from oracles import data_independent_kappas, reference_train_full_batch
 
 
 def _rows(path):
@@ -71,6 +71,43 @@ class TestValidation:
         out = tmp_path / "out"
         assert _run(["train-drift", "--set", "learning_rate=fast"], out) == 1
         assert not out.exists()
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("override, key", [
+        ("out_dir=2024", "out_dir"), ("activation=1", "activation"),
+        ("n_seeds=abc", "n_seeds"), ("n_seeds=2.5", "n_seeds"), ("seed=true", "seed"),
+        ("depths=3", "depths"), ("depths=[2,a]", "depths"), ("input_dim=2.5", "input_dim"),
+        ("learning_rate=true", "learning_rate"), ("sigma_w_sq={a: 1}", "sigma_w_sq"),
+    ])
+    def test_mistyped_override_is_a_config_error(self, tmp_path, capsys, override, key):
+        out = tmp_path / "out"
+        assert _run(["init-variance", "--set", override], out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and key in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_mistyped_config_file_is_a_config_error(self, tmp_path, capsys):
+        for text in ("depths: 3\n", "- depths\n"):
+            path = tmp_path / "cfg.yaml"
+            path.write_text(text)
+            assert _run(["init-variance", "--config", str(path)], tmp_path / "out") == 1
+            assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_typed_values_accepted(self):
+        cfg = SweepConfig().override(["input_dim=null", "sigma_w_sq=[1, 2.5, 3e-1]",
+                                      "depths=[2,4]"])
+        assert cfg.input_dim is None and cfg.depths == [2, 4]
+        assert cfg.sigma_w_sq == [1, 2.5, 0.3]  # YAML 1.1 reads 3e-1 as a string
+        assert SweepConfig().override(["input_dim=5"]).input_dim == 5
+
+    @pytest.mark.parametrize("out_dir", ["yes", "2024"])
+    def test_out_dir_flag_taken_as_given(self, tmp_path, monkeypatch, out_dir):
+        monkeypatch.chdir(tmp_path)
+        assert main(["phase-diagram", "--set", "sigma_w_sq=[1.0]", "--out-dir", out_dir,
+                     "--seed", "3", "--threads", "2"]) == 0
+        (rec,) = RecordStore(tmp_path / out_dir / "records.jsonl")
+        assert rec.seed == 3
 
 
 def test_tanh_phase_diagram_at_edge_of_chaos_without_bias(tmp_path):
@@ -231,3 +268,68 @@ def test_csv_bytes_identical_across_reruns_and_training_steps(tmp_path, monkeypa
                   for rec in RecordStore(tmp_path / "first" / "records.jsonl")
                   if rec.params["depth"] == 32}
         assert status == {1.0: "ok", 3.0: "diverged"}
+
+
+DIVERGING_PREDICT_VARIANCE = [
+    "predict-variance", "--set", "widths=[9]", "--set", "sample_count=8",
+    "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[3,16]", "--set", "learning_rate=1.0",
+    "--set", "train_steps=200", "--set", "mc_samples=2000"]
+
+
+def test_diverging_trained_network_is_recorded(tmp_path):
+    assert _run(DIVERGING_PREDICT_VARIANCE + ["--set", "train_seeds=2"], tmp_path / "two") == 0
+    rows = _rows(tmp_path / "two" / "predict_variance.csv")
+    records = list(RecordStore(tmp_path / "two" / "records.jsonl"))
+    assert len(rows) == len(records) == 4
+    by_cell = {(r.params["sigma_w_sq"], r.params["depth"]): r for r in records}
+    # one of the two networks at sigma_w^2 = 3, L = 16 diverges: no variance over one
+    rec = by_cell[3.0, 16]
+    assert rec.stats["status"] == "diverged"
+    assert rec.stats["n_diverged"] == 1 and rec.stats["divergence_steps"] == [3]
+    assert rec.stats["stop_reasons"] == {"early_stop": 1}
+    assert math.isnan(rec.stats["trained"]) and math.isnan(rec.stats["trained_se"])
+    assert (rows[3]["trained_variance"], rows[3]["trained_standard_error"]) == ("nan", "nan")
+    assert by_cell[1.0, 16].stats["status"] == "ok"
+    assert "n_diverged" not in by_cell[1.0, 16].stats
+    # with a third network, which diverges at sigma_w^2 = 1, L = 16, that cell's
+    # variance is over the two networks that finished, the same two as above
+    assert _run(DIVERGING_PREDICT_VARIANCE + ["--set", "train_seeds=3"], tmp_path / "three") == 0
+    rec3 = {(r.params["sigma_w_sq"], r.params["depth"]): r
+            for r in RecordStore(tmp_path / "three" / "records.jsonl")}[1.0, 16]
+    assert rec3.stats["status"] == "diverged" and rec3.stats["n_diverged"] == 1
+    assert rec3.stats["trained"] == by_cell[1.0, 16].stats["trained"]
+
+
+# (argv, record params that name a grid cell); small grids of every experiment
+SWEEP_CASES = [
+    (["phase-diagram", "--set", "sigma_w_sq=[1.0,2.0,3.0]", "--set", "sigma_b_sq=[0.5,1.0]"],
+     ("sigma_w_sq", "sigma_b_sq")),
+    (["kappa-curves", "--set", "sigma_w_sq=[1.0,2.0]", "--set", "sigma_b_sq=[0.5,1.0]",
+      "--set", "depths=[2,5]"], ("sigma_w_sq", "sigma_b_sq")),
+    (["init-variance", "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,4]",
+      "--set", "widths=[8,16]", "--set", "n_seeds=10"], ("sigma_w_sq", "depth", "width")),
+    (["train-drift", "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,32]",
+      "--set", "n_seeds=2", "--set", "train_steps=20", "--set", "snapshot_steps=[0,5,20]"],
+     ("sigma_w_sq", "depth")),
+    (DIVERGING_PREDICT_VARIANCE + ["--set", "train_seeds=2"], ("sigma_w_sq", "depth")),
+]
+
+
+@pytest.mark.parametrize("argv, cell_keys", SWEEP_CASES, ids=[a[0] for a, _ in SWEEP_CASES])
+def test_one_record_per_grid_cell_and_bytes_independent_of_threads(tmp_path, capsys, argv,
+                                                                     cell_keys):
+    cells = grid(load_config(build_parser().parse_args(argv)))
+    statuses = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert _run(argv + ["--threads", threads], out) == 0
+        assert capsys.readouterr().out.startswith(f"{argv[0]}: {len(cells)} grid cells -> ")
+        records = list(RecordStore(out / "records.jsonl"))
+        assert [tuple(r.params[k] for k in cell_keys) for r in records] == cells
+        statuses[threads] = [r.stats["status"] for r in records]
+        assert set(statuses[threads]) <= {"ok", "diverged"}
+    assert statuses["1"] == statuses["2"]
+    names = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
+    assert names and names == sorted(p.name for p in (tmp_path / "2").glob("*.csv"))
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
