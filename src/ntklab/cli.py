@@ -38,12 +38,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> SweepConfig:
-    cfg = SweepConfig.from_yaml(args.config) if args.config else SweepConfig()
+    """The config of a parsed command line.  Each source overrides the ones
+    before it: the defaults, NTKLAB_DATA_DIR (out_dir only), the --config
+    file, the --set overrides, then --out-dir, --seed and --threads."""
+    cfg = SweepConfig()
+    env_dir = os.environ.get(DATA_DIR_ENV)
+    if env_dir is not None:
+        cfg = replace(cfg, out_dir=env_dir)
+    if args.config:
+        cfg = SweepConfig.from_yaml(args.config, cfg)
     cfg = cfg.override(args.overrides)
-    out_dir = args.out_dir
-    if out_dir is None and args.config is None:
-        out_dir = os.environ.get(DATA_DIR_ENV)
-    flags = dict(experiment=args.command, out_dir=out_dir, seed=args.seed,
+    flags = dict(experiment=args.command, out_dir=args.out_dir, seed=args.seed,
                  threads=args.threads)
     cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     cfg.validate()

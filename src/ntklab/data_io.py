@@ -3,7 +3,8 @@
 Supports the big-endian IDX format (magic 0x00000803 for image tensors,
 0x00000801 for label vectors, optionally gzipped), synthetic unit-norm
 datasets, Gram-anchored inputs with a prescribed Gram matrix, a JSON-lines
-store of experiment outcomes and a deterministic CSV writer.
+store of experiment outcomes, the code identity that stamps each outcome,
+and a deterministic CSV writer.
 """
 from __future__ import annotations
 
@@ -12,10 +13,13 @@ import json
 import logging
 import struct
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from . import __version__
 
 logger = logging.getLogger(__name__)
 
@@ -147,6 +151,22 @@ def gram_anchored_inputs(gram: np.ndarray, dim: int, seed: int = 0) -> np.ndarra
 
 # ---------------------------------------------------------------------------
 # Experiment records.
+
+@lru_cache(maxsize=None)
+def code_identity() -> str:
+    """The package version, "+", and the first 12 hex digits of a sha256 over
+    the package's modules (each *.py file's name and bytes, in sorted order),
+    so that records written by changed code say so.  Computed on the first
+    call, when the first record is written, not at import (nor is hashlib
+    imported then)."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(path.read_bytes())
+    return f"{__version__}+{digest.hexdigest()[:12]}"
+
 
 @dataclass
 class RunRecord:

@@ -25,14 +25,13 @@ import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import yaml
 
-from . import __version__
 from .activations import ActivationKind
 from .meanfield import InitHyper, classify_phase, run_trace
 from .ntk_theory import compute_kappas, nngp_matrix, predict_variance, \
@@ -40,8 +39,8 @@ from .ntk_theory import compute_kappas, nngp_matrix, predict_variance, \
 from .finite_net import TrainConfig, TrainingDivergenceError, init, layer_widths, \
     train_full_batch, forward_batch
 from .empirical_ntk import default_probe, init_variance_ratio, training_drift
-from .data_io import RecordStore, RunRecord, synthetic_dataset, write_csv, \
-    gram_anchored_inputs
+from .data_io import RecordStore, RunRecord, code_identity, synthetic_dataset, \
+    write_csv, gram_anchored_inputs
 from .meanfield import avg_phi_prod, avg_phi_sq
 
 class ConfigError(Exception):
@@ -79,7 +78,9 @@ class SweepConfig:
     out_dir: str = "out"
 
     @classmethod
-    def from_yaml(cls, path) -> "SweepConfig":
+    def from_yaml(cls, path, base: "SweepConfig | None" = None) -> "SweepConfig":
+        """The config in a YAML file; fields it leaves out come from base
+        (the defaults when None)."""
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = yaml.safe_load(fh) or {}
@@ -87,12 +88,13 @@ class SweepConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except yaml.YAMLError as err:
             raise ConfigError(f"cannot parse {path}: {err}") from None
-        return cls.from_mapping(raw)
+        return cls.from_mapping(raw, base)
 
     @classmethod
-    def from_mapping(cls, raw: dict) -> "SweepConfig":
+    def from_mapping(cls, raw: dict, base: "SweepConfig | None" = None) -> "SweepConfig":
         """Build a config from a mapping, checking each value against its
-        field's declared type.  Numbers are read with float() where floats
+        field's declared type; fields it leaves out come from base (the
+        defaults when None).  Numbers are read with float() where floats
         are expected, because YAML 1.1 reads a number such as 1e-5 (no dot)
         as a string."""
         if not isinstance(raw, dict):
@@ -101,19 +103,20 @@ class SweepConfig:
         unknown = set(raw) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{key: _typed(key, fields[key].type, value) for key, value in raw.items()})
+        typed = {key: _typed(key, fields[key].type, value) for key, value in raw.items()}
+        return cls(**typed) if base is None else replace(base, **typed)
 
     def override(self, assignments: Sequence[str]) -> "SweepConfig":
         """Apply key=value overrides (values parsed as YAML scalars/lists)."""
-        data = asdict(self)
+        data = {}
         for item in assignments:
             key, sep, value = item.partition("=")
             if not sep:
                 raise ConfigError(f"override {item!r} is not of the form key=value")
-            if key not in data:
+            if key not in self.__dataclass_fields__:
                 raise ConfigError(f"unknown config key {key!r}")
             data[key] = yaml.safe_load(value)
-        return SweepConfig.from_mapping(data)
+        return SweepConfig.from_mapping(data, self)
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENT_KINDS:
@@ -123,6 +126,12 @@ class SweepConfig:
             ActivationKind.from_name(self.activation)
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        empty = [key for key in ("sigma_w_sq", "sigma_b_sq", "depths", "widths")
+                 if not getattr(self, key)]
+        if self.experiment == "kappa-curves" and not self.covariances:
+            empty.append("covariances")
+        if empty:
+            raise ConfigError(f"{', '.join(empty)} must not be empty")
         try:
             for sw in self.sigma_w_sq:
                 for sb in self.sigma_b_sq:
@@ -135,6 +144,14 @@ class SweepConfig:
             raise ConfigError("widths must be >= 1")
         if any(not 0.0 <= float(c) <= 1.0 for c in self.covariances):
             raise ConfigError("covariances must lie in [0, 1]")
+        if not 0.0 <= self.reference_cov <= 1.0:
+            raise ConfigError(f"reference_cov must lie in [0, 1], got {self.reference_cov}")
+        if self.sample_count < 1:
+            raise ConfigError("sample_count must be >= 1")
+        if self.train_steps < 0:
+            raise ConfigError("train_steps must be >= 0")
+        if not self.learning_rate >= 0.0:
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.n_seeds < 2:
             raise ConfigError("n_seeds must be >= 2")
         if self.mc_samples < 2:
@@ -251,7 +268,7 @@ def run_experiment(cfg: SweepConfig) -> SweepOutput:
     for (params, stats, rows), elapsed in _run_cells(jobs, timed, cfg.threads):
         rec = RunRecord(kind=cfg.experiment, params=params, stats={"status": "ok", **stats},
                         seed=cfg.seed, wall_clock_s=round(elapsed, 6),
-                        code_version=__version__)
+                        code_version=code_identity())
         store.append(rec)
         records.append(rec)
         for table, cell_rows in zip(tables, rows):

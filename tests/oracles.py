@@ -366,12 +366,18 @@ def reference_train_full_batch(net, x: np.ndarray, y: np.ndarray, cfg,
 
 
 # ---------------------------------------------------------------------------
-# The two-dimensional Gauss-Hermite rule with fresh temporaries per block:
-# the reference for the library's buffered rule, which must match it bit for
-# bit.
+# The two-dimensional Gauss-Hermite rule over the full grid, with fresh
+# temporaries per block: the reference for the library's buffered half-grid
+# rule, which must match it to rounding.
 
 def reference_pair_expectation(f, q_s: float, q_r: float, c, n_nodes: int = 64):
-    """E[f(u1) f(u2)] by the block loop that allocates u2 and f(u2) per block."""
+    """E[f(u1) f(u2)] over the full n x n grid, by the block loop that
+    allocates u2 and f(u2) per block.
+
+    The library's rule sums over the half grid, in another order, so this is
+    a tolerance reference for it (agreement to rounding), not a bitwise one.
+    It takes any f, odd, even or neither.
+    """
     x, w = gauss_hermite_rule(n_nodes)
     c = np.asarray(c, dtype=float)
     flat = c.reshape(-1)

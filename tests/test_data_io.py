@@ -1,14 +1,22 @@
 import gzip
+import os
+import re
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ntklab
 from ntklab.data_io import (
     Dataset,
     IdxFormatError,
     RecordStore,
     RunRecord,
+    code_identity,
     digit_to_target,
     gram_anchored_inputs,
     load_mnist_subset,
@@ -180,3 +188,33 @@ class TestCsv:
         write_csv(tmp_path / "a.csv", ["i", "v"], rows)
         write_csv(tmp_path / "b.csv", ["i", "v"], rows)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestCodeIdentity:
+    # prints whether importing the whole package computed the identity, then it
+    SCRIPT = ("import ntklab.cli; from ntklab.data_io import code_identity; "
+              "print(code_identity.cache_info().misses); print(code_identity())")
+
+    @classmethod
+    def identity_of(cls, src: Path) -> str:
+        proc = subprocess.run([sys.executable, "-c", cls.SCRIPT], capture_output=True,
+                              text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        misses, identity = proc.stdout.split()
+        assert misses == "0"  # not computed at import
+        return identity
+
+    def test_version_plus_source_digest(self):
+        version, digest = code_identity().split("+")
+        assert version == ntklab.__version__
+        assert re.fullmatch("[0-9a-f]{12}", digest)
+
+    def test_same_tree_same_identity_one_changed_byte_another(self, tmp_path):
+        copy = tmp_path / "ntklab"
+        shutil.copytree(Path(ntklab.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert self.identity_of(tmp_path) == self.identity_of(tmp_path) == code_identity()
+        path = copy / "quadrature.py"
+        data = path.read_bytes()
+        at = data.index(b"Gauss")
+        path.write_bytes(data[:at] + b"g" + data[at + 1:])
+        assert self.identity_of(tmp_path) != code_identity()

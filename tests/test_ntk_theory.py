@@ -427,3 +427,24 @@ class TestOnePassAgainstPerPairAssembly:
                                   reference_cov=0.3)
         np.testing.assert_allclose(theta.matrix, ref.matrix, rtol=1e-13, atol=0)
         assert theta.mean_kappa2 == pytest.approx(ref.mean_kappa2, rel=1e-13)
+
+
+@pytest.mark.parametrize("sw,sb", [(1.5, 0.1), (0.8, 0.0)], ids=["sb0.1", "ordered-sb0"])
+def test_tanh_kernels_with_half_grid_rule_match_full_grid(monkeypatch, sw, sb):
+    # tanh Theta*(X) and K(X) through the half-grid pair rule against the
+    # same build with the rule replaced by the full-grid block loop
+    from oracles import reference_pair_expectation
+    from ntklab import quadrature
+
+    x = synthetic_dataset(24, 64, seed=24).inputs
+    cov0 = x @ x.T
+    hyper = InitHyper(sw, sb, TANH)
+    theta = theta_star_matrix(hyper, 16, cov0, 64.0).matrix
+    k = nngp_matrix(hyper, 16, cov0).matrix
+    monkeypatch.setattr(quadrature, "normal_pair_expectation", reference_pair_expectation)
+    theta_ref = theta_star_matrix(hyper, 16, cov0, 64.0).matrix
+    k_ref = nngp_matrix(hyper, 16, cov0).matrix
+    for got, want in ((theta, theta_ref), (k, k_ref)):
+        assert not np.array_equal(got, want)  # the replaced rule was used
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-13 * np.max(np.abs(want)))

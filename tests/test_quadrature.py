@@ -49,7 +49,10 @@ def test_normal_expectation_array_of_scales():
 
 
 @pytest.mark.parametrize("name", ["tanh-in-place", "dtanh-in-place", "np.tanh", "identity"])
-def test_buffered_pair_rule_matches_block_loop_bitwise(name):
+def test_buffered_pair_rule_matches_full_grid(name):
+    # The half-grid rule sums in another order than the full-grid block loop,
+    # so they agree to rounding: within 1e-14 of the Cauchy-Schwarz scale
+    # sqrt(E f(u1)^2 E f(u2)^2), which bounds |E f(u1) f(u2)|.
     from oracles import reference_pair_expectation
     from ntklab.activations import ActivationKind, dphi, phi
 
@@ -57,14 +60,23 @@ def test_buffered_pair_rule_matches_block_loop_bitwise(name):
     f = {"tanh-in-place": lambda u: phi(tanh, u, out=u),
          "dtanh-in-place": lambda u: dphi(tanh, u, out=u),
          "np.tanh": np.tanh, "identity": lambda u: u}[name]
-    # 37 correlations: two full blocks and a partial one
-    c = np.linspace(-1.0, 1.0, 37)
-    for q_s, q_r in [(1.3, 0.7), (0.2, 4.0)]:
-        got = normal_pair_expectation(f, q_s, q_r, c)
-        want = reference_pair_expectation(f, q_s, q_r, c)
-        assert np.array_equal(got, want)
-        assert normal_pair_expectation(f, q_s, q_r, 0.3) == \
-            reference_pair_expectation(f, q_s, q_r, 0.3)
+    # 40 correlations: the ends, zero, and two full blocks and a partial one
+    c = np.concatenate([[-1.0, 0.0, 1.0], np.linspace(-1.0, 1.0, 37)])
+    for n_nodes in (63, 64):
+        for q_s, q_r in [(1.3, 0.7), (0.2, 4.0), (9.0, 9.0)]:
+            scale = np.sqrt(normal_expectation(lambda u: f(u) ** 2, np.sqrt(q_s), n_nodes)
+                            * normal_expectation(lambda u: f(u) ** 2, np.sqrt(q_r), n_nodes))
+            got = normal_pair_expectation(f, q_s, q_r, c, n_nodes)
+            want = reference_pair_expectation(f, q_s, q_r, c, n_nodes)
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+            assert abs(normal_pair_expectation(f, q_s, q_r, 0.3, n_nodes)
+                       - reference_pair_expectation(f, q_s, q_r, 0.3, n_nodes)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("f", [np.exp, lambda u: u + 1.0], ids=["exp", "shifted-identity"])
+def test_pair_rule_rejects_an_integrand_neither_odd_nor_even(f):
+    with pytest.raises(ValueError, match="odd or an even"):
+        normal_pair_expectation(f, 1.0, 1.0, 0.5)
 
 
 def test_pair_rule_allocates_one_block_buffer():

@@ -7,7 +7,7 @@ import pytest
 from ntklab import finite_net, sweeps
 from ntklab.activations import ActivationKind
 from ntklab.cli import build_parser, load_config, main
-from ntklab.data_io import RecordStore
+from ntklab.data_io import RecordStore, code_identity
 from ntklab.meanfield import InitHyper, run_trace
 from ntklab.ntk_theory import compute_kappas, predict_variance
 from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid
@@ -71,6 +71,83 @@ class TestValidation:
         out = tmp_path / "out"
         assert _run(["train-drift", "--set", "learning_rate=fast"], out) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["train-drift", "--set", "widths=[]", "--set", "n_seeds=2", "--set", "train_steps=10",
+          "--set", "snapshot_steps=[0]"], "widths"),
+        (["predict-variance", "--set", "sample_count=0", "--set", "depths=[2]",
+          "--set", "sigma_w_sq=[2.0]"], "sample_count"),
+        (["phase-diagram", "--set", "sigma_w_sq=[]"], "sigma_w_sq"),
+        (["init-variance", "--set", "sigma_b_sq=[]"], "sigma_b_sq"),
+        (["kappa-curves", "--set", "depths=[]"], "depths"),
+        (["kappa-curves", "--set", "covariances=[]"], "covariances"),
+        (["train-drift", "--set", "train_steps=-1"], "train_steps"),
+        (["train-drift", "--set", "learning_rate=-0.001"], "learning_rate"),
+        (["predict-variance", "--set", "reference_cov=1.5"], "reference_cov"),
+        (["predict-variance", "--set", "reference_cov=-0.1"], "reference_cov"),
+    ])
+    def test_infeasible_grid_is_a_config_error(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        assert _run(argv, out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and key in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_feasible_edges_accepted(self):
+        SweepConfig(sample_count=1, train_steps=0, learning_rate=0.0,
+                    reference_cov=1.0).validate()
+        SweepConfig(reference_cov=0.0).validate()
+        # only kappa-curves reads the covariances
+        SweepConfig(experiment="phase-diagram", covariances=[]).validate()
+
+
+class TestOutDirPrecedence:
+    """--out-dir, then --set out_dir= or the config file's out_dir, then
+    NTKLAB_DATA_DIR, then the default "out"."""
+
+    @staticmethod
+    def out_dir(argv):
+        return load_config(build_parser().parse_args(["phase-diagram"] + argv)).out_dir
+
+    @staticmethod
+    def config_file(tmp_path, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        return str(path)
+
+    def test_flag_beats_set_file_and_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NTKLAB_DATA_DIR", "A")
+        cfg = self.config_file(tmp_path, "out_dir: C\n")
+        assert self.out_dir(["--config", cfg, "--set", "out_dir=B", "--out-dir", "D"]) == "D"
+
+    def test_set_and_file_beat_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NTKLAB_DATA_DIR", "A")
+        cfg = self.config_file(tmp_path, "out_dir: C\n")
+        assert self.out_dir(["--set", "out_dir=B"]) == "B"
+        assert self.out_dir(["--set", "out_dir=out"]) == "out"
+        assert self.out_dir(["--config", cfg]) == "C"
+        assert self.out_dir(["--config", cfg, "--set", "out_dir=B"]) == "B"
+        monkeypatch.chdir(tmp_path)
+        assert main(["phase-diagram", "--set", "sigma_w_sq=[1.0]", "--set", "out_dir=B"]) == 0
+        assert (tmp_path / "B" / "records.jsonl").exists() and not (tmp_path / "A").exists()
+
+    def test_environment_beats_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NTKLAB_DATA_DIR", "A")
+        assert self.out_dir([]) == "A"
+        assert self.out_dir(["--config", self.config_file(tmp_path, "depths: [2]\n")]) == "A"
+
+    def test_default(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("NTKLAB_DATA_DIR", raising=False)
+        assert self.out_dir([]) == "out"
+        assert self.out_dir(["--config", self.config_file(tmp_path, "depths: [2]\n")]) == "out"
+
+
+def test_records_carry_the_code_identity(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert _run(["phase-diagram", "--set", "sigma_w_sq=[1.0,2.0]"], out) == 0
+    versions = [rec.code_version for out in outs for rec in RecordStore(out / "records.jsonl")]
+    assert versions == [code_identity()] * 4
 
 
 class TestConfigTypes:
