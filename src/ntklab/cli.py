@@ -39,11 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args) -> SweepConfig:
     """The config of a parsed command line.  Each source overrides the ones
-    before it: the defaults, NTKLAB_DATA_DIR (out_dir only), the --config
-    file, the --set overrides, then --out-dir, --seed and --threads."""
+    before it: the defaults, NTKLAB_DATA_DIR (out_dir only; empty counts as
+    unset), the --config file, the --set overrides, then --out-dir, --seed
+    and --threads."""
     cfg = SweepConfig()
     env_dir = os.environ.get(DATA_DIR_ENV)
-    if env_dir is not None:
+    if env_dir:
         cfg = replace(cfg, out_dir=env_dir)
     if args.config:
         cfg = SweepConfig.from_yaml(args.config, cfg)

@@ -234,6 +234,8 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
 
     Mutates the network in place.  on_snapshot(step, net) is invoked at each
     requested step index (0 = before any update) and after the final step.
+    The stop reason is "early_stop" or "max_steps", or "loss_rose" when the
+    last loss is above the step-1 loss (a finite blow-up is not convergence).
     Raises TrainingDivergenceError on a non-finite loss, with the partial
     loss log attached.
     """
@@ -297,6 +299,8 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
             if stale >= cfg.early_stop_patience:
                 reason = "early_stop"
                 break
+    if step and losses[step - 1] > losses[0]:
+        reason = "loss_rose"
 
     snapshot(step, force=True)
     return TrainLog(losses=losses[:step].copy(), stop_reason=reason, steps_run=step)

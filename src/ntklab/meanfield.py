@@ -7,15 +7,15 @@ expectations of the activation:
 
     forward:   q^l     = sigma_w^2 * E[phi(sqrt(q^{l-1}) z)^2] + sigma_b^2
                q_sr^l  = sigma_w^2 * E[phi(u1) phi(u2)]        + sigma_b^2
-    backward:  p^l     = sigma_w^2 * r_l * E[phi'(sqrt(q^l) z)^2] * p^{l+1}
-               p_sr^l  = sigma_w^2 * r_l * E[phi'(u1) phi'(u2)]   * p_sr^{l+1}
+    backward:  p^l     = sigma_w^2 * E[phi'(sqrt(q^l) z)^2] * p^{l+1}
+               p_sr^l  = sigma_w^2 * E[phi'(u1) phi'(u2)]   * p_sr^{l+1}
 
-with (u1, u2) a correlated Gaussian pair and r_l an optional layer-width
-ratio (1 for constant-width networks).  Terminal conditions are
-p^L = p_sr^L = 1 because the output is a linear read-out of the last
-activations.  Layer 0 is treated as a virtual activation layer: the trace
-starts from a pre-activation variance q^0 (1 for normalized data) and
-q_hat^0 = E[phi(sqrt(q^0) z)^2] plays the role of the input second moment.
+with (u1, u2) a correlated Gaussian pair, for constant-width networks.
+Terminal conditions are p^L = p_sr^L = 1 because the output is a linear
+read-out of the last activations.  Layer 0 is treated as a virtual
+activation layer: the trace starts from a pre-activation variance q^0 (1 for
+normalized data) and q_hat^0 = E[phi(sqrt(q^0) z)^2] plays the role of the
+input second moment.
 
 The per-layer multiplier chi1^l = sigma_w^2 * E[phi'(sqrt(q^l) z)^2]
 controls gradient propagation: chi1 < 1 at the variance fixed point means
@@ -23,17 +23,16 @@ vanishing gradients (ordered phase), chi1 > 1 exploding gradients (chaotic
 phase), and chi1 = 1 is the edge of chaos (EOC).
 
 ReLU and erf use closed-form expectations (NumPy ufuncs); anything else
-falls back to Gauss-Hermite quadrature.  The expectations, the single-layer
-maps and run_trace are elementwise over arrays: run_trace takes a 1-D array
-of layer-0 covariances and advances all of them through the layers in one
-pass, which is how ntk_theory builds whole kernel matrices.
+falls back to Gauss-Hermite quadrature.  The expectations are elementwise
+over arrays, and run_trace is the one place the recursions run: it takes a
+1-D array of layer-0 covariances and advances all of them through the
+layers in one pass, which is how ntk_theory builds whole kernel matrices.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -107,16 +106,6 @@ class PhaseLabel:
     chi1_fixed_point: float
 
 
-# Input checks shared by the elementwise maps below (scalars or arrays).
-
-def _all_positive(x) -> bool:
-    return bool((np.asarray(x) > 0.0).all())
-
-
-def _all_finite(x) -> bool:
-    return bool(np.isfinite(x).all())
-
-
 def _clamp_correlation(c):
     c = np.asarray(c, dtype=float)
     outside = np.abs(c) > 1.0 + CORRELATION_SLACK
@@ -138,28 +127,25 @@ def _clamp_correlation(c):
 # follow from E[erf(u1) erf(u2)] = (2/pi) arcsin(2 cov / sqrt((1+2q_s)(1+2q_r)))
 # and E[exp(-u1^2 - u2^2)] = 1/sqrt(det(I + 2 Sigma)).
 
-def avg_phi_sq(kind: ActivationKind, q, n_nodes: int = quadrature.DEFAULT_NODES):
+def avg_phi_sq(kind: ActivationKind, q):
     """E[phi(sqrt(q) z)^2] for z ~ N(0, 1)."""
     if kind is ActivationKind.RELU:
         return 0.5 * q
     if kind is ActivationKind.ERF:
         return 2.0 / math.pi * np.arctan(q / np.sqrt(q + 0.25))
-    return quadrature.normal_expectation(lambda u: phi(kind, u) ** 2,
-                                         np.sqrt(q), n_nodes)
+    return quadrature.normal_expectation(lambda u: phi(kind, u) ** 2, np.sqrt(q))
 
 
-def avg_dphi_sq(kind: ActivationKind, q, n_nodes: int = quadrature.DEFAULT_NODES):
+def avg_dphi_sq(kind: ActivationKind, q):
     """E[phi'(sqrt(q) z)^2] for z ~ N(0, 1)."""
     if kind is ActivationKind.RELU:
         return np.full(np.shape(q), 0.5)[()]
     if kind is ActivationKind.ERF:
         return 2.0 / math.pi / np.sqrt(q + 0.25)
-    return quadrature.normal_expectation(lambda u: dphi(kind, u) ** 2,
-                                         np.sqrt(q), n_nodes)
+    return quadrature.normal_expectation(lambda u: dphi(kind, u) ** 2, np.sqrt(q))
 
 
-def avg_phi_prod(kind: ActivationKind, q_s, q_r, c,
-                 n_nodes: int = quadrature.DEFAULT_NODES):
+def avg_phi_prod(kind: ActivationKind, q_s, q_r, c):
     """E[phi(u1) phi(u2)] over the correlated pair with variances q_s, q_r, correlation c."""
     c = _clamp_correlation(c)
     if kind is ActivationKind.RELU:
@@ -170,12 +156,10 @@ def avg_phi_prod(kind: ActivationKind, q_s, q_r, c,
         cov = c * np.sqrt(q_s * q_r)
         arg = 2.0 * cov / np.sqrt((1.0 + 2.0 * q_s) * (1.0 + 2.0 * q_r))
         return 2.0 / math.pi * np.arcsin(np.minimum(np.maximum(arg, -1.0), 1.0))
-    return quadrature.normal_pair_expectation(lambda u: phi(kind, u, out=u),
-                                              q_s, q_r, c, n_nodes)
+    return quadrature.normal_pair_expectation(lambda u: phi(kind, u, out=u), q_s, q_r, c)
 
 
-def avg_dphi_prod(kind: ActivationKind, q_s, q_r, c,
-                  n_nodes: int = quadrature.DEFAULT_NODES):
+def avg_dphi_prod(kind: ActivationKind, q_s, q_r, c):
     """E[phi'(u1) phi'(u2)] over the correlated pair."""
     c = _clamp_correlation(c)
     if kind is ActivationKind.RELU:
@@ -184,78 +168,7 @@ def avg_dphi_prod(kind: ActivationKind, q_s, q_r, c,
         cov = c * np.sqrt(q_s * q_r)
         det = (1.0 + 2.0 * q_s) * (1.0 + 2.0 * q_r) - 4.0 * cov * cov
         return 4.0 / math.pi / np.sqrt(det)
-    return quadrature.normal_pair_expectation(lambda u: dphi(kind, u, out=u),
-                                              q_s, q_r, c, n_nodes)
-
-
-# ---------------------------------------------------------------------------
-# Single-layer maps, elementwise over arrays like the expectations above.
-
-def _first_non_finite(value, at):
-    """The entry of `at` where `value` is first non-finite (for messages)."""
-    bad = ~np.isfinite(value)
-    return float(np.broadcast_to(at, np.shape(value))[bad].flat[0])
-
-
-def forward_variance_step(hyper: InitHyper, q_prev) -> tuple:
-    """One forward step of the variance recursion.
-
-    Returns (q, q_hat) where q is the next pre-activation variance and q_hat
-    is the activation variance of the incoming layer.
-    """
-    if not _all_positive(q_prev):
-        raise ValueError(f"q_prev must be positive, got {q_prev!r}")
-    q_hat = avg_phi_sq(hyper.activation, q_prev)
-    q = hyper.sigma_w_sq * q_hat + hyper.sigma_b_sq
-    if not _all_finite(q):
-        raise SignalOverflowError(
-            f"variance map overflowed at q_prev={_first_non_finite(q, q_prev)!r}")
-    return q, q_hat
-
-
-def forward_covariance_step(hyper: InitHyper, q_s, q_r, q_sr_prev) -> tuple:
-    """One forward step of the covariance recursion.
-
-    Returns (q_sr, q_hat_sr): the next pre-activation covariance and the
-    activation covariance of the incoming layer.  Collapses to
-    forward_variance_step when the correlation is 1.
-    """
-    if not (_all_positive(q_s) and _all_positive(q_r)):
-        raise ValueError("q_s and q_r must be positive")
-    # avg_phi_prod clamps the correlation
-    q_hat_sr = avg_phi_prod(hyper.activation, q_s, q_r, q_sr_prev / np.sqrt(q_s * q_r))
-    q_sr = hyper.sigma_w_sq * q_hat_sr + hyper.sigma_b_sq
-    if not _all_finite(q_sr):
-        raise SignalOverflowError(
-            f"covariance map overflowed at q_sr_prev={_first_non_finite(q_sr, q_sr_prev)!r}")
-    return q_sr, q_hat_sr
-
-
-def backward_step(hyper: InitHyper, q, p_next, width_ratio: float = 1.0) -> tuple:
-    """One backward step of the error-variance recursion.
-
-    Returns (p, chi1).  chi1 = sigma_w^2 * E[phi'(sqrt(q) z)^2] is reported
-    for the width_ratio = 1 convention; p additionally carries the ratio of
-    adjacent layer widths for non-constant profiles.
-    """
-    if not _all_positive(p_next):
-        raise ValueError(f"p_next must be positive, got {p_next!r}")
-    chi1 = hyper.sigma_w_sq * avg_dphi_sq(hyper.activation, q)
-    p = chi1 * width_ratio * p_next
-    if not _all_finite(p):
-        raise SignalOverflowError(f"backward map overflowed at q={_first_non_finite(p, q)!r}")
-    return p, chi1
-
-
-def backward_covariance_step(hyper: InitHyper, q_s, q_r, c, p_sr_next,
-                             width_ratio: float = 1.0):
-    """One backward step of the error-covariance recursion."""
-    p_sr = (hyper.sigma_w_sq * avg_dphi_prod(hyper.activation, q_s, q_r, c)
-            * width_ratio * p_sr_next)
-    if not _all_finite(p_sr):
-        raise SignalOverflowError(
-            f"backward covariance map overflowed at q={_first_non_finite(p_sr, q_s)!r}")
-    return p_sr
+    return quadrature.normal_pair_expectation(lambda u: dphi(kind, u, out=u), q_s, q_r, c)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +208,16 @@ class MeanFieldTrace:
         return self.q_sr is not None
 
 
+def _check_layer(layer: int, variance, covariance) -> None:
+    """The one check per layer of the trace: the new variance (q or p) must
+    be finite and positive, the new covariances (None without them) finite."""
+    if not (np.isfinite(variance)
+            and (covariance is None or np.isfinite(covariance).all())):
+        raise SignalOverflowError("mean-field recursion overflowed", layer=layer)
+    if not variance > 0.0:
+        raise ValueError(f"variance {float(variance)!r} at layer {layer} must be positive")
+
+
 def _forward_sweep(hyper: InitHyper, depth: int, q0: float, q0_sr):
     """Forward recursions of run_trace: returns (q, q_hat, q_sr, q_hat_sr, c),
     the last three None when q0_sr is None.
@@ -307,6 +230,7 @@ def _forward_sweep(hyper: InitHyper, depth: int, q0: float, q0_sr):
         raise ValueError("depth must be >= 1")
     if not (q0 > 0.0):
         raise ValueError("q0 must be positive")
+    kind, sw, sb = hyper.activation, hyper.sigma_w_sq, hyper.sigma_b_sq
     L = depth
     q = np.empty(L + 1)
     q_hat = np.empty(L + 1)
@@ -326,24 +250,23 @@ def _forward_sweep(hyper: InitHyper, depth: int, q0: float, q0_sr):
 
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(1, L + 1):
-            try:
-                q[l], q_hat[l - 1] = forward_variance_step(hyper, q[l - 1])
-                if q_sr is not None:
-                    c[l - 1] = _clamp_correlation(q_sr[l - 1] / q[l - 1])
-                    q_sr[l], q_hat_sr[l - 1] = forward_covariance_step(
-                        hyper, q[l - 1], q[l - 1], q_sr[l - 1])
-            except SignalOverflowError as err:
-                raise SignalOverflowError(str(err), layer=l) from err
-    q_hat[L] = avg_phi_sq(hyper.activation, q[L])
+            q_prev = q[l - 1]
+            q_hat[l - 1] = avg_phi_sq(kind, q_prev)
+            q[l] = sw * q_hat[l - 1] + sb
+            if q_sr is not None:
+                c[l - 1] = _clamp_correlation(q_sr[l - 1] / q_prev)
+                q_hat_sr[l - 1] = avg_phi_prod(kind, q_prev, q_prev,
+                                               q_sr[l - 1] / np.sqrt(q_prev * q_prev))
+                q_sr[l] = sw * q_hat_sr[l - 1] + sb
+            _check_layer(l, q[l], None if q_sr is None else q_sr[l])
+    q_hat[L] = avg_phi_sq(kind, q[L])
     if q_sr is not None:
         c[L] = _clamp_correlation(q_sr[L] / q[L])
-        q_hat_sr[L] = avg_phi_prod(hyper.activation, q[L], q[L], c[L])
+        q_hat_sr[L] = avg_phi_prod(kind, q[L], q[L], c[L])
     return q, q_hat, q_sr, q_hat_sr, c
 
 
-def run_trace(hyper: InitHyper, depth: int, q0: float = 1.0,
-              q0_sr=None,
-              width_ratios: Sequence[float] | None = None) -> MeanFieldTrace:
+def run_trace(hyper: InitHyper, depth: int, q0: float = 1.0, q0_sr=None) -> MeanFieldTrace:
     """Full forward sweep of the variance/covariance recursions followed by
     the backward sweep with terminal conditions p^L = p_sr^L = 1.
 
@@ -351,36 +274,25 @@ def run_trace(hyper: InitHyper, depth: int, q0: float = 1.0,
     1-D array of them; an array runs every covariance through the layers in
     one pass, and column k of the covariance arrays equals the trace run
     with q0_sr = q0_sr[k].
-
-    width_ratios, when given, supplies the per-layer width quotient of the
-    backward recursion for layers 1..L-1 (constant-width networks use 1).
     """
-    if width_ratios is None:
-        ratios = np.ones(max(depth - 1, 1))
-    else:
-        ratios = np.asarray(width_ratios, dtype=float)
-        if depth > 1 and len(ratios) != depth - 1:
-            raise ValueError(f"width_ratios must have length depth-1={depth - 1}")
     q, q_hat, q_sr, q_hat_sr, c = _forward_sweep(hyper, depth, q0, q0_sr)
-
+    kind, sw = hyper.activation, hyper.sigma_w_sq
     L = depth
     p = np.full(L + 1, np.nan)
     chi1 = np.full(L + 1, np.nan)
     p[L] = 1.0
-    chi1[0] = hyper.sigma_w_sq * avg_dphi_sq(hyper.activation, q[0])
+    chi1[0] = sw * avg_dphi_sq(kind, q[0])
     p_sr = None
     if q_sr is not None:
         p_sr = np.full(q_sr.shape, np.nan)
         p_sr[L] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(L - 1, 0, -1):
-            try:
-                p[l], chi1[l] = backward_step(hyper, q[l], p[l + 1], ratios[l - 1])
-                if p_sr is not None:
-                    p_sr[l] = backward_covariance_step(
-                        hyper, q[l], q[l], c[l], p_sr[l + 1], ratios[l - 1])
-            except SignalOverflowError as err:
-                raise SignalOverflowError(str(err), layer=l) from err
+            chi1[l] = sw * avg_dphi_sq(kind, q[l])
+            p[l] = chi1[l] * p[l + 1]
+            if p_sr is not None:
+                p_sr[l] = sw * avg_dphi_prod(kind, q[l], q[l], c[l]) * p_sr[l + 1]
+            _check_layer(l, p[l], None if p_sr is None else p_sr[l])
     return MeanFieldTrace(hyper, q, q_hat, p, chi1,
                           q_sr=q_sr, q_hat_sr=q_hat_sr, c=c, p_sr=p_sr)
 
@@ -406,12 +318,16 @@ def variance_fixed_point(hyper: InitHyper, q0: float = 1.0) -> tuple[float, floa
         chi0 = hyper.sigma_w_sq * float(dphi(kind, 0.0)) ** 2
         if chi0 <= 1.0:
             return 0.0, chi0
+    if not q0 > 0.0:
+        raise ValueError(f"q0 must be positive, got {q0!r}")
     q = q0
     chi_prev = None
     stable = 0
     for _ in range(FIXED_POINT_MAX_ITER):
-        q_next, _ = forward_variance_step(hyper, q)
-        chi = hyper.sigma_w_sq * avg_dphi_sq(hyper.activation, q_next)
+        q_next = hyper.sigma_w_sq * avg_phi_sq(kind, q) + hyper.sigma_b_sq
+        if not math.isfinite(q_next):
+            raise SignalOverflowError(f"variance map overflowed at q={q!r}")
+        chi = hyper.sigma_w_sq * avg_dphi_sq(kind, q_next)
         if abs(q_next - q) < FIXED_POINT_RTOL * max(1.0, abs(q_next)):
             return float(q_next), float(chi)
         if chi_prev is not None and abs(chi - chi_prev) <= 1e-13 * max(1.0, abs(chi)):

@@ -1,14 +1,15 @@
 """Deterministic (infinite-width) NTK machinery built on mean-field traces.
 
-For a network of depth L with widths M_l = alpha_l * M, the NTK converges at
+For a constant-width network of depth L (input dimension and hidden widths
+all M, as finite_net.layer_widths builds it), the NTK converges at
 initialization to a deterministic matrix with a depth-summed structure
 
     Theta*(X) = alpha * M * Lambda + P,
     Lambda[s][s] = kappa1(x_s),   Lambda[s][r] = kappa2(x_s, x_r),
 
-    kappa1(x)        = sum_l (alpha_{l-1} / alpha) * q_hat^{l-1}(x)   * p^l(x)
-    kappa2(x_s, x_r) = sum_l (alpha_{l-1} / alpha) * q_hat_sr^{l-1}   * p_sr^l
-    alpha            = sum_{l=1}^{L-1} alpha_l * alpha_{l-1},
+    kappa1(x)        = (1 / alpha) * sum_{l=1}^{L} q_hat^{l-1}(x) * p^l(x)
+    kappa2(x_s, x_r) = (1 / alpha) * sum_{l=1}^{L} q_hat_sr^{l-1} * p_sr^l
+    alpha            = max(L - 1, 1),
 
 where P collects the exact bias-parameter contribution (sum_l p_sr^l per
 entry, an O(1/M) relative correction that improves finite-width agreement).
@@ -85,18 +86,15 @@ class KappaPair:
     """Depth-summed NTK coefficients for one input pair.
 
     kappa1/kappa2 are the diagonal/off-diagonal coefficients; p_sum_diag and
-    p_sum_cross carry the exact bias-parameter sums (the O(1/M) term).
-    kappa*_bar hold the data-independent limits; compute_kappas initializes
-    them to the pair's own values, which is exact when the trace was run at
-    the reference covariance.  For a trace run on an array of layer-0
-    covariances, kappa2, kappa2_bar and p_sum_cross are arrays with one entry
-    per covariance; the diagonal quantities stay scalars.
+    p_sum_cross carry the exact bias-parameter sums (the O(1/M) term).  A
+    trace run at the reference covariance gives the data-independent
+    kbar1/kbar2.  For a trace run on an array of layer-0 covariances, kappa2
+    and p_sum_cross are arrays with one entry per covariance; the diagonal
+    quantities stay scalars.
     """
 
     kappa1: float
     kappa2: float
-    kappa1_bar: float
-    kappa2_bar: float
     p_sum_diag: float
     p_sum_cross: float
 
@@ -105,59 +103,43 @@ class KappaPair:
         return condition_ratio(self)
 
 
-def _width_fractions(depth: int,
-                     width_fractions: Sequence[float] | None) -> tuple[np.ndarray, float]:
-    """alpha_0..alpha_{L-1} (default all ones) and alpha = sum_l alpha_l alpha_{l-1}."""
-    if width_fractions is None:
-        fr = np.ones(depth)
-    else:
-        fr = np.asarray(width_fractions, dtype=float)
-        if len(fr) != depth:
-            raise ValueError(f"width_fractions must have length depth={depth}, got {len(fr)}")
-        if np.any(fr <= 0.0):
-            raise ValueError("width fractions must be positive")
-    alpha = float(np.dot(fr[1:], fr[:-1])) if depth > 1 else float(fr[0])
-    return fr, alpha
-
-
-def compute_kappas(trace: MeanFieldTrace,
-                   width_fractions: Sequence[float] | None = None) -> KappaPair:
+def compute_kappas(trace: MeanFieldTrace) -> KappaPair:
     """Depth-sum a mean-field trace into (kappa1, kappa2).
 
-    width_fractions supplies alpha_0..alpha_{L-1} (defaults to all ones,
-    i.e. input dimension and hidden widths all equal to M).  A trace run on
-    an array of covariances gives array-valued kappa2 and p_sum_cross.
+    A trace run on an array of covariances gives array-valued kappa2 and
+    p_sum_cross.
     """
     if not trace.has_covariance:
         raise ValueError("trace must carry the covariance channel (run with q0_sr)")
     L = trace.depth
-    fr, alpha = _width_fractions(L, width_fractions)
-    kappa1 = float(np.dot(fr, trace.q_hat[:L] * trace.p[1:])) / alpha
-    kappa2 = np.dot(fr, trace.q_hat_sr[:L] * trace.p_sr[1:]) / alpha
+    # depth sums as dot products with ones: a .sum() rounds differently
+    ones, alpha = np.ones(L), float(max(L - 1, 1))
+    kappa1 = float(np.dot(ones, trace.q_hat[:L] * trace.p[1:])) / alpha
+    kappa2 = np.dot(ones, trace.q_hat_sr[:L] * trace.p_sr[1:]) / alpha
     p_sum_cross = np.sum(trace.p_sr[1:], axis=0)
     if kappa2.ndim == 0:
         kappa2, p_sum_cross = float(kappa2), float(p_sum_cross)
     return KappaPair(kappa1=kappa1, kappa2=kappa2,
-                     kappa1_bar=kappa1, kappa2_bar=kappa2,
                      p_sum_diag=float(np.sum(trace.p[1:])),
                      p_sum_cross=p_sum_cross)
 
 
 def condition_ratio(kappas: KappaPair, n_points: int | None = None) -> float:
-    """kbar1 / kbar2; +inf when kbar2 = 0.
+    """kappa1 / kappa2, which is kbar1 / kbar2 for a pair traced at the
+    reference covariance; +inf when kappa2 = 0.
 
     A ratio near 1 means the data-independent kernel mean is close to the
     rank-one matrix kbar1 * 11^T; for a sample of size n its condition
     number is (kbar1 + (n-1) kbar2) / (kbar1 - kbar2), reported at debug
     level when n_points is given.
     """
-    if kappas.kappa2_bar == 0.0:
-        logger.warning("kappa2_bar is zero; returning inf condition ratio")
+    if kappas.kappa2 == 0.0:
+        logger.warning("kappa2 is zero; returning inf condition ratio")
         return math.inf
-    ratio = kappas.kappa1_bar / kappas.kappa2_bar
+    ratio = kappas.kappa1 / kappas.kappa2
     if n_points is not None and ratio > 1.0:
-        cond = (kappas.kappa1_bar + (n_points - 1) * kappas.kappa2_bar) / (
-            kappas.kappa1_bar - kappas.kappa2_bar)
+        cond = (kappas.kappa1 + (n_points - 1) * kappas.kappa2) / (
+            kappas.kappa1 - kappas.kappa2)
         logger.debug("mean-kernel condition number at S=%d: %.3e", n_points, cond)
     return ratio
 
@@ -290,7 +272,6 @@ def nngp_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
 
 def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
                       m_width: float, q0: float = 1.0,
-                      width_fractions: Sequence[float] | None = None,
                       reference_cov: float = DEFAULT_REFERENCE_COV) -> ThetaStar:
     """Deterministic NTK for a sample described by its layer-0 covariance
     matrix, including the exact bias-parameter sums.
@@ -303,10 +284,10 @@ def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
     n = len(cov0)
     covs, inverse = np.unique(np.append(cov0[iu], reference_cov * q0),
                               return_inverse=True)
-    kappas = compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=covs), width_fractions)
+    kappas = compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=covs))
     kappa2 = kappas.kappa2[inverse]
     p_sum_cross = kappas.p_sum_cross[inverse]
-    _, alpha = _width_fractions(depth, width_fractions)
+    alpha = float(max(depth - 1, 1))
     return build_theta_star(np.full(n, kappas.kappa1), _symmetric(n, 0.0, iu, kappa2[:-1]),
                             m_width, alpha, kappas.kappa1, float(kappa2[-1]),
                             p_sum_diag=np.full(n, kappas.p_sum_diag),

@@ -138,6 +138,10 @@ class SweepConfig:
                     self.hyper(sw, sb)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"invalid hyperparameter grid: {err}") from None
+        for key in ("depths", "widths"):
+            fractional = [v for v in getattr(self, key) if not float(v).is_integer()]
+            if fractional:
+                raise ConfigError(f"{key} must be whole numbers, got {fractional}")
         if any(int(d) < 1 for d in self.depths):
             raise ConfigError("depths must be >= 1")
         if any(int(m) < 1 for m in self.widths):

@@ -151,15 +151,14 @@ def linear_fit_r_squared(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 # Per-pair kernel assembly: one scalar mean-field trace per entry.
 
 def pairwise_theta_star(hyper, depth: int, cov0: np.ndarray, m_width: float,
-                        q0: float = 1.0, width_fractions=None,
-                        reference_cov: float = 0.5):
+                        q0: float = 1.0, reference_cov: float = 0.5):
     """Theta*(X) assembled entry by entry from scalar run_trace calls, the
     reference for the one-pass theta_star_matrix."""
     from ntklab.meanfield import run_trace
     from ntklab.ntk_theory import build_theta_star, compute_kappas
 
     def kappas(c0):
-        return compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=c0), width_fractions)
+        return compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=c0))
 
     n = cov0.shape[0]
     diag = kappas(q0)
@@ -171,21 +170,19 @@ def pairwise_theta_star(hyper, depth: int, cov0: np.ndarray, m_width: float,
             pair = kappas(float(cov0[s, r]))
             kappa2[s, r] = kappa2[r, s] = pair.kappa2
             psum2[s, r] = psum2[r, s] = pair.p_sum_cross
-    fr = np.ones(depth) if width_fractions is None else np.asarray(width_fractions, float)
-    alpha = float(np.dot(fr[1:], fr[:-1])) if depth > 1 else float(fr[0])
+    alpha = float(max(depth - 1, 1))
     return build_theta_star(np.full(n, diag.kappa1), kappa2, m_width, alpha,
-                            kbars.kappa1_bar, kbars.kappa2_bar,
+                            kbars.kappa1, kbars.kappa2,
                             p_sum_diag=np.full(n, diag.p_sum_diag), p_sum_cross=psum2)
 
 
 def data_independent_kappas(hyper, depth: int, reference_cov: float = 0.5,
-                            q0: float = 1.0, width_fractions=None):
+                            q0: float = 1.0):
     """kbar1/kbar2 from the trace started at q^0 = q0 and the reference covariance."""
     from ntklab.meanfield import run_trace
     from ntklab.ntk_theory import compute_kappas
 
-    return compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=reference_cov * q0),
-                          width_fractions)
+    return compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=reference_cov * q0))
 
 
 def trained_output(theta, theta_x: np.ndarray, f0_x: float,
@@ -360,6 +357,8 @@ def reference_train_full_batch(net, x: np.ndarray, y: np.ndarray, cfg,
             if stale >= cfg.early_stop_patience:
                 reason = "early_stop"
                 break
+    if step and losses[step - 1] > losses[0]:
+        reason = "loss_rose"
 
     snapshot(step, force=True)
     return TrainLog(losses=losses[:step].copy(), stop_reason=reason, steps_run=step)

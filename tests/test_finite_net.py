@@ -148,6 +148,20 @@ class TestTraining:
         assert np.allclose(net.flat_params(), before, atol=1e-12)
         assert np.allclose(log.losses, 0.0, atol=1e-25)
 
+    def test_finite_blow_up_is_not_convergence(self):
+        # lr 1 overshoots: the loss grows to ~1e50 and stays finite; such a run
+        # stops as loss_rose, neither at max_steps nor as an early stop
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal((12, 6)), rng.uniform(-1.0, 1.0, size=12)
+        log = train_full_batch(small_net(ERF, seed=5, widths=(6, 8, 8, 1)), x, y,
+                               TrainConfig(learning_rate=1.0, max_steps=30))
+        assert log.stop_reason == "loss_rose" and log.steps_run == 30
+        assert np.isfinite(log.losses[-1]) and log.losses[-1] > 1e40 * log.losses[0]
+        log = train_full_batch(small_net(ERF, seed=5, widths=(6, 8, 8, 1)), x, y,
+                               TrainConfig(learning_rate=1.0, max_steps=500,
+                                           early_stop_patience=10))
+        assert log.stop_reason == "loss_rose" and log.steps_run == 11
+
     def test_convex_quadratic_monotone_decrease(self):
         # single weight, single input: classic 1-d least squares
         net = init((1, 1), InitHyper(1.0, 0.0, RELU), 0)
@@ -280,6 +294,13 @@ class TestBufferedStepMatchesAllocatingStep:
                           early_stop_patience=5)
         lib, ref = _train_both(lambda: small_net(ERF, seed=5, widths=(6, 8, 8, 1)), x, y, cfg)
         assert lib[0][2] == "early_stop" and lib[0][3] < 500
+        assert lib == ref
+
+    def test_rising_loss_run(self):
+        x, y = self._data(seed=4)
+        cfg = TrainConfig(learning_rate=1.0, max_steps=30)
+        lib, ref = _train_both(lambda: small_net(RELU, seed=5, widths=(6, 8, 8, 1)), x, y, cfg)
+        assert lib[0][2] == "loss_rose"
         assert lib == ref
 
     def test_zero_steps(self):

@@ -14,12 +14,8 @@ from ntklab.meanfield import (
     avg_dphi_sq,
     avg_phi_prod,
     avg_phi_sq,
-    backward_covariance_step,
-    backward_step,
     classify_phase,
     edge_of_chaos_sigma_w_sq,
-    forward_covariance_step,
-    forward_variance_step,
     run_trace,
     variance_fixed_point,
 )
@@ -61,93 +57,87 @@ class TestInitHyper:
             InitHyper(1.0, -0.1, RELU)
 
 
-class TestForwardVarianceStep:
+class TestForwardRecursion:
     def test_relu_eoc_identity(self):
         # q = (sigma_w^2 / 2) q_prev + sigma_b^2; at (2, 0) the map is the identity
-        q, q_hat = forward_variance_step(hyper(2.0, 0.0), 1.0)
-        assert q == 1.0
-        assert q_hat == 0.5
+        trace = run_trace(hyper(2.0, 0.0), 1)
+        assert trace.q[1] == 1.0
+        assert trace.q_hat[0] == 0.5
 
     def test_relu_eoc_fixed_point_iterates(self):
-        q = 1.0
-        for _ in range(50):
-            q, _ = forward_variance_step(hyper(2.0, 0.0), q)
-        assert q == 1.0
+        assert np.all(run_trace(hyper(2.0, 0.0), 50).q == 1.0)
 
     def test_erf_value_against_quadrature_oracle(self):
-        q, q_hat = forward_variance_step(hyper(1.0, 1.0, ERF), 1.0)
-        assert q_hat == pytest.approx(ERF_AVG_PHI_SQ_Q1, rel=1e-12)
-        assert q == pytest.approx(1.0 + ERF_AVG_PHI_SQ_Q1, rel=1e-12)
+        trace = run_trace(hyper(1.0, 1.0, ERF), 1)
+        assert trace.q_hat[0] == pytest.approx(ERF_AVG_PHI_SQ_Q1, rel=1e-12)
+        assert trace.q[1] == pytest.approx(1.0 + ERF_AVG_PHI_SQ_Q1, rel=1e-12)
         # equals the arctan closed form
-        assert q == pytest.approx(2.0 / math.pi * math.atan(1.0 / math.sqrt(1.25)) + 1.0,
-                                  rel=1e-14)
+        assert trace.q[1] == pytest.approx(
+            2.0 / math.pi * math.atan(1.0 / math.sqrt(1.25)) + 1.0, rel=1e-14)
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
-            forward_variance_step(hyper(1.0, 0.0), 0.0)
+            run_trace(hyper(1.0, 0.0), 1, q0=0.0)
+        with pytest.raises(ValueError):
+            variance_fixed_point(hyper(1.0, 0.5), q0=0.0)
+        # q = 0.005^l underflows to 0 near layer 141; so does p = 0.005^(L-l)
+        with pytest.raises(ValueError, match="positive"):
+            run_trace(hyper(0.01, 0.0), 200)
+        with pytest.raises(ValueError, match="positive"):
+            run_trace(hyper(0.01, 1.0), 200)
 
-
-class TestForwardCovarianceStep:
     def test_relu_full_correlation_collapses_to_variance_map(self):
-        for q_prev in (0.25, 1.0, 4.0):
-            q, _ = forward_variance_step(hyper(1.7, 0.3), q_prev)
-            q_sr, _ = forward_covariance_step(hyper(1.7, 0.3), q_prev, q_prev, q_prev)
-            assert q_sr == pytest.approx(q, abs=1e-12)
+        for q0 in (0.25, 1.0, 4.0):
+            trace = run_trace(hyper(1.7, 0.3), 1, q0=q0, q0_sr=q0)
+            assert trace.q_sr[1] == pytest.approx(trace.q[1], abs=1e-12)
 
     def test_relu_orthogonal_inputs(self):
         # (2/2pi) * 1 * (1 + 0 + 0) = 1/pi, cross-checked by the 2-D quadrature oracle
-        q_sr, q_hat_sr = forward_covariance_step(hyper(2.0, 0.0), 1.0, 1.0, 0.0)
-        assert q_sr == pytest.approx(1.0 / math.pi, rel=1e-14)
-        assert q_hat_sr == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
+        trace = run_trace(hyper(2.0, 0.0), 1, q0_sr=0.0)
+        assert trace.q_sr[1] == pytest.approx(1.0 / math.pi, rel=1e-14)
+        assert trace.q_hat_sr[0] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
 
     def test_erf_full_correlation_collapses(self):
-        q, _ = forward_variance_step(hyper(1.0, 1.0, ERF), 1.0)
-        q_sr, _ = forward_covariance_step(hyper(1.0, 1.0, ERF), 1.0, 1.0, 1.0)
-        assert q_sr == pytest.approx(q, abs=1e-12)
+        trace = run_trace(hyper(1.0, 1.0, ERF), 1, q0_sr=1.0)
+        assert trace.q_sr[1] == pytest.approx(trace.q[1], abs=1e-12)
 
     def test_correlation_domain_error(self):
         with pytest.raises(CorrelationDomainError):
-            forward_covariance_step(hyper(1.0, 0.0), 1.0, 1.0, 1.5)
+            avg_phi_prod(RELU, 1.0, 1.0, 1.5)
 
     def test_clamps_tiny_violation(self):
-        q_sr, _ = forward_covariance_step(hyper(1.0, 0.0), 1.0, 1.0, 1.0 + 1e-12)
-        q, _ = forward_variance_step(hyper(1.0, 0.0), 1.0)
-        assert q_sr == pytest.approx(q, abs=1e-12)
+        trace = run_trace(hyper(1.0, 0.0), 1, q0_sr=1.0 + 1e-12)
+        assert trace.c[0] == 1.0
+        assert trace.q_sr[1] == pytest.approx(trace.q[1], abs=1e-12)
+        assert avg_phi_prod(RELU, 1.0, 1.0, 1.0 + 1e-12) == avg_phi_prod(RELU, 1.0, 1.0, 1.0)
 
 
-class TestBackwardStep:
+class TestBackwardRecursion:
     def test_relu_chi1_is_half_weight_variance(self):
-        for q in (0.1, 1.0, 7.0):
-            _, chi1 = backward_step(hyper(2.0, 0.0), q, 1.0)
-            assert chi1 == 1.0  # EOC independent of sigma_b^2 and q
-            _, chi1 = backward_step(hyper(3.0, 1.0), q, 1.0)
-            assert chi1 == 1.5
+        for q0 in (0.1, 1.0, 7.0):
+            trace = run_trace(hyper(2.0, 0.0), 2, q0=q0)
+            assert np.all(trace.chi1[:2] == 1.0)  # EOC independent of sigma_b^2 and q
+            trace = run_trace(hyper(3.0, 1.0), 2, q0=q0)
+            assert np.all(trace.chi1[:2] == 1.5)
 
     def test_erf_chi1_value(self):
-        _, chi1 = backward_step(hyper(1.0, 0.0, ERF), 1.0, 1.0)
-        assert chi1 == pytest.approx(ERF_CHI1_SW1_Q1, rel=1e-12)
+        assert run_trace(hyper(1.0, 0.0, ERF), 2).chi1[0] == pytest.approx(
+            ERF_CHI1_SW1_Q1, rel=1e-12)
 
-    def test_width_ratio_multiplies_p_not_chi1(self):
-        p, chi1 = backward_step(hyper(2.0, 0.0), 1.0, 1.0, width_ratio=0.5)
-        assert chi1 == 1.0
-        assert p == 0.5
-
-
-class TestBackwardCovarianceStep:
-    def test_relu_full_correlation_matches_backward_step(self):
-        p, _ = backward_step(hyper(1.3, 0.7), 2.0, 1.0)
-        p_sr = backward_covariance_step(hyper(1.3, 0.7), 2.0, 2.0, 1.0, 1.0)
-        assert p_sr == pytest.approx(p, abs=1e-12)
+    # at c = 1 the error-covariance factor E[phi'(u1) phi'(u2)] is the
+    # variance factor E[phi'(sqrt(q) z)^2]; inside a trace c reaches 1 only to
+    # rounding, where arcsin amplifies it, so the check is on the expectations
+    def test_relu_full_correlation_matches_variance_channel(self):
+        assert avg_dphi_prod(RELU, 2.0, 2.0, 1.0) == pytest.approx(avg_dphi_sq(RELU, 2.0),
+                                                                   abs=1e-12)
 
     def test_relu_orthogonal(self):
         # (2/2pi)(pi/2) = 1/2
-        p_sr = backward_covariance_step(hyper(2.0, 0.0), 1.0, 1.0, 0.0, 1.0)
-        assert p_sr == pytest.approx(0.5, rel=1e-14)
+        assert 2.0 * avg_dphi_prod(RELU, 1.0, 1.0, 0.0) == pytest.approx(0.5, rel=1e-14)
 
-    def test_erf_full_correlation_matches_backward_step(self):
-        p, _ = backward_step(hyper(1.0, 1.0, ERF), 1.5, 1.0)
-        p_sr = backward_covariance_step(hyper(1.0, 1.0, ERF), 1.5, 1.5, 1.0, 1.0)
-        assert p_sr == pytest.approx(p, abs=1e-12)
+    def test_erf_full_correlation_matches_variance_channel(self):
+        assert avg_dphi_prod(ERF, 1.5, 1.5, 1.0) == pytest.approx(avg_dphi_sq(ERF, 1.5),
+                                                                  abs=1e-12)
 
 
 # Collapse of the covariance channel onto the variance channel at c = 1,
@@ -160,14 +150,52 @@ class TestBackwardCovarianceStep:
     q=st.floats(1e-3, 16.0),
 )
 def test_covariance_collapse_property(kind, sw, sb, q):
-    h = InitHyper(sw, sb, kind)
-    q_next, q_hat = forward_variance_step(h, q)
-    q_sr, q_hat_sr = forward_covariance_step(h, q, q, q)
-    assert q_sr == pytest.approx(q_next, rel=1e-12, abs=1e-12)
-    assert q_hat_sr == pytest.approx(q_hat, rel=1e-12, abs=1e-12)
-    p, _ = backward_step(h, q, 1.0)
-    p_sr = backward_covariance_step(h, q, q, 1.0, 1.0)
-    assert p_sr == pytest.approx(p, rel=1e-12, abs=1e-12)
+    trace = run_trace(InitHyper(sw, sb, kind), 1, q0=q, q0_sr=q)
+    assert trace.q_sr[1] == pytest.approx(trace.q[1], rel=1e-12, abs=1e-12)
+    assert trace.q_hat_sr[0] == pytest.approx(trace.q_hat[0], rel=1e-12, abs=1e-12)
+    assert sw * avg_dphi_prod(kind, q, q, 1.0) == pytest.approx(
+        sw * avg_dphi_sq(kind, q), rel=1e-12, abs=1e-12)
+
+
+# run_trace at depth 2 against the recursion written out by hand from the
+# Gaussian expectations: every array bit for bit.
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([RELU, ERF, TANH]),
+    sw=st.floats(0.2, 4.0),
+    sb=st.floats(0.0, 2.0),
+    q0=st.floats(1e-2, 8.0),
+    c0=st.floats(-1.0, 1.0),
+)
+def test_depth_two_trace_is_the_hand_recursion(kind, sw, sb, q0, c0):
+    def clamp(c):
+        return min(max(c, -1.0), 1.0)
+
+    q0_sr = c0 * q0
+    q_hat0 = avg_phi_sq(kind, q0)
+    q1 = sw * q_hat0 + sb
+    q_hat_sr0 = avg_phi_prod(kind, q0, q0, q0_sr / np.sqrt(q0 * q0))
+    q_sr1 = sw * q_hat_sr0 + sb
+    q_hat1 = avg_phi_sq(kind, q1)
+    q2 = sw * q_hat1 + sb
+    q_hat_sr1 = avg_phi_prod(kind, q1, q1, q_sr1 / np.sqrt(q1 * q1))
+    q_sr2 = sw * q_hat_sr1 + sb
+    c2 = clamp(q_sr2 / q2)
+    chi1_1 = sw * avg_dphi_sq(kind, q1)
+    want = dict(
+        q=[q0, q1, q2],
+        q_hat=[q_hat0, q_hat1, avg_phi_sq(kind, q2)],
+        chi1=[sw * avg_dphi_sq(kind, q0), chi1_1, np.nan],
+        p=[np.nan, chi1_1 * 1.0, 1.0],
+        q_sr=[q0_sr, q_sr1, q_sr2],
+        q_hat_sr=[q_hat_sr0, q_hat_sr1, avg_phi_prod(kind, q2, q2, c2)],
+        c=[clamp(q0_sr / q0), clamp(q_sr1 / q1), c2],
+        p_sr=[np.nan, sw * avg_dphi_prod(kind, q1, q1, clamp(q_sr1 / q1)) * 1.0, 1.0],
+    )
+    trace = run_trace(InitHyper(sw, sb, kind), 2, q0=q0, q0_sr=q0_sr)
+    for name, values in want.items():
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      np.array(values, dtype=float), err_msg=name)
 
 
 class TestRunTrace:
@@ -260,7 +288,7 @@ class TestClassifyPhase:
 
     def test_fixed_point_value_erf(self):
         q_star, chi = variance_fixed_point(hyper(1.0, 1.0, ERF))
-        q_mapped, _ = forward_variance_step(hyper(1.0, 1.0, ERF), q_star)
+        q_mapped = run_trace(hyper(1.0, 1.0, ERF), 1, q0=q_star).q[1]
         assert q_mapped == pytest.approx(q_star, rel=1e-10)
         assert chi < 1.0
 
@@ -301,7 +329,7 @@ class TestArrayTrace:
 
     def test_correlation_domain_error_on_array_input(self):
         with pytest.raises(CorrelationDomainError):
-            forward_covariance_step(hyper(1.0, 0.0), 1.0, 1.0, np.array([0.2, 1.5, 0.3]))
+            avg_phi_prod(RELU, 1.0, 1.0, np.array([0.2, 1.5, 0.3]))
         with pytest.raises(CorrelationDomainError):
             avg_dphi_prod(TANH, 1.0, 1.0, np.array([-1.2, 0.0]))
 

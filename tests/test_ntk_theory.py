@@ -52,8 +52,8 @@ class TestComputeKappas:
         assert pair.p_sum_cross == pytest.approx(pair.p_sum_diag, rel=1e-10)
 
     def test_relu_eoc_hand_value(self):
-        # q_hat^l = 1/2 and p^l = 1 for every layer, so with equal width
-        # fractions kappa1 = (L/2) / (L-1); at L = 5 that is 5/8.
+        # q_hat^l = 1/2 and p^l = 1 for every layer, so kappa1 = (L/2) / (L-1);
+        # at L = 5 that is 5/8.
         trace = run_trace(InitHyper(2.0, 0.0, RELU), 5, q0=1.0, q0_sr=1.0)
         pair = compute_kappas(trace)
         assert pair.kappa1 == pytest.approx(0.625, rel=1e-14)
@@ -61,11 +61,6 @@ class TestComputeKappas:
     def test_requires_covariance_channel(self):
         with pytest.raises(ValueError):
             compute_kappas(run_trace(InitHyper(2.0, 0.0, RELU), 5))
-
-    def test_width_fraction_length_mismatch(self):
-        trace = run_trace(InitHyper(2.0, 0.0, RELU), 5, q0=1.0, q0_sr=0.5)
-        with pytest.raises(ValueError):
-            compute_kappas(trace, width_fractions=[1.0, 1.0])
 
     def test_ordered_ratio_approaches_one_from_above(self):
         ratios = []
@@ -80,11 +75,11 @@ class TestComputeKappas:
 
 class TestConditionRatio:
     def test_equal_kappas_give_one(self):
-        pair = KappaPair(2.0, 2.0, 2.0, 2.0, 1.0, 1.0)
+        pair = KappaPair(2.0, 2.0, 1.0, 1.0)
         assert condition_ratio(pair) == 1.0
 
     def test_zero_kappa2_gives_inf(self):
-        pair = KappaPair(2.0, 0.0, 2.0, 0.0, 1.0, 1.0)
+        pair = KappaPair(2.0, 0.0, 1.0, 1.0)
         assert math.isinf(condition_ratio(pair))
 
     def test_chaotic_ratio_grows_with_depth(self):
@@ -208,19 +203,19 @@ class TestTrainedOutput:
 
 class TestPredictVariance:
     def test_ratio_one_limit(self):
-        pair = KappaPair(2.0, 2.0, 2.0, 2.0, 1.0, 1.0)
+        pair = KappaPair(2.0, 2.0, 1.0, 1.0)
         pred = predict_variance(pair, q_bar_L=3.0, q_bar_sr_L=1.0, n_samples=8)
         assert pred.A == 1.0
         assert pred.variance == pytest.approx((1.0 + 1.0 / 8.0) * 2.0)
 
     def test_infinite_ratio_limit(self):
-        pair = KappaPair(2.0, 0.0, 2.0, 0.0, 1.0, 1.0)
+        pair = KappaPair(2.0, 0.0, 1.0, 1.0)
         pred = predict_variance(pair, q_bar_L=3.0, q_bar_sr_L=1.0, n_samples=8)
         assert pred.A == 0.0
         assert pred.variance == 3.0  # exactly q_bar_L
 
     def test_fixture_values(self):
-        pair = KappaPair(5.0, 1.0, 5.0, 1.0, 1.0, 1.0)
+        pair = KappaPair(5.0, 1.0, 1.0, 1.0)
         q_bar, q_bar_sr = 2.9605538852200315, 2.7404219726585892
         pred = predict_variance(pair, q_bar, q_bar_sr, n_samples=128)
         assert pred.A == pytest.approx(128.0 / 132.0, rel=1e-15)
@@ -231,7 +226,7 @@ class TestPredictVariance:
         assert pred.variance == pytest.approx(expanded, rel=1e-12)
 
     def test_rejects_ratio_below_one(self):
-        pair = KappaPair(1.0, 2.0, 1.0, 2.0, 1.0, 1.0)
+        pair = KappaPair(1.0, 2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             predict_variance(pair, 1.0, 0.5, 4)
 
@@ -413,18 +408,15 @@ class TestOnePassAgainstPerPairAssembly:
         np.testing.assert_allclose(k.matrix, pairwise_nngp(hyper, depth, cov0),
                                    rtol=1e-13, atol=0)
 
-    def test_repeated_covariances_and_width_fractions(self):
+    def test_repeated_covariances(self):
         # repeated points give repeated (and unit) covariances; the scatter
         # back through the unique index must put each value in every place
         x = synthetic_dataset(4, 8, seed=2).inputs
         x = np.vstack([x, x[:2]])
         cov0 = x @ x.T
         hyper = InitHyper(1.5, 0.5, ERF)
-        fr = [1.0, 0.5, 2.0, 1.0]
-        theta = theta_star_matrix(hyper, 4, cov0, 32.0, width_fractions=fr,
-                                  reference_cov=0.3)
-        ref = pairwise_theta_star(hyper, 4, cov0, 32.0, width_fractions=fr,
-                                  reference_cov=0.3)
+        theta = theta_star_matrix(hyper, 4, cov0, 32.0, reference_cov=0.3)
+        ref = pairwise_theta_star(hyper, 4, cov0, 32.0, reference_cov=0.3)
         np.testing.assert_allclose(theta.matrix, ref.matrix, rtol=1e-13, atol=0)
         assert theta.mean_kappa2 == pytest.approx(ref.mean_kappa2, rel=1e-13)
 

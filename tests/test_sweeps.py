@@ -85,6 +85,8 @@ class TestValidation:
         (["train-drift", "--set", "learning_rate=-0.001"], "learning_rate"),
         (["predict-variance", "--set", "reference_cov=1.5"], "reference_cov"),
         (["predict-variance", "--set", "reference_cov=-0.1"], "reference_cov"),
+        (["kappa-curves", "--set", "sigma_w_sq=[2.0]", "--set", "depths=[2.5,3.9]"], "depths"),
+        (["init-variance", "--set", "widths=[8,16.5]", "--set", "n_seeds=2"], "widths"),
     ])
     def test_infeasible_grid_is_a_config_error(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"
@@ -97,6 +99,7 @@ class TestValidation:
         SweepConfig(sample_count=1, train_steps=0, learning_rate=0.0,
                     reference_cov=1.0).validate()
         SweepConfig(reference_cov=0.0).validate()
+        SweepConfig(depths=[2.0, 3], widths=[8.0]).validate()  # whole-valued floats
         # only kappa-curves reads the covariances
         SweepConfig(experiment="phase-diagram", covariances=[]).validate()
 
@@ -135,6 +138,13 @@ class TestOutDirPrecedence:
         monkeypatch.setenv("NTKLAB_DATA_DIR", "A")
         assert self.out_dir([]) == "A"
         assert self.out_dir(["--config", self.config_file(tmp_path, "depths: [2]\n")]) == "A"
+
+    def test_empty_environment_is_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NTKLAB_DATA_DIR", "")
+        assert self.out_dir([]) == "out"
+        monkeypatch.chdir(tmp_path)
+        assert main(["phase-diagram", "--set", "sigma_w_sq=[1.0]"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
     def test_default(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NTKLAB_DATA_DIR", raising=False)
@@ -363,7 +373,11 @@ def test_diverging_trained_network_is_recorded(tmp_path):
     rec = by_cell[3.0, 16]
     assert rec.stats["status"] == "diverged"
     assert rec.stats["n_diverged"] == 1 and rec.stats["divergence_steps"] == [3]
-    assert rec.stats["stop_reasons"] == {"early_stop": 1}
+    # the network that finished blew up to a finite loss: not converged
+    assert rec.stats["stop_reasons"] == {"loss_rose": 1}
+    for cell in ((1.0, 3), (3.0, 3)):
+        # median final losses ~4e3 and ~9e37
+        assert by_cell[cell].stats["stop_reasons"] == {"loss_rose": 2}
     assert math.isnan(rec.stats["trained"]) and math.isnan(rec.stats["trained_se"])
     assert (rows[3]["trained_variance"], rows[3]["trained_standard_error"]) == ("nan", "nan")
     assert by_cell[1.0, 16].stats["status"] == "ok"
