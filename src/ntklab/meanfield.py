@@ -23,7 +23,10 @@ vanishing gradients (ordered phase), chi1 > 1 exploding gradients (chaotic
 phase), and chi1 = 1 is the edge of chaos (EOC).
 
 ReLU and erf use closed-form expectations (NumPy ufuncs); anything else
-falls back to Gauss-Hermite quadrature.  The expectations are elementwise
+falls back to Gauss-Hermite quadrature, whose pair rule fits a large array
+of correlations by one Chebyshev interpolant in c per call (see quadrature:
+q_s = q_r = q^l is shared by every pair of a layer, so the pair expectation
+is a function of c alone).  The expectations are elementwise
 over arrays, and run_trace is the one place the recursions run: it takes a
 1-D array of layer-0 covariances and advances all of them through the
 layers in one pass, which is how ntk_theory builds whole kernel matrices.
@@ -272,8 +275,11 @@ def run_trace(hyper: InitHyper, depth: int, q0: float = 1.0, q0_sr=None) -> Mean
 
     q0_sr is None (variance channel only), a scalar layer-0 covariance, or a
     1-D array of them; an array runs every covariance through the layers in
-    one pass, and column k of the covariance arrays equals the trace run
-    with q0_sr = q0_sr[k].
+    one pass.  Column k of the covariance arrays equals the trace run with
+    q0_sr = q0_sr[k]: bit for bit for ReLU and erf (closed forms) and for
+    tanh arrays at or below the size where quadrature.normal_pair_expectation
+    switches to its Chebyshev interpolant in c (34 covariances); above that,
+    to ~1e-14 of the pair expectations' scale per layer.
     """
     q, q_hat, q_sr, q_hat_sr, c = _forward_sweep(hyper, depth, q0, q0_sr)
     kind, sw = hyper.activation, hyper.sigma_w_sq

@@ -43,6 +43,11 @@ from .data_io import RecordStore, RunRecord, code_identity, synthetic_dataset, \
     write_csv, gram_anchored_inputs
 from .meanfield import avg_phi_prod, avg_phi_sq
 
+# train-drift snapshot steps when snapshot_steps is None; those past
+# train_steps are left out, so a short run needs no hand-set list
+DEFAULT_SNAPSHOT_STEPS = (0, 10, 100, 1000)
+
+
 class ConfigError(Exception):
     """Invalid sweep configuration (reported as exit code 1 by the CLI)."""
 
@@ -69,7 +74,7 @@ class SweepConfig:
     input_dim: int | None = None
     train_steps: int = 2000
     learning_rate: float = 1e-5
-    snapshot_steps: list = field(default_factory=lambda: [0, 10, 100, 1000])
+    snapshot_steps: list | None = None   # None: DEFAULT_SNAPSHOT_STEPS up to train_steps
     reference_cov: float = 0.5
     mc_samples: int = 100_000
     train_seeds: int = 0           # >0 adds end-to-end trained-network variance
@@ -164,7 +169,7 @@ class SweepConfig:
             raise ConfigError("train_seeds must be 0 or >= 2 (a variance over seeds)")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.experiment == "train-drift":
+        if self.experiment == "train-drift" and self.snapshot_steps is not None:
             outside = [t for t in self.snapshot_steps if not 0 <= int(t) <= self.train_steps]
             if outside:
                 raise ConfigError(f"snapshot_steps {outside} lie outside "
@@ -180,12 +185,21 @@ class SweepConfig:
     def hyper(self, sw: float, sb: float) -> InitHyper:
         return InitHyper(float(sw), float(sb), ActivationKind.from_name(self.activation))
 
+    def snapshots(self) -> list[int]:
+        """The train-drift snapshot steps: the configured ones, or the
+        defaults that fit in train_steps, plus step 0 and the final step."""
+        steps = self.snapshot_steps
+        if steps is None:
+            steps = [t for t in DEFAULT_SNAPSHOT_STEPS if t <= self.train_steps]
+        return sorted(set(int(t) for t in steps) | {0, self.train_steps})
+
     def train_config(self) -> TrainConfig:
         return TrainConfig(learning_rate=self.learning_rate, max_steps=self.train_steps)
 
 
 _TYPE_NAMES = {"str": "a string", "int": "an integer", "int | None": "an integer or null",
-               "float": "a number", "list": "a list of numbers"}
+               "float": "a number", "list": "a list of numbers",
+               "list | None": "a list of numbers or null"}
 
 
 def _typed(key: str, kind: str, value):
@@ -201,11 +215,11 @@ def _typed(key: str, kind: str, value):
     try:
         if kind == "float":
             return float(number(value))
-        if kind == "list" and isinstance(value, list):
+        if kind.startswith("list") and isinstance(value, list):
             return [number(v) for v in value]
         if kind == "str" and isinstance(value, str):
             return value
-        if kind == "int | None" and value is None:
+        if kind.endswith("| None") and value is None:
             return value
         if kind.startswith("int") and isinstance(value, int) and not isinstance(value, bool):
             return value
@@ -327,8 +341,9 @@ def _init_variance(cfg: SweepConfig) -> CellFn:
 #
 # A replicate whose loss becomes non-finite is kept: its curve runs up to the
 # divergence, and its cell's record has status "diverged", n_diverged and the
-# step at which each diverged replicate stopped.  Heatmap columns average the
-# replicates that finished (NaN when none did).
+# step at which each diverged replicate stopped.  Every record counts its
+# replicates' stop reasons.  Heatmap columns average the replicates that
+# finished (NaN when none did).
 
 def _train_drift(cfg: SweepConfig) -> CellFn:
     sb = float(cfg.sigma_b_sq[0])
@@ -336,7 +351,7 @@ def _train_drift(cfg: SweepConfig) -> CellFn:
     dim = cfg.input_dim or M
     data = synthetic_dataset(cfg.sample_count, dim, seed=cfg.seed)
     tc = cfg.train_config()
-    snaps = sorted(set(int(t) for t in cfg.snapshot_steps) | {0, cfg.train_steps})
+    snaps = cfg.snapshots()
 
     def run(cell, seed):
         sw, L = cell
@@ -360,6 +375,7 @@ def _train_drift(cfg: SweepConfig) -> CellFn:
                       n_seeds=cfg.n_seeds)
         stats = dict(status="diverged" if divergence_steps else "ok",
                      n_diverged=len(divergence_steps), divergence_steps=divergence_steps,
+                     stop_reasons=dict(Counter(r.stop_reason for r in reps)),
                      final_drift=drift, final_loss=final_loss, initial_loss=initial_loss)
         curves = [[cfg.activation, sw, sb, L, M, rep_idx, int(step), float(rel)]
                   for rep_idx, rep in enumerate(reps)

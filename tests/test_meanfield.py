@@ -327,6 +327,18 @@ class TestArrayTrace:
             for name in ("q_sr", "q_hat_sr", "c", "p_sr"):
                 np.testing.assert_array_equal(getattr(trace, name)[:, k], getattr(ref, name))
 
+    def test_tanh_columns_above_the_fit_threshold_match_scalar_traces(self):
+        # 300 covariances take the Chebyshev-interpolated pair rule, a scalar
+        # covariance the direct one: the columns agree to rounding, not bitwise
+        covs = _unit_norm_covariances(25, seed=5)
+        h = InitHyper(1.5, 0.1, TANH)
+        trace = run_trace(h, 9, q0_sr=covs)
+        for k in range(0, len(covs), 23):
+            ref = run_trace(h, 9, q0_sr=float(covs[k]))
+            for name in ("q_sr", "q_hat_sr", "c", "p_sr"):
+                np.testing.assert_allclose(getattr(trace, name)[:, k], getattr(ref, name),
+                                           rtol=1e-13, atol=1e-14)
+
     def test_correlation_domain_error_on_array_input(self):
         with pytest.raises(CorrelationDomainError):
             avg_phi_prod(RELU, 1.0, 1.0, np.array([0.2, 1.5, 0.3]))

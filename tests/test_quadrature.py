@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from ntklab.quadrature import gauss_hermite_rule, normal_expectation, normal_pair_expectation
+from ntklab.activations import ActivationKind, dphi, phi
+from ntklab.quadrature import DEFAULT_NODES, CHEB_DEGREES, _chebyshev_fit, _half_grid_rule, \
+    gauss_hermite_rule, normal_expectation, normal_pair_expectation
+
+TANH = ActivationKind.TANH
+IN_PLACE = {"tanh-in-place": lambda u: phi(TANH, u, out=u),
+            "dtanh-in-place": lambda u: dphi(TANH, u, out=u)}
 
 
 def test_rule_integrates_gaussian_moments_exactly():
@@ -34,9 +40,10 @@ def test_pair_expectation_smooth_function_matches_oracle():
 
 
 def test_pair_expectation_array_entries_equal_scalar_calls():
-    # 37 correlations span three blocks; each entry must not depend on its block
+    # 37 correlations span three blocks of the direct rule; each entry must
+    # not depend on its block
     c = np.linspace(-1.0, 1.0, 37)
-    vals = normal_pair_expectation(np.tanh, 1.3, 0.7, c)
+    vals = _half_grid_rule(np.tanh, 1.3, 0.7, DEFAULT_NODES, c.size)(c)
     assert vals.shape == c.shape
     for ck, v in zip(c, vals):
         assert v == normal_pair_expectation(np.tanh, 1.3, 0.7, ck)
@@ -64,8 +71,7 @@ def test_buffered_pair_rule_matches_full_grid(name):
     c = np.concatenate([[-1.0, 0.0, 1.0], np.linspace(-1.0, 1.0, 37)])
     for n_nodes in (63, 64):
         for q_s, q_r in [(1.3, 0.7), (0.2, 4.0), (9.0, 9.0)]:
-            scale = np.sqrt(normal_expectation(lambda u: f(u) ** 2, np.sqrt(q_s), n_nodes)
-                            * normal_expectation(lambda u: f(u) ** 2, np.sqrt(q_r), n_nodes))
+            scale = _cauchy_schwarz_scale(f, q_s, q_r, n_nodes)
             got = normal_pair_expectation(f, q_s, q_r, c, n_nodes)
             want = reference_pair_expectation(f, q_s, q_r, c, n_nodes)
             assert np.max(np.abs(got - want)) <= 1e-14 * scale
@@ -97,3 +103,59 @@ def test_pair_rule_allocates_one_block_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * block
+
+
+def _cauchy_schwarz_scale(f, q_s, q_r, n_nodes=DEFAULT_NODES):
+    """sqrt(E f(u1)^2 E f(u2)^2), which bounds |E f(u1) f(u2)|."""
+    return np.sqrt(normal_expectation(lambda u: f(u) ** 2, np.sqrt(q_s), n_nodes)
+                   * normal_expectation(lambda u: f(u) ** 2, np.sqrt(q_r), n_nodes))
+
+
+# the ends, zero, a cluster 1 - 10^-k at c -> 1, and enough correlations
+# (more than twice the largest node count) for every fit degree
+LARGE_C = np.concatenate([[-1.0, 0.0, 1.0], 1.0 - 10.0 ** -np.arange(1.0, 17.0),
+                          np.linspace(-1.0, 1.0, 281)])
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE))
+@pytest.mark.parametrize("q_s,q_r", [(q, q) for q in (0.01, 0.3, 1.0, 2.0, 4.0, 9.0, 16.0)]
+                         + [(0.7, 1.9)])
+def test_interpolated_pair_rule_matches_direct_rule(name, q_s, q_r):
+    # the Chebyshev interpolant in c against the direct half-grid rule at
+    # every correlation, within 1e-13 of the Cauchy-Schwarz scale
+    f = IN_PLACE[name]
+    direct = _half_grid_rule(f, q_s, q_r, DEFAULT_NODES, LARGE_C.size)
+    if max(q_s, q_r) <= 2.0:
+        # the tail converges within 129 nodes here, so the interpolant is used
+        assert _chebyshev_fit(direct, LARGE_C) is not None
+    got = normal_pair_expectation(f, q_s, q_r, LARGE_C)
+    want = direct(LARGE_C)
+    assert np.max(np.abs(got - want)) <= 1e-13 * _cauchy_schwarz_scale(f, q_s, q_r)
+
+
+def test_correlations_outside_the_unit_interval_take_the_direct_rule():
+    # the interpolant lives on [-1, 1]; an array reaching outside is not fitted
+    f = IN_PLACE["tanh-in-place"]
+    c = np.append(LARGE_C, 1.5)
+    got = normal_pair_expectation(f, 0.3, 0.3, c)
+    assert np.array_equal(got, _half_grid_rule(f, 0.3, 0.3, DEFAULT_NODES, c.size)(c))
+
+
+def test_nan_variance_gives_nan_on_a_large_array():
+    for f in IN_PLACE.values():
+        assert np.isnan(normal_pair_expectation(f, np.nan, np.nan, LARGE_C)).all()
+        assert np.isnan(normal_pair_expectation(f, 1.0, np.nan, LARGE_C)).all()
+
+
+def test_arrays_up_to_the_threshold_equal_scalar_calls():
+    # at most twice the first node count, the direct rule runs bit for bit,
+    # even where a fit would converge (q = 0.01 converges at degree 16)
+    f = IN_PLACE["tanh-in-place"]
+    threshold = 2 * (CHEB_DEGREES[0] + 1)
+    c = np.linspace(-1.0, 1.0, threshold)
+    vals = normal_pair_expectation(f, 0.01, 0.01, c)
+    for ck, v in zip(c, vals):
+        assert v == normal_pair_expectation(f, 0.01, 0.01, ck)
+    above = np.linspace(-1.0, 1.0, threshold + 1)
+    assert _chebyshev_fit(_half_grid_rule(f, 0.01, 0.01, DEFAULT_NODES, above.size),
+                          above) is not None

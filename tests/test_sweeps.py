@@ -50,12 +50,31 @@ class TestValidation:
             cfg.validate()
         with pytest.raises(ConfigError, match="snapshot_steps"):
             SweepConfig(experiment="train-drift", snapshot_steps=[-1, 0]).validate()
+        # a list set by hand is checked even when it equals the defaults
+        with pytest.raises(ConfigError, match="snapshot_steps"):
+            SweepConfig(experiment="train-drift", train_steps=20,
+                        snapshot_steps=list(sweeps.DEFAULT_SNAPSHOT_STEPS)).validate()
         out = tmp_path / "out"
-        assert _run(["train-drift", "--set", "train_steps=20"], out) == 1
+        assert _run(["train-drift", "--set", "train_steps=20",
+                     "--set", "snapshot_steps=[0,100]"], out) == 1
         assert not out.exists()
 
     def test_default_snapshot_steps_fit_default_training(self):
-        SweepConfig(experiment="train-drift").validate()
+        cfg = SweepConfig(experiment="train-drift")
+        cfg.validate()
+        assert cfg.snapshots() == [0, 10, 100, 1000, 2000]
+
+    def test_default_snapshot_steps_are_cut_to_short_training(self, tmp_path):
+        cfg = SweepConfig(experiment="train-drift", train_steps=20)
+        cfg.validate()
+        assert cfg.snapshots() == [0, 10, 20]
+        out = tmp_path / "out"
+        argv = ["train-drift", "--set", "n_seeds=2", "--set", "train_steps=20",
+                "--set", "sigma_w_sq=[1.0]", "--set", "depths=[2]", "--set", "sample_count=8"]
+        assert _run(argv, out) == 0
+        assert {int(r["step"]) for r in _rows(out / "train_drift_curves.csv")} == {0, 10, 20}
+        (rec,) = RecordStore(out / "records.jsonl")
+        assert rec.stats["stop_reasons"] == {"max_steps": 2}
 
     def test_float_overrides_read_as_numbers(self):
         # YAML 1.1 reads 1e-5 (no dot) as the string "1e-5"
@@ -285,6 +304,7 @@ def test_diverging_train_drift_cell_is_recorded(tmp_path):
     assert rec.stats["status"] == "diverged"
     assert rec.stats["n_diverged"] == 2
     assert all(0 < step <= 20 for step in rec.stats["divergence_steps"])
+    assert rec.stats["stop_reasons"] == {"diverged": 2}
     # no replicate finished, so the heatmap holds no drift, not the partial's 0.0
     (row,) = _rows(out / "train_drift_heatmap.csv")
     assert math.isnan(float(row["final_drift"]))
