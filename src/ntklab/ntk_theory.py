@@ -60,7 +60,10 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -158,8 +161,6 @@ class ThetaStar:
     """Deterministic NTK matrix and its mean/perturbation decomposition.
 
     matrix = scale * Lambda + bias-parameter sums, scale = alpha * M.
-    epsilon satisfies matrix = theta_bar() @ (I + epsilon) and is None when
-    kbar1 = kbar2 makes the mean matrix singular (identical inputs).
     """
 
     matrix: np.ndarray
@@ -169,11 +170,21 @@ class ThetaStar:
     kappa2: np.ndarray
     mean_kappa1: float
     mean_kappa2: float
-    epsilon: np.ndarray | None
 
     @property
     def n_points(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def epsilon(self) -> np.ndarray | None:
+        """The perturbation with matrix = theta_bar() @ (I + epsilon); None
+        when kbar1 <= kbar2 makes the mean matrix singular (identical
+        inputs).  An O(S^3) product, computed on first read."""
+        if not self.mean_kappa1 > self.mean_kappa2:
+            return None
+        n = self.n_points
+        inv_bar = mean_theta_inverse(self.mean_kappa1, self.mean_kappa2, n, self.scale)
+        return inv_bar @ self.matrix - np.eye(n)
 
     def theta_bar(self) -> np.ndarray:
         n = self.n_points
@@ -230,16 +241,9 @@ def build_theta_star(kappa1: Sequence[float], kappa2: np.ndarray,
         np.fill_diagonal(corr, np.asarray(p_sum_diag, dtype=float))
         matrix = matrix + corr
     matrix = 0.5 * (matrix + matrix.T)
-
-    if kappa1_bar > kappa2_bar:
-        inv_bar = mean_theta_inverse(kappa1_bar, kappa2_bar, n, scale)
-        epsilon = inv_bar @ matrix - np.eye(n)
-    else:
-        epsilon = None
     return ThetaStar(matrix=matrix, scale=scale, alpha=alpha,
                      kappa1=kappa1, kappa2=kappa2,
-                     mean_kappa1=kappa1_bar, mean_kappa2=kappa2_bar,
-                     epsilon=epsilon)
+                     mean_kappa1=kappa1_bar, mean_kappa2=kappa2_bar)
 
 
 def _upper_triangle(cov0) -> tuple[np.ndarray, tuple]:
@@ -298,6 +302,62 @@ def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
                             m_width, alpha, kappas.kappa1, float(kappa2[-1]),
                             p_sum_diag=np.full(n, kappas.p_sum_diag),
                             p_sum_cross=_symmetric(n, 0.0, iu, p_sum_cross[:-1]))
+
+
+# ---------------------------------------------------------------------------
+# One numpy BLAS thread for the small dense algebra.
+#
+# numpy and scipy each bundle an OpenBLAS with its own thread pool.  On two
+# cores a threaded scipy Cholesky of a ~128 x 128 matrix waits for its worker
+# while numpy's worker still spins after a threaded numpy call made a few ms
+# before (the eigvalsh of the PSD check): spd_solve took ~6 ms and eigvalsh
+# ~5 ms, against < 0.4 ms and 0.7 ms on one thread.  trained_output_variance
+# therefore keeps numpy's pool on one thread for the check, the solve and
+# u^T K u.  A matrix-vector product rounds the same on one thread, so u^T K u
+# keeps its bits; a matrix product of S > 100 may not, which is one reason
+# ThetaStar.epsilon is computed only when read.  scipy's pool is left alone:
+# its one-thread Cholesky rounds differently.
+
+_BLAS_LOCK = threading.RLock()
+
+
+@lru_cache(maxsize=1)
+def _numpy_openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles in numpy.libs, or None where numpy links another BLAS."""
+    import ctypes
+    from pathlib import Path
+
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))  # numpy has loaded it: the same copy
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_numpy_blas_thread():
+    """Run numpy's BLAS and LAPACK on one thread inside the block, restoring
+    the thread count after; a no-op where numpy's OpenBLAS is not found.
+    Blocks in concurrent threads run one at a time."""
+    threads = _numpy_openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    with _BLAS_LOCK:
+        saved = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +464,8 @@ def trained_output_variance(theta_star, nngp_joint, theta_x_row: np.ndarray,
     test point FIRST.  u = [1, -Theta^{-1} theta_x] comes from one SPD solve,
     exact = u^T K u, and the Monte-Carlo estimate is the sample variance of
     n_samples draws sqrt(u^T K u) * g, g ~ N(0, 1) from the Philox stream of
-    seed.
+    seed.  The PSD check, the solve and u^T K u run numpy's BLAS on one
+    thread (see _one_numpy_blas_thread).
     """
     theta = _as_matrix(theta_star)
     joint = _as_matrix(nngp_joint)
@@ -417,10 +478,11 @@ def trained_output_variance(theta_star, nngp_joint, theta_x_row: np.ndarray,
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
 
-    _check_psd(joint)
-    v, jitter = spd_solve(theta, theta_x_row)
-    u = np.concatenate(([1.0], -v))
-    exact = float(u @ (joint @ u))
+    with _one_numpy_blas_thread():
+        _check_psd(joint)
+        v, jitter = spd_solve(theta, theta_x_row)
+        u = np.concatenate(([1.0], -v))
+        exact = float(u @ (joint @ u))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     # u^T K u can round below zero when K is PSD only to the warn tolerance
     draws = math.sqrt(max(exact, 0.0)) * rng.standard_normal(n_samples)

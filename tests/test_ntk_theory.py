@@ -440,3 +440,81 @@ def test_tanh_kernels_with_half_grid_rule_match_full_grid(monkeypatch, sw, sb):
         assert not np.array_equal(got, want)  # the replaced rule was used
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-13 * np.max(np.abs(want)))
+
+
+class TestOneNumpyBlasThread:
+    """The small dense algebra runs numpy's OpenBLAS on one thread, with the
+    same bits, and leaves the thread count as it found it."""
+
+    @pytest.fixture
+    def threads(self):
+        from ntklab import ntk_theory
+
+        threads = ntk_theory._numpy_openblas_threads()
+        if threads is None:
+            pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+        return threads
+
+    def test_trained_output_variance_solves_on_one_thread(self, threads, monkeypatch):
+        from ntklab import ntk_theory
+
+        get, _ = threads
+        before = get()
+        seen = []
+        real = ntk_theory.spd_solve
+        monkeypatch.setattr(ntk_theory, "spd_solve",
+                            lambda a, b: (seen.append(get()), real(a, b))[1])
+        trained_output_variance(np.eye(2) * 2.0, np.eye(3), np.ones(2), 100)
+        assert seen == [1]
+        assert get() == before
+
+    def test_u_k_u_keeps_its_bits(self, threads):
+        from ntklab.ntk_theory import _one_numpy_blas_thread
+
+        for n in (25, 129, 257):
+            rng = np.random.default_rng(n)
+            a, u = rng.standard_normal((n, n)), rng.standard_normal(n)
+            outside = u @ (a @ u)
+            with _one_numpy_blas_thread():
+                assert u @ (a @ u) == outside
+
+    def test_thread_count_restored_after_an_error(self, threads):
+        from ntklab.ntk_theory import _one_numpy_blas_thread
+
+        get, _ = threads
+        before = get()
+        with pytest.raises(RuntimeError):
+            with _one_numpy_blas_thread():
+                raise RuntimeError("inside")
+        assert get() == before
+
+    def test_concurrent_blocks_restore_the_thread_count(self, threads):
+        # without the lock, one thread can save another's 1 and restore it last;
+        # 4 x 200 blocks missed that in 5 of 5 runs, 4 x 2000 caught it in 4 of 5
+        import sys
+        import threading
+
+        from ntklab.ntk_theory import _one_numpy_blas_thread
+
+        get, _ = threads
+        before = get()
+        inside = []
+
+        def worker():
+            for _ in range(5000):
+                with _one_numpy_blas_thread():
+                    inside.append(get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(4)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert len(inside) == 20_000 and set(inside) == {1}
+        assert get() == before
