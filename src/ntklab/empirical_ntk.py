@@ -252,6 +252,12 @@ class DriftStat:
         return float(self.rel_change[finite][-1])
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """||a||_F by numpy's pairwise sum; np.linalg.norm takes a BLAS dot,
+    whose rounding depends on how many threads split it."""
+    return float(np.sqrt(np.sum(np.square(a))))
+
+
 def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
                    targets: np.ndarray, cfg: TrainConfig,
                    snapshot_steps: Sequence[int] = (0, 10, 100, 1000, 10_000),
@@ -264,7 +270,7 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
     """
     net = finite_net.init(widths, hyper, seed)
     theta0 = empirical_kernel(net, inputs, step=0).matrix
-    norm0 = float(np.linalg.norm(theta0))
+    norm0 = _frobenius(theta0)
     if norm0 == 0.0:
         raise ValueError("initial kernel has zero norm")
     steps_rec: list[int] = []
@@ -276,7 +282,7 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
             # step 0 is the initial network, whose kernel theta0 already is
             theta_t = theta0 if step == 0 else \
                 empirical_kernel(live_net, inputs, step=step).matrix
-            drift_rec.append(float(np.linalg.norm(theta_t - theta0)) / norm0)
+            drift_rec.append(_frobenius(theta_t - theta0) / norm0)
         except FloatingPointError:
             drift_rec.append(float("nan"))
 

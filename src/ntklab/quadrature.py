@@ -26,24 +26,38 @@ normal_pair_expectation has two paths over an array of correlations.
   direct        the half-grid rule at every entry, in blocks of PAIR_CHUNK
                 correlations; an entry equals the result for that
                 correlation alone, bit for bit.
-  interpolated  the half-grid rule at nested Chebyshev-Lobatto nodes in c
-                (17, 33, 65, 129 of them, each set containing the last),
-                doubling until the last CHEB_TAIL Chebyshev coefficients are
-                within CHEB_TOL of the largest; the interpolant is then
-                evaluated at every entry.  It agrees with the direct path to
-                ~1e-14 of the scale sqrt(E f(u1)^2 E f(u2)^2).
+  interpolated  a Chebyshev interpolant in c of the half-grid rule, fitted
+                at nested Chebyshev-Lobatto nodes cos(pi k / n) (17, 33, 65,
+                129, 257 of them, each set containing the last), doubling n
+                until the last CHEB_TAIL Chebyshev coefficients are within
+                CHEB_TOL of the largest, and evaluated at every entry.  It
+                agrees with the direct path to ~1e-14 of the scale
+                sqrt(E f(u1)^2 E f(u2)^2).
+
+The interpolated path uses the parity of the rule in c.  Reflecting the
+rows (x_i -> -x_i) turns the rule at c into the rule at -c with f(u1)
+replaced by f(-u1) = +-f(u1), so the rule is odd in c for an odd f and even
+for an even f.  The fit runs the rule only at the
+nodes with c >= 0 (k <= n/2, 129 calls up to n = 256) and gives the others
+the exact +-mirror; the coefficients of the other parity are then rounding
+noise and are dropped.  With T_2j(c) = T_j(x) and T_2j+1(c) = c V_j(x) in
+x = 2 c^2 - 1 (V_j the third-kind polynomials), the interpolant is a series
+of half the degree in x, summed by a Clenshaw loop over preallocated
+buffers of the array's size.  x rounds the same for c and -c, so the
+interpolant is exactly even or odd.
 
 The interpolated path runs when the array has more than twice as many
 entries as the next node count, so that fitting saves work, and its entries
 lie in [-1, 1].  Scalars, smaller arrays, and fits whose coefficients are
-not finite (a NaN variance) or have not converged at 129 nodes take the
+not finite (a NaN variance) or have not converged at 257 nodes take the
 direct path; a fit's coefficients live for one call only.  The fit is
 smooth in c: the rule's inner sum over the nodes x_j is even in
 s = sqrt(1 - c^2), because the nodes are mirror-symmetric, so it is a
 function of s^2 = 1 - c^2, and for an analytic f (tanh, tanh') the rule's
 value is analytic in c on [-1, 1], endpoints included.  Its Chebyshev
 coefficients then decay geometrically (Trefethen, Approximation Theory and
-Approximation Practice), more slowly for larger q.
+Approximation Practice), more slowly for larger q: at the 64-node rule,
+tanh and tanh' converge by n = 256 up to q = 16.
 
 The rule fills the u2 half-grid of each block of correlations into one
 buffer allocated per call and hands that buffer to f, which may overwrite
@@ -65,7 +79,7 @@ PAIR_CHUNK = 16
 
 # Polynomial degrees of the nested Chebyshev-Lobatto fits in c, and their
 # stopping rule: the last CHEB_TAIL coefficients within CHEB_TOL of the largest.
-CHEB_DEGREES = (16, 32, 64, 128)
+CHEB_DEGREES = (16, 32, 64, 128, 256)
 CHEB_TAIL = 4
 CHEB_TOL = 1e-14
 
@@ -107,7 +121,7 @@ def normal_pair_expectation(f, q_s: float, q_r: float, c,
     flat = c.reshape(-1)
     rule = _half_grid_rule(f, q_s, q_r, n_nodes, flat.size)
     coeffs = _chebyshev_fit(rule, flat)
-    out = rule(flat) if coeffs is None else np.polynomial.chebyshev.chebval(flat, coeffs)
+    out = rule(flat) if coeffs is None else _evaluate_in_x(coeffs, flat, rule.odd)
     return out.reshape(c.shape)[()]
 
 
@@ -121,13 +135,17 @@ def _half_grid_rule(f, q_s: float, q_r: float, n_nodes: int, size: int):
     row standing in for its mirror and 1 for the middle row.  f(u1) is
     evaluated once and f(u2) in blocks of PAIR_CHUNK correlations; an entry
     equals the result for that correlation alone.
+
+    The function's attribute odd is true for an odd f: the rule is then odd
+    in c, and even for an even f, to rounding (at -c a row's terms are
+    summed in the other order).
     """
     x, w = gauss_hermite_rule(n_nodes)
     f_u1 = f(np.sqrt(q_s) * x)
     mirrored = f_u1[::-1]
     # NaN (from a NaN variance) passes, to come out as a NaN expectation
-    if not (np.array_equal(mirrored, f_u1, equal_nan=True)
-            or np.array_equal(mirrored, -f_u1, equal_nan=True)):
+    odd = not np.array_equal(mirrored, f_u1, equal_nan=True)
+    if odd and not np.array_equal(mirrored, -f_u1, equal_nan=True):
         raise ValueError("normal_pair_expectation needs an odd or an even integrand: "
                          "f(sqrt(q_s) x) is neither on the Gauss-Hermite nodes")
     rows = (n_nodes + 1) // 2
@@ -151,29 +169,38 @@ def _half_grid_rule(f, q_s: float, q_r: float, n_nodes: int, size: int):
             out[start:start + PAIR_CHUNK] = ((f(u2) @ w) * weighted_u1).sum(axis=-1)
         return out
 
+    rule.odd = odd
     return rule
 
 
 def _chebyshev_fit(rule, c: np.ndarray) -> np.ndarray | None:
     """Chebyshev coefficients on [-1, 1] of rule, sampled at nested
-    Chebyshev-Lobatto nodes cos(pi k / n), n = 16, 32, 64, 128, until the
+    Chebyshev-Lobatto nodes cos(pi k / n), n = 16, 32, ..., 256, until the
     coefficient tail has converged; None where c is to take the direct rule
-    instead (see the module docstring)."""
+    instead (see the module docstring).
+
+    The rule is run only at the nodes k <= n/2 (c >= 0); a node k > n/2
+    takes the value at node n - k, negated for an odd rule.  Of the
+    coefficients, those of the rule's parity are returned: a_0, a_2, ... for
+    an even rule, a_1, a_3, ... for an odd one (see _evaluate_in_x).
+    """
     if not np.all(np.abs(c) <= 1.0):  # also false for a NaN correlation
         return None
-    values = None
+    sign = -1.0 if rule.odd else 1.0
+    half = None
     for degree in CHEB_DEGREES:
         if c.size <= 2 * (degree + 1):
             return None
-        nodes = np.cos(np.pi / degree * np.arange(degree + 1))
-        if values is None:
-            values = rule(nodes)
+        nodes = np.cos(np.pi / degree * np.arange(degree // 2 + 1))
+        if half is None:
+            half = rule(nodes)
         else:
             # the even-indexed nodes are the previous degree's, bit for bit
-            merged = np.empty(degree + 1)
-            merged[::2] = values
+            merged = np.empty(degree // 2 + 1)
+            merged[::2] = half
             merged[1::2] = rule(nodes[1::2])
-            values = merged
+            half = merged
+        values = np.concatenate([half, sign * half[-2::-1]])
         # the type-I discrete cosine transform of the values, by an FFT of
         # their even extension
         coeffs = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / degree
@@ -181,5 +208,37 @@ def _chebyshev_fit(rule, c: np.ndarray) -> np.ndarray | None:
         if not np.isfinite(coeffs).all():
             return None
         if np.abs(coeffs[-CHEB_TAIL:]).max() <= CHEB_TOL * np.abs(coeffs).max():
-            return coeffs
+            return coeffs[int(rule.odd)::2]
     return None
+
+
+def _evaluate_in_x(coeffs: np.ndarray, c: np.ndarray, odd: bool) -> np.ndarray:
+    """The Chebyshev series of one parity at every entry of c, summed in
+    x = 2 c^2 - 1 with T_2j(c) = T_j(x) and T_2j+1(c) = c V_j(x): for an even
+    series sum_j coeffs[j] T_j(x), for an odd one c sum_j coeffs[j] V_j(x),
+    V_j being the third-kind polynomials (V_0 = 1, V_1 = 2x - 1, and T's
+    recurrence).  A Clenshaw loop over three buffers of c's size and the
+    output; x rounds the same for c and -c, so the result is exactly even or
+    odd in c.
+    """
+    two_x = np.multiply(c, c)
+    two_x *= 4.0
+    two_x -= 2.0
+    b1 = np.zeros_like(c)  # b_{k+1}
+    b2 = np.zeros_like(c)  # b_{k+2}, then b_k
+    out = np.empty_like(c)
+    # b_k = a_k + 2x b_{k+1} - b_{k+2}, for k = N, ..., 0
+    for a in coeffs[::-1]:
+        np.multiply(two_x, b1, out=out)
+        np.subtract(out, b2, out=b2)
+        b2 += a
+        b1, b2 = b2, b1
+    # b1 holds b_0 and b2 holds b_1; sum = b_0 - x b_1 for T, b_0 - b_1 for V
+    if odd:
+        np.subtract(b1, b2, out=out)
+        out *= c
+    else:
+        two_x *= 0.5
+        np.multiply(two_x, b2, out=out)
+        np.subtract(b1, out, out=out)
+    return out

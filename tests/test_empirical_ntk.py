@@ -291,6 +291,36 @@ class TestTrainingDrift:
         assert err.value.partial.initial_loss == np.inf
         assert list(err.value.partial.rel_change) == [0.0]
 
+    def test_drift_bits_do_not_depend_on_blas_threads(self):
+        # a 128 x 128 kernel is past the size at which OpenBLAS splits a dot
+        # product over threads
+        from ntklab.ntk_theory import _numpy_openblas_threads
+
+        threads = _numpy_openblas_threads()
+        if threads is None:
+            pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+        get, set_ = threads
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((128, 5))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        y = rng.uniform(size=128)
+        before = get()
+        drifts = []
+        try:
+            for n in (1, 2):
+                set_(n)
+                # a BLAS dot rounds differently on 1 and 2 threads for about a
+                # third of such kernels: 2 seeds x 8 steps catch it
+                drifts.append(np.concatenate([
+                    training_drift(self.widths, self.hyper, x, y,
+                                   TrainConfig(learning_rate=1e-2, max_steps=8),
+                                   snapshot_steps=range(9), seed=seed).rel_change
+                    for seed in (6, 7)]))
+        finally:
+            set_(before)
+        assert np.all(drifts[1][1:9] > 0.0)
+        assert np.array_equal(drifts[0], drifts[1])
+
     def test_drift_grows_with_training(self):
         stat = training_drift(self.widths, self.hyper, self.x, self.y,
                               TrainConfig(learning_rate=5e-2, max_steps=200),

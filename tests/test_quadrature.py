@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ntklab.activations import ActivationKind, dphi, phi
-from ntklab.quadrature import DEFAULT_NODES, CHEB_DEGREES, _chebyshev_fit, _half_grid_rule, \
-    gauss_hermite_rule, normal_expectation, normal_pair_expectation
+from ntklab.quadrature import DEFAULT_NODES, CHEB_DEGREES, _chebyshev_fit, _evaluate_in_x, \
+    _half_grid_rule, gauss_hermite_rule, normal_expectation, normal_pair_expectation
 
 TANH = ActivationKind.TANH
 IN_PLACE = {"tanh-in-place": lambda u: phi(TANH, u, out=u),
@@ -105,6 +105,27 @@ def test_pair_rule_allocates_one_block_buffer():
     assert peak < 1.5 * block
 
 
+def test_interpolated_pair_rule_allocates_a_few_arrays_of_the_input_size():
+    # the 32 640 pairs of a 256-point sample: the Clenshaw loop reuses three
+    # buffers and the output, however high the fitted degree
+    import tracemalloc
+
+    from ntklab.quadrature import PAIR_CHUNK
+
+    c = np.linspace(-0.9, 0.95, 32640)
+    block = PAIR_CHUNK * (DEFAULT_NODES // 2) * DEFAULT_NODES * 8
+    for f in IN_PLACE.values():
+        for q in (0.3, 4.0):  # fitted at degree 32, and 128 or 256
+            normal_pair_expectation(f, q, q, c)  # warm the cached rule
+            tracemalloc.start()
+            try:
+                normal_pair_expectation(f, q, q, c)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < block + 4.5 * c.nbytes
+
+
 def _cauchy_schwarz_scale(f, q_s, q_r, n_nodes=DEFAULT_NODES):
     """sqrt(E f(u1)^2 E f(u2)^2), which bounds |E f(u1) f(u2)|."""
     return np.sqrt(normal_expectation(lambda u: f(u) ** 2, np.sqrt(q_s), n_nodes)
@@ -112,9 +133,9 @@ def _cauchy_schwarz_scale(f, q_s, q_r, n_nodes=DEFAULT_NODES):
 
 
 # the ends, zero, a cluster 1 - 10^-k at c -> 1, and enough correlations
-# (more than twice the largest node count) for every fit degree
+# (more than twice the largest node count, 257) for every fit degree
 LARGE_C = np.concatenate([[-1.0, 0.0, 1.0], 1.0 - 10.0 ** -np.arange(1.0, 17.0),
-                          np.linspace(-1.0, 1.0, 281)])
+                          np.linspace(-1.0, 1.0, 521)])
 
 
 @pytest.mark.parametrize("name", sorted(IN_PLACE))
@@ -122,15 +143,40 @@ LARGE_C = np.concatenate([[-1.0, 0.0, 1.0], 1.0 - 10.0 ** -np.arange(1.0, 17.0),
                          + [(0.7, 1.9)])
 def test_interpolated_pair_rule_matches_direct_rule(name, q_s, q_r):
     # the Chebyshev interpolant in c against the direct half-grid rule at
-    # every correlation, within 1e-13 of the Cauchy-Schwarz scale
+    # every correlation, within 1e-13 of the Cauchy-Schwarz scale; up to
+    # q = 16 the tail converges within 257 nodes, so the interpolant is used
     f = IN_PLACE[name]
     direct = _half_grid_rule(f, q_s, q_r, DEFAULT_NODES, LARGE_C.size)
-    if max(q_s, q_r) <= 2.0:
-        # the tail converges within 129 nodes here, so the interpolant is used
-        assert _chebyshev_fit(direct, LARGE_C) is not None
+    assert _chebyshev_fit(direct, LARGE_C) is not None
     got = normal_pair_expectation(f, q_s, q_r, LARGE_C)
     want = direct(LARGE_C)
     assert np.max(np.abs(got - want)) <= 1e-13 * _cauchy_schwarz_scale(f, q_s, q_r)
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE))
+@pytest.mark.parametrize("q", [0.3, 4.0])
+def test_interpolant_is_exactly_even_or_odd(name, q):
+    # x = 2 c^2 - 1 rounds the same for c and -c
+    f = IN_PLACE[name]
+    c = np.concatenate([LARGE_C, np.random.default_rng(3).uniform(-1.0, 1.0, 4000)])
+    c = np.concatenate([c, -c])
+    vals = normal_pair_expectation(f, q, q, c)
+    odd = _half_grid_rule(f, q, q, DEFAULT_NODES, 1).odd
+    assert odd == (name == "tanh-in-place")
+    assert np.array_equal(vals[c.size // 2:], -vals[:c.size // 2] if odd else vals[:c.size // 2])
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_evaluation_in_x_matches_chebval(odd):
+    # the half-degree series in x = 2 c^2 - 1 against numpy's chebval of the
+    # full series in c with the other parity's coefficients zero
+    rng = np.random.default_rng(5)
+    half = rng.standard_normal(40) * 0.8 ** np.arange(40)
+    full = np.zeros(2 * half.size)
+    full[int(odd)::2] = half
+    c = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 1000)])
+    want = np.polynomial.chebyshev.chebval(c, full)
+    assert np.max(np.abs(_evaluate_in_x(half, c, odd) - want)) <= 1e-14 * np.abs(half).sum()
 
 
 def test_correlations_outside_the_unit_interval_take_the_direct_rule():
