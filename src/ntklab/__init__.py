@@ -12,6 +12,7 @@ from .meanfield import (
     classify_phase,
     edge_of_chaos_sigma_w_sq,
     run_trace,
+    run_traces,
     variance_fixed_point,
 )
 from .ntk_theory import (

@@ -26,10 +26,18 @@ ReLU and erf use closed-form expectations (NumPy ufuncs); anything else
 falls back to Gauss-Hermite quadrature, whose pair rule fits a large array
 of correlations by one Chebyshev interpolant in c per call (see quadrature:
 q_s = q_r = q^l is shared by every pair of a layer, so the pair expectation
-is a function of c alone).  The expectations are elementwise
-over arrays, and run_trace is the one place the recursions run: it takes a
-1-D array of layer-0 covariances and advances all of them through the
-layers in one pass, which is how ntk_theory builds whole kernel matrices.
+is a function of c alone).  The expectations are elementwise over arrays.
+
+run_traces is the one place the recursions run.  It takes a 1-D array of
+layer-0 covariances and advances all of them through the layers in one
+pass, which is how ntk_theory builds whole kernel matrices, and it takes a
+list of depths: the forward recursions do not depend on L, so one forward
+sweep to the deepest L serves every depth (the arrays of a shallower trace
+are a prefix), and the per-layer backward multipliers are computed once;
+only the products from p^L = 1 down run per depth.  run_trace is its
+one-depth case.  Each layer clamps its correlations c^l = q_sr^l / q^l to
+[-1, 1] once, and the pair expectations take that c with q^l as the scale,
+so no product q^l * q^l is formed (it would overflow long before q^l does).
 """
 from __future__ import annotations
 
@@ -110,7 +118,13 @@ class PhaseLabel:
 
 
 def _clamp_correlation(c):
+    """c clamped to [-1, 1]; raises CorrelationDomainError for an entry
+    outside by more than CORRELATION_SLACK.  An array already inside (which
+    also means NaN-free) is returned as it is, uncopied: clamping would
+    leave every bit of it, -0.0 included, unchanged."""
     c = np.asarray(c, dtype=float)
+    if np.maximum.reduce(np.abs(c), axis=None, initial=0.0) <= 1.0:
+        return c
     outside = np.abs(c) > 1.0 + CORRELATION_SLACK
     if outside.any():
         raise CorrelationDomainError(
@@ -122,13 +136,15 @@ def _clamp_correlation(c):
 # ---------------------------------------------------------------------------
 # Gaussian expectations of the activation and its derivative.
 #
-# Every function here is elementwise: q, c (and q_s, q_r for the closed
-# forms) may be scalars or arrays, and the result has their broadcast shape.
-# Quadrature (tanh) takes arrays of q and of c, with scalar q_s and q_r.
+# Every function here is elementwise: q and c may be scalars or arrays, and
+# the result has their broadcast shape.  Quadrature (tanh) takes arrays of q
+# and of c, with a scalar q in the pair expectations.  The pairs have one
+# variance q for both members, which is all the recursions need (both inputs
+# of a constant-width network share q^l).
 #
 # The ReLU closed forms are the arc-cosine kernel identities; the erf ones
-# follow from E[erf(u1) erf(u2)] = (2/pi) arcsin(2 cov / sqrt((1+2q_s)(1+2q_r)))
-# and E[exp(-u1^2 - u2^2)] = 1/sqrt(det(I + 2 Sigma)).
+# follow from E[erf(u1) erf(u2)] = (2/pi) arcsin(2 cov / (1 + 2q))
+# and E[exp(-u1^2 - u2^2)] = 1/sqrt(det(I + 2 Sigma)), with cov = c q.
 
 def avg_phi_sq(kind: ActivationKind, q):
     """E[phi(sqrt(q) z)^2] for z ~ N(0, 1)."""
@@ -148,30 +164,38 @@ def avg_dphi_sq(kind: ActivationKind, q):
     return quadrature.normal_expectation(lambda u: dphi(kind, u) ** 2, np.sqrt(q))
 
 
-def avg_phi_prod(kind: ActivationKind, q_s, q_r, c):
-    """E[phi(u1) phi(u2)] over the correlated pair with variances q_s, q_r, correlation c."""
-    c = _clamp_correlation(c)
+def avg_phi_prod(kind: ActivationKind, q, c):
+    """E[phi(u1) phi(u2)] over the correlated pair with common variance q and
+    correlation c."""
+    return _phi_prod(kind, q, _clamp_correlation(c))
+
+
+def avg_dphi_prod(kind: ActivationKind, q, c):
+    """E[phi'(u1) phi'(u2)] over the correlated pair with common variance q
+    and correlation c."""
+    return _dphi_prod(kind, q, _clamp_correlation(c))
+
+
+def _phi_prod(kind: ActivationKind, q, c):
+    """avg_phi_prod for c already clamped to [-1, 1]."""
     if kind is ActivationKind.RELU:
-        scale = np.sqrt(q_s * q_r)
-        return scale / (2.0 * math.pi) * (
+        return q / (2.0 * math.pi) * (
             np.sqrt(np.maximum(1.0 - c * c, 0.0)) + c * (math.pi / 2.0 + np.arcsin(c)))
     if kind is ActivationKind.ERF:
-        cov = c * np.sqrt(q_s * q_r)
-        arg = 2.0 * cov / np.sqrt((1.0 + 2.0 * q_s) * (1.0 + 2.0 * q_r))
+        arg = 2.0 * (c * q) / (1.0 + 2.0 * q)
         return 2.0 / math.pi * np.arcsin(np.minimum(np.maximum(arg, -1.0), 1.0))
-    return quadrature.normal_pair_expectation(lambda u: phi(kind, u, out=u), q_s, q_r, c)
+    return quadrature.normal_pair_expectation(lambda u: phi(kind, u, out=u), q, q, c)
 
 
-def avg_dphi_prod(kind: ActivationKind, q_s, q_r, c):
-    """E[phi'(u1) phi'(u2)] over the correlated pair."""
-    c = _clamp_correlation(c)
+def _dphi_prod(kind: ActivationKind, q, c):
+    """avg_dphi_prod for c already clamped to [-1, 1]."""
     if kind is ActivationKind.RELU:
         return (math.pi / 2.0 + np.arcsin(c)) / (2.0 * math.pi)
     if kind is ActivationKind.ERF:
-        cov = c * np.sqrt(q_s * q_r)
-        det = (1.0 + 2.0 * q_s) * (1.0 + 2.0 * q_r) - 4.0 * cov * cov
-        return 4.0 / math.pi / np.sqrt(det)
-    return quadrature.normal_pair_expectation(lambda u: dphi(kind, u, out=u), q_s, q_r, c)
+        cov = c * q
+        scale = 1.0 + 2.0 * q
+        return 4.0 / math.pi / np.sqrt(scale * scale - 4.0 * cov * cov)
+    return quadrature.normal_pair_expectation(lambda u: dphi(kind, u, out=u), q, q, c)
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +238,16 @@ class MeanFieldTrace:
 def _check_layer(layer: int, variance, covariance) -> None:
     """The one check per layer of the trace: the new variance (q or p) must
     be finite and positive, the new covariances (None without them) finite."""
-    if not (np.isfinite(variance)
-            and (covariance is None or np.isfinite(covariance).all())):
+    if not (math.isfinite(variance)
+            and (covariance is None
+                 or np.logical_and.reduce(np.isfinite(covariance), axis=None))):
         raise SignalOverflowError("mean-field recursion overflowed", layer=layer)
     if not variance > 0.0:
         raise ValueError(f"variance {float(variance)!r} at layer {layer} must be positive")
 
 
 def _forward_sweep(hyper: InitHyper, depth: int, q0: float, q0_sr):
-    """Forward recursions of run_trace: returns (q, q_hat, q_sr, q_hat_sr, c),
+    """Forward recursions of run_traces: returns (q, q_hat, q_sr, q_hat_sr, c),
     the last three None when q0_sr is None.
 
     q0_sr may be a scalar or a 1-D array of layer-0 covariances; every
@@ -252,26 +277,72 @@ def _forward_sweep(hyper: InitHyper, depth: int, q0: float, q0_sr):
         q_sr[0] = q0_sr
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(1, L + 1):
-            q_prev = q[l - 1]
-            q_hat[l - 1] = avg_phi_sq(kind, q_prev)
-            q[l] = sw * q_hat[l - 1] + sb
+        for l in range(L + 1):
+            q_l = q[l]
+            q_hat[l] = avg_phi_sq(kind, q_l)
             if q_sr is not None:
-                c[l - 1] = _clamp_correlation(q_sr[l - 1] / q_prev)
-                q_hat_sr[l - 1] = avg_phi_prod(kind, q_prev, q_prev,
-                                               q_sr[l - 1] / np.sqrt(q_prev * q_prev))
-                q_sr[l] = sw * q_hat_sr[l - 1] + sb
-            _check_layer(l, q[l], None if q_sr is None else q_sr[l])
-    q_hat[L] = avg_phi_sq(kind, q[L])
-    if q_sr is not None:
-        c[L] = _clamp_correlation(q_sr[L] / q[L])
-        q_hat_sr[L] = avg_phi_prod(kind, q[L], q[L], c[L])
+                c[l] = c_l = _clamp_correlation(q_sr[l] / q_l)
+                q_hat_sr[l] = _phi_prod(kind, q_l, c_l)
+            if l == L:
+                break
+            q[l + 1] = sw * q_hat[l] + sb
+            if q_sr is not None:
+                q_sr[l + 1] = sw * q_hat_sr[l] + sb
+            _check_layer(l + 1, q[l + 1], None if q_sr is None else q_sr[l + 1])
     return q, q_hat, q_sr, q_hat_sr, c
 
 
-def run_trace(hyper: InitHyper, depth: int, q0: float = 1.0, q0_sr=None) -> MeanFieldTrace:
-    """Full forward sweep of the variance/covariance recursions followed by
-    the backward sweep with terminal conditions p^L = p_sr^L = 1.
+def _backward_sweep(hyper: InitHyper, q: np.ndarray, c, depths: list[int]) -> list:
+    """Backward recursions of run_traces: (p, chi1, p_sr) for each depth in
+    depths, from the forward arrays q and c (None without covariances, and
+    then p_sr is None) of the deepest of them.
+
+    The multipliers chi1^l = sigma_w^2 E[phi'^2] and sigma_w^2 E[phi'(u1)
+    phi'(u2)] of layer l do not depend on the depth, so they are computed
+    once; each depth L multiplies them down from p^L = p_sr^L = 1.
+    """
+    kind, sw = hyper.activation, hyper.sigma_w_sq
+    top = max(depths)
+    chi1_all = np.empty(top)
+    # layer l's covariance multipliers, kept as the arrays they are computed
+    # as: stacking them into one (top, n) block adds a large allocation to
+    # every call, which made Theta* of 8 128 covariances (L = 4) ~25 % slower
+    # in a long-running process
+    chi_sr = [None] * top
+    traces = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(top):
+            chi1_all[l] = sw * avg_dphi_sq(kind, q[l])
+            if c is not None and l > 0:
+                chi_sr[l] = sw * _dphi_prod(kind, q[l], c[l])
+        for L in depths:
+            chi1 = np.full(L + 1, np.nan)
+            chi1[:L] = chi1_all[:L]
+            p = np.full(L + 1, np.nan)
+            p[L] = 1.0
+            p_sr = None
+            if c is not None:
+                p_sr = np.full((L + 1,) + c.shape[1:], np.nan)
+                p_sr[L] = 1.0
+            for l in range(L - 1, 0, -1):
+                p[l] = chi1[l] * p[l + 1]
+                if p_sr is not None:
+                    p_sr[l] = chi_sr[l] * p_sr[l + 1]
+                _check_layer(l, p[l], None if p_sr is None else p_sr[l])
+            traces.append((p, chi1, p_sr))
+    return traces
+
+
+def run_traces(hyper: InitHyper, depths, q0: float = 1.0, q0_sr=None) -> list[MeanFieldTrace]:
+    """The trace of each depth in depths (in that order, repeats allowed):
+    one forward sweep of the variance/covariance recursions to the deepest,
+    then the backward sweep of each depth with terminal conditions
+    p^L = p_sr^L = 1.
+
+    Each trace is bit for bit the one a separate forward sweep to its own
+    depth would give; its forward arrays are views of the deepest sweep's,
+    shared with the other traces.  A depth whose recursion overflows fails
+    the whole call, with the layer where it overflowed.
 
     q0_sr is None (variance channel only), a scalar layer-0 covariance, or a
     1-D array of them; an array runs every covariance through the layers in
@@ -281,26 +352,24 @@ def run_trace(hyper: InitHyper, depth: int, q0: float = 1.0, q0_sr=None) -> Mean
     switches to its Chebyshev interpolant in c (34 covariances); above that,
     to ~1e-14 of the pair expectations' scale per layer.
     """
-    q, q_hat, q_sr, q_hat_sr, c = _forward_sweep(hyper, depth, q0, q0_sr)
-    kind, sw = hyper.activation, hyper.sigma_w_sq
-    L = depth
-    p = np.full(L + 1, np.nan)
-    chi1 = np.full(L + 1, np.nan)
-    p[L] = 1.0
-    chi1[0] = sw * avg_dphi_sq(kind, q[0])
-    p_sr = None
-    if q_sr is not None:
-        p_sr = np.full(q_sr.shape, np.nan)
-        p_sr[L] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(L - 1, 0, -1):
-            chi1[l] = sw * avg_dphi_sq(kind, q[l])
-            p[l] = chi1[l] * p[l + 1]
-            if p_sr is not None:
-                p_sr[l] = sw * avg_dphi_prod(kind, q[l], q[l], c[l]) * p_sr[l + 1]
-            _check_layer(l, p[l], None if p_sr is None else p_sr[l])
-    return MeanFieldTrace(hyper, q, q_hat, p, chi1,
-                          q_sr=q_sr, q_hat_sr=q_hat_sr, c=c, p_sr=p_sr)
+    depths = list(depths)
+    if not depths or min(depths) < 1:
+        raise ValueError("depths must be a non-empty list of depths >= 1")
+    q, q_hat, q_sr, q_hat_sr, c = _forward_sweep(hyper, max(depths), q0, q0_sr)
+    traces = []
+    for L, (p, chi1, p_sr) in zip(depths, _backward_sweep(hyper, q, c, depths)):
+        n = L + 1
+        if q_sr is None:
+            traces.append(MeanFieldTrace(hyper, q[:n], q_hat[:n], p, chi1))
+        else:
+            traces.append(MeanFieldTrace(hyper, q[:n], q_hat[:n], p, chi1, q_sr=q_sr[:n],
+                                         q_hat_sr=q_hat_sr[:n], c=c[:n], p_sr=p_sr))
+    return traces
+
+
+def run_trace(hyper: InitHyper, depth: int, q0: float = 1.0, q0_sr=None) -> MeanFieldTrace:
+    """The trace of one depth: run_traces(hyper, [depth], q0, q0_sr)[0]."""
+    return run_traces(hyper, [depth], q0, q0_sr)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ import numpy as np
 import yaml
 
 from .activations import ActivationKind
-from .meanfield import InitHyper, classify_phase, run_trace
-from .ntk_theory import compute_kappas, nngp_matrix, predict_variance, \
-    theta_star_matrix, trained_output_variance
+from .meanfield import InitHyper, classify_phase, run_trace, run_traces
+from .ntk_theory import KappaPair, NngpMatrix, ThetaStar, build_theta_star, compute_kappas, \
+    predict_variance, trained_output_variance
 from .finite_net import TrainConfig, TrainingDivergenceError, init, layer_widths, \
     train_full_batch, forward_batch
 from .empirical_ntk import default_probe, init_variance_ratio, training_drift
@@ -391,23 +391,24 @@ def _train_drift(cfg: SweepConfig) -> CellFn:
 
 def _kappa_curves(cfg: SweepConfig) -> CellFn:
     covs = np.asarray(cfg.covariances, dtype=float)
+    depths = [int(L) for L in cfg.depths]
 
     def run(cell, _seed):
         sw, sb = cell
         hyper = cfg.hyper(sw, sb)
-        # one trace per depth carries every covariance
-        pairs = [compute_kappas(run_trace(hyper, int(L), q0=1.0, q0_sr=covs))
-                 for L in cfg.depths]
+        # one forward sweep carries every covariance to the deepest depth
+        pairs = [compute_kappas(trace)
+                 for trace in run_traces(hyper, depths, q0=1.0, q0_sr=covs)]
         rows = []
         for k, c0 in enumerate(covs):
-            for L, pair in zip(cfg.depths, pairs):
+            for L, pair in zip(depths, pairs):
                 kappa2 = float(pair.kappa2[k])
                 ratio = pair.kappa1 / kappa2 if kappa2 else float("inf")
-                rows.append([cfg.activation, sw, sb, float(c0), int(L), pair.kappa1,
+                rows.append([cfg.activation, sw, sb, float(c0), L, pair.kappa1,
                              kappa2, ratio])
         params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb,
                       covariances=list(cfg.covariances),
-                      depths=[int(d) for d in cfg.depths])
+                      depths=depths)
         return params, dict(rows=len(rows)), (rows,)
     return run
 
@@ -429,7 +430,7 @@ def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
     """
     kind = hyper.activation
     q_hat0 = avg_phi_sq(kind, 1.0)
-    q_hat0_sr = avg_phi_prod(kind, 1.0, 1.0, c0)
+    q_hat0_sr = avg_phi_prod(kind, 1.0, c0)
     dim = m_width
     gram = np.full((s + 1, s + 1), dim * q_hat0_sr)
     np.fill_diagonal(gram, dim * q_hat0)
@@ -460,6 +461,27 @@ def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
     return stats
 
 
+def _equicorrelated_kernels(kbars: KappaPair, depth: int, q_bar: float, q_bar_sr: float,
+                            m_width: int, s: int) -> tuple[ThetaStar, np.ndarray, NngpMatrix]:
+    """Theta*(X), the test row theta_x = Theta*(x, X) and the joint NNGP
+    matrix of [x] + X, for S = s training points and a test point x whose
+    pairs all share one layer-0 covariance, from the kappas and the last
+    layer's q^L and q_sr^L of that covariance's trace.
+
+    Bit for bit what theta_star_matrix and nngp_matrix give on the
+    equicorrelated layer-0 covariance matrices, which trace the same
+    covariance again.
+    """
+    theta = build_theta_star(np.full(s, kbars.kappa1), np.full((s, s), kbars.kappa2),
+                             m_width, float(max(depth - 1, 1)), kbars.kappa1, kbars.kappa2,
+                             p_sum_diag=np.full(s, kbars.p_sum_diag),
+                             p_sum_cross=np.full((s, s), kbars.p_sum_cross))
+    theta_x = np.full(s, theta.scale * kbars.kappa2 + kbars.p_sum_cross)
+    joint = np.full((s + 1, s + 1), q_bar_sr)
+    np.fill_diagonal(joint, q_bar)
+    return theta, theta_x, NngpMatrix(matrix=joint)
+
+
 def _predict_variance(cfg: SweepConfig) -> CellFn:
     sb = float(cfg.sigma_b_sq[0])
     M = int(cfg.widths[0])
@@ -470,19 +492,13 @@ def _predict_variance(cfg: SweepConfig) -> CellFn:
         sw, L = cell
         hyper = cfg.hyper(sw, sb)
         # every pair, the test point included, shares the reference
-        # covariance, so one trace gives kbar1/kbar2, qbar^L and qbar_sr^L
+        # covariance, so one trace gives kbar1/kbar2, qbar^L and qbar_sr^L,
+        # and with them Theta*(X), theta_x and the joint NNGP matrix K
         ref_trace = run_trace(hyper, L, q0=1.0, q0_sr=c0)
         kbars = compute_kappas(ref_trace)
         q_bar, q_bar_sr = float(ref_trace.q[L]), float(ref_trace.q_sr[L])
         pred = predict_variance(kbars, q_bar, q_bar_sr, s)
-
-        cov0 = np.full((s, s), c0)
-        np.fill_diagonal(cov0, 1.0)
-        theta = theta_star_matrix(hyper, L, cov0, M, reference_cov=c0)
-        joint_cov0 = np.full((s + 1, s + 1), c0)
-        np.fill_diagonal(joint_cov0, 1.0)
-        joint = nngp_matrix(hyper, L, joint_cov0)
-        theta_x = np.full(s, theta.scale * kbars.kappa2 + kbars.p_sum_cross)
+        theta, theta_x, joint = _equicorrelated_kernels(kbars, L, q_bar, q_bar_sr, M, s)
         var = trained_output_variance(theta, joint, theta_x, cfg.mc_samples, seed=seed)
         stats = dict(A=pred.A, predicted=pred.variance, exact=var.exact,
                      mc=var.mc_variance, mc_se=var.mc_standard_error,

@@ -148,6 +148,48 @@ def linear_fit_r_squared(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# The mean-field trace of one depth, written out layer by layer.
+
+def reference_trace(hyper, depth: int, q0: float = 1.0, q0_sr=None) -> dict:
+    """The arrays of a MeanFieldTrace (q, q_hat, p, chi1 and, with q0_sr,
+    q_sr, q_hat_sr, c, p_sr) from the recursions of the meanfield docstring,
+    evaluated with the public expectations: the forward sweep to depth, then
+    the backward sweep from p^L = p_sr^L = 1.  The reference for run_traces,
+    which shares one forward sweep and the backward multipliers among depths."""
+    from ntklab.meanfield import avg_dphi_prod, avg_dphi_sq, avg_phi_prod, avg_phi_sq
+
+    kind, sw, sb, L = hyper.activation, hyper.sigma_w_sq, hyper.sigma_b_sq, depth
+    covs = q0_sr is not None
+    shape = (L + 1,) + np.shape(q0_sr)
+    t = {name: np.full(L + 1, np.nan) for name in ("q", "q_hat", "p", "chi1")}
+    t.update({name: np.full(shape, np.nan) if covs else None
+              for name in ("q_sr", "q_hat_sr", "c", "p_sr")})
+    t["q"][0] = q0
+    if covs:
+        t["q_sr"][0] = q0_sr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(L + 1):
+            t["q_hat"][l] = avg_phi_sq(kind, t["q"][l])
+            if covs:
+                t["c"][l] = np.minimum(np.maximum(t["q_sr"][l] / t["q"][l], -1.0), 1.0)
+                t["q_hat_sr"][l] = avg_phi_prod(kind, t["q"][l], t["c"][l])
+            if l < L:
+                t["q"][l + 1] = sw * t["q_hat"][l] + sb
+                if covs:
+                    t["q_sr"][l + 1] = sw * t["q_hat_sr"][l] + sb
+        t["p"][L] = 1.0
+        if covs:
+            t["p_sr"][L] = 1.0
+        for l in range(L - 1, -1, -1):
+            t["chi1"][l] = sw * avg_dphi_sq(kind, t["q"][l])
+            if l > 0:
+                t["p"][l] = t["chi1"][l] * t["p"][l + 1]
+                if covs:
+                    t["p_sr"][l] = sw * avg_dphi_prod(kind, t["q"][l], t["c"][l]) * t["p_sr"][l + 1]
+    return t
+
+
+# ---------------------------------------------------------------------------
 # Per-pair kernel assembly: one scalar mean-field trace per entry.
 
 def pairwise_theta_star(hyper, depth: int, cov0: np.ndarray, m_width: float,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from ntklab.meanfield import (
     avg_dphi_sq,
     avg_phi_prod,
     avg_phi_sq,
+    _clamp_correlation,
     classify_phase,
     edge_of_chaos_sigma_w_sq,
     run_trace,
+    run_traces,
     variance_fixed_point,
 )
 
@@ -103,13 +106,23 @@ class TestForwardRecursion:
 
     def test_correlation_domain_error(self):
         with pytest.raises(CorrelationDomainError):
-            avg_phi_prod(RELU, 1.0, 1.0, 1.5)
+            avg_phi_prod(RELU, 1.0, 1.5)
+
+    def test_clamp_passes_an_in_range_array_uncopied(self):
+        c = np.array([-1.0, -0.0, 0.0, 0.3, 1.0])
+        assert _clamp_correlation(c) is c
+        # otherwise it is min/max clamping, bit for bit: NaN passes, -0.0 stays
+        for c in (np.array([np.nan, -0.0, 0.5]), np.array([1.0 + 1e-12, -0.0, -1.0 - 1e-10]),
+                  np.array(-0.0), np.array(np.nan)):
+            want = np.minimum(np.maximum(c, -1.0), 1.0)
+            np.testing.assert_array_equal(_clamp_correlation(c).view(np.int64),
+                                          want.view(np.int64))
 
     def test_clamps_tiny_violation(self):
         trace = run_trace(hyper(1.0, 0.0), 1, q0_sr=1.0 + 1e-12)
         assert trace.c[0] == 1.0
         assert trace.q_sr[1] == pytest.approx(trace.q[1], abs=1e-12)
-        assert avg_phi_prod(RELU, 1.0, 1.0, 1.0 + 1e-12) == avg_phi_prod(RELU, 1.0, 1.0, 1.0)
+        assert avg_phi_prod(RELU, 1.0, 1.0 + 1e-12) == avg_phi_prod(RELU, 1.0, 1.0)
 
 
 class TestBackwardRecursion:
@@ -128,15 +141,15 @@ class TestBackwardRecursion:
     # variance factor E[phi'(sqrt(q) z)^2]; inside a trace c reaches 1 only to
     # rounding, where arcsin amplifies it, so the check is on the expectations
     def test_relu_full_correlation_matches_variance_channel(self):
-        assert avg_dphi_prod(RELU, 2.0, 2.0, 1.0) == pytest.approx(avg_dphi_sq(RELU, 2.0),
+        assert avg_dphi_prod(RELU, 2.0, 1.0) == pytest.approx(avg_dphi_sq(RELU, 2.0),
                                                                    abs=1e-12)
 
     def test_relu_orthogonal(self):
         # (2/2pi)(pi/2) = 1/2
-        assert 2.0 * avg_dphi_prod(RELU, 1.0, 1.0, 0.0) == pytest.approx(0.5, rel=1e-14)
+        assert 2.0 * avg_dphi_prod(RELU, 1.0, 0.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_erf_full_correlation_matches_variance_channel(self):
-        assert avg_dphi_prod(ERF, 1.5, 1.5, 1.0) == pytest.approx(avg_dphi_sq(ERF, 1.5),
+        assert avg_dphi_prod(ERF, 1.5, 1.0) == pytest.approx(avg_dphi_sq(ERF, 1.5),
                                                                   abs=1e-12)
 
 
@@ -153,7 +166,7 @@ def test_covariance_collapse_property(kind, sw, sb, q):
     trace = run_trace(InitHyper(sw, sb, kind), 1, q0=q, q0_sr=q)
     assert trace.q_sr[1] == pytest.approx(trace.q[1], rel=1e-12, abs=1e-12)
     assert trace.q_hat_sr[0] == pytest.approx(trace.q_hat[0], rel=1e-12, abs=1e-12)
-    assert sw * avg_dphi_prod(kind, q, q, 1.0) == pytest.approx(
+    assert sw * avg_dphi_prod(kind, q, 1.0) == pytest.approx(
         sw * avg_dphi_sq(kind, q), rel=1e-12, abs=1e-12)
 
 
@@ -174,11 +187,11 @@ def test_depth_two_trace_is_the_hand_recursion(kind, sw, sb, q0, c0):
     q0_sr = c0 * q0
     q_hat0 = avg_phi_sq(kind, q0)
     q1 = sw * q_hat0 + sb
-    q_hat_sr0 = avg_phi_prod(kind, q0, q0, q0_sr / np.sqrt(q0 * q0))
+    q_hat_sr0 = avg_phi_prod(kind, q0, q0_sr / np.sqrt(q0 * q0))
     q_sr1 = sw * q_hat_sr0 + sb
     q_hat1 = avg_phi_sq(kind, q1)
     q2 = sw * q_hat1 + sb
-    q_hat_sr1 = avg_phi_prod(kind, q1, q1, q_sr1 / np.sqrt(q1 * q1))
+    q_hat_sr1 = avg_phi_prod(kind, q1, q_sr1 / np.sqrt(q1 * q1))
     q_sr2 = sw * q_hat_sr1 + sb
     c2 = clamp(q_sr2 / q2)
     chi1_1 = sw * avg_dphi_sq(kind, q1)
@@ -188,9 +201,9 @@ def test_depth_two_trace_is_the_hand_recursion(kind, sw, sb, q0, c0):
         chi1=[sw * avg_dphi_sq(kind, q0), chi1_1, np.nan],
         p=[np.nan, chi1_1 * 1.0, 1.0],
         q_sr=[q0_sr, q_sr1, q_sr2],
-        q_hat_sr=[q_hat_sr0, q_hat_sr1, avg_phi_prod(kind, q2, q2, c2)],
+        q_hat_sr=[q_hat_sr0, q_hat_sr1, avg_phi_prod(kind, q2, c2)],
         c=[clamp(q0_sr / q0), clamp(q_sr1 / q1), c2],
-        p_sr=[np.nan, sw * avg_dphi_prod(kind, q1, q1, clamp(q_sr1 / q1)) * 1.0, 1.0],
+        p_sr=[np.nan, sw * avg_dphi_prod(kind, q1, clamp(q_sr1 / q1)) * 1.0, 1.0],
     )
     trace = run_trace(InitHyper(sw, sb, kind), 2, q0=q0, q0_sr=q0_sr)
     for name, values in want.items():
@@ -235,6 +248,23 @@ class TestRunTrace:
         with pytest.raises(SignalOverflowError) as err:
             run_trace(hyper(9.0, 0.0), 800)
         assert err.value.layer is not None
+
+    def test_covariance_channel_overflows_where_the_variance_does(self):
+        # q^l = (5e5)^l overflows at layer 55; the pair expectations take q as
+        # their scale, so the covariance channel does not overflow at q > 1.3e154
+        # (layer 29), where the product q * q would
+        h = hyper(1e6, 0.0)
+        for q0_sr in (None, 0.5, np.array([0.1, 0.5, 0.9])):
+            with pytest.raises(SignalOverflowError) as err:
+                run_trace(h, 60, q0_sr=q0_sr)
+            assert err.value.layer == 55
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_trace(h, 28, q0_sr=0.5)
+        for name in ("q", "q_hat", "q_sr", "q_hat_sr", "c"):
+            assert np.all(np.isfinite(getattr(trace, name))), name
+        assert np.all(np.isfinite(trace.p[1:])) and np.all(np.isfinite(trace.p_sr[1:]))
+        assert trace.q[28] > 1e159 and trace.q_hat_sr[28] > 0.0
 
     def test_tanh_trace_finite(self):
         trace = run_trace(hyper(1.5, 0.5, TANH), 15, q0=1.0, q0_sr=0.3)
@@ -341,9 +371,9 @@ class TestArrayTrace:
 
     def test_correlation_domain_error_on_array_input(self):
         with pytest.raises(CorrelationDomainError):
-            avg_phi_prod(RELU, 1.0, 1.0, np.array([0.2, 1.5, 0.3]))
+            avg_phi_prod(RELU, 1.0, np.array([0.2, 1.5, 0.3]))
         with pytest.raises(CorrelationDomainError):
-            avg_dphi_prod(TANH, 1.0, 1.0, np.array([-1.2, 0.0]))
+            avg_dphi_prod(TANH, 1.0, np.array([-1.2, 0.0]))
 
     def test_overflow_on_array_input_identifies_layer(self):
         with pytest.raises(SignalOverflowError) as scalar:
@@ -353,6 +383,54 @@ class TestArrayTrace:
         assert array.value.layer is not None
         assert array.value.layer == scalar.value.layer
 
+    def test_deepest_overflow_raises_as_the_per_depth_traces(self):
+        # forward overflow at the deepest depth, and a backward overflow (erf
+        # keeps q bounded while p grows as chi1^(L - l)) at a middle one: the
+        # first error of the per-depth loop, with its layer
+        for h, depths in ((hyper(9.0, 0.0), [3, 800, 5]),
+                          (hyper(1e100, 0.0, ERF), [4, 12, 20, 2])):
+            for q0_sr in (None, np.array([0.1, 0.5, 0.9])):
+                with pytest.raises(SignalOverflowError) as want:
+                    for L in depths:
+                        run_trace(h, L, q0_sr=q0_sr)
+                with pytest.raises(SignalOverflowError) as got:
+                    run_traces(h, depths, q0_sr=q0_sr)
+                assert got.value.layer == want.value.layer is not None
+                assert str(got.value) == str(want.value)
+
+    def test_rejects_bad_depths(self):
+        for depths in ([], [3, 0], [-1]):
+            with pytest.raises(ValueError):
+                run_traces(hyper(1.0, 1.0), depths)
+
     def test_rejects_two_dimensional_covariances(self):
         with pytest.raises(ValueError):
             run_trace(hyper(1.0, 1.0), 3, q0_sr=np.full((2, 2), 0.5))
+
+
+# run_traces against the trace written out for each depth alone: every
+# array bit for bit, for depths in any order with repeats, and for
+# covariance arrays on both sides of the tanh pair rule's Chebyshev-fit
+# threshold (34 covariances).
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from([RELU, ERF, TANH]),
+    sw=st.floats(0.3, 4.0),
+    sb=st.floats(0.0, 1.5),
+    depths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    covs=st.sampled_from([None, 0.52, 1, 3, 40]),  # none, a scalar, or an array of n
+)
+def test_run_traces_is_the_trace_of_each_depth(kind, sw, sb, depths, covs):
+    from oracles import reference_trace
+
+    h = InitHyper(sw, sb, kind)
+    q0_sr = 1.3 * np.linspace(-0.7, 0.95, covs) if isinstance(covs, int) else covs
+    traces = run_traces(h, depths, q0=1.3, q0_sr=q0_sr)
+    assert [t.depth for t in traces] == depths
+    for L, trace in zip(depths, traces):
+        for name, want in reference_trace(h, L, q0=1.3, q0_sr=q0_sr).items():
+            got = getattr(trace, name)
+            if want is None:
+                assert got is None, name
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=name)

@@ -94,15 +94,38 @@ def test_pair_rule_allocates_one_block_buffer():
 
     # the 276 pairs of a 24-point sample: 18 blocks of correlations
     c = np.linspace(-0.9, 0.95, 276)
-    avg_phi_prod(ActivationKind.TANH, 1.2, 1.2, c)  # warm the cached rule
+    avg_phi_prod(ActivationKind.TANH, 1.2, c)  # warm the cached rule
     block = PAIR_CHUNK * DEFAULT_NODES * DEFAULT_NODES * 8
     tracemalloc.start()
     try:
-        avg_phi_prod(ActivationKind.TANH, 1.2, 1.2, c)
+        avg_phi_prod(ActivationKind.TANH, 1.2, c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * block
+
+
+def test_pair_expectation_of_clamped_correlations_allocates_no_copy():
+    # avg_phi_prod clamps its correlations to [-1, 1]; an array already inside
+    # is handed to the pair rule as it is, so the call peaks where the rule
+    # alone does, not one array of the 32 640 correlations higher
+    import tracemalloc
+
+    from ntklab.meanfield import avg_phi_prod
+
+    c = np.linspace(-0.9, 0.95, 32640)
+    peaks = []
+    for call in (lambda: normal_pair_expectation(IN_PLACE["tanh-in-place"], 1.2, 1.2, c),
+                 lambda: avg_phi_prod(TANH, 1.2, c)):
+        call()  # warm the cached rule
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 1.02 * peaks[0]
 
 
 def test_interpolated_pair_rule_allocates_a_few_arrays_of_the_input_size():

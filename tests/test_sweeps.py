@@ -257,6 +257,32 @@ def test_predict_variance_prediction_from_reference_trace(tmp_path):
     assert se > 0.0
 
 
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_predict_variance_kernels_are_the_equicorrelated_theory_kernels(kind):
+    # the cell builds Theta*(X), theta_x and K from its one reference trace;
+    # they are bit for bit the kernels of the equicorrelated layer-0 matrices
+    from ntklab.ntk_theory import nngp_matrix, theta_star_matrix
+
+    c0, m_width = 0.5, 64
+    for L in (1, 4, 32):
+        hyper = InitHyper(2.0, 0.5, kind)
+        trace = run_trace(hyper, L, q0=1.0, q0_sr=c0)
+        kbars = compute_kappas(trace)
+        for s in (2, 128):
+            theta, theta_x, joint = sweeps._equicorrelated_kernels(
+                kbars, L, float(trace.q[L]), float(trace.q_sr[L]), m_width, s)
+            cov0 = np.full((s + 1, s + 1), c0)
+            np.fill_diagonal(cov0, 1.0)
+            want = theta_star_matrix(hyper, L, cov0[1:, 1:], m_width, reference_cov=c0)
+            np.testing.assert_array_equal(theta.matrix, want.matrix)
+            assert (theta.scale, theta.mean_kappa1, theta.mean_kappa2) == \
+                (want.scale, want.mean_kappa1, want.mean_kappa2)
+            # the test point's row of Theta* over the joint sample
+            np.testing.assert_array_equal(
+                theta_x, theta_star_matrix(hyper, L, cov0, m_width, reference_cov=c0).matrix[0, 1:])
+            np.testing.assert_array_equal(joint.matrix, nngp_matrix(hyper, L, cov0).matrix)
+
+
 def test_predict_variance_reports_exact_variance_and_per_cell_mc_seeds(tmp_path):
     argv = ["predict-variance", "--set", "sigma_w_sq=[1.5,2.5]", "--set", "depths=[3]",
             "--set", "sample_count=6", "--set", "mc_samples=4000"]
