@@ -24,7 +24,8 @@ backward_deltas fill fresh buffers with them.  train_full_batch allocates
 the cache, the deltas and slopes and the weight and bias gradients once per
 call, and each step refills them in place: matmuls with out=, then the bias
 add, activation, derivative, learning-rate scaling and update, all in place.
-Every delta is taken before any weight moves.
+The update runs inside the backward loop: W^l and b^l move right after
+delta^{l-1} has been taken from W^l.
 
 The buffered step is bitwise the step that builds fresh arrays
 (tests/oracles.py, reference_train_full_batch): each operation runs on the
@@ -173,14 +174,21 @@ def _backward_buffers(net: Mlp, cache: ForwardCache) -> tuple[list, list]:
             [np.empty(h.shape, dtype=slope_type) for h in cache.preacts[:-1]])
 
 
-def _backward_into(net: Mlp, cache: ForwardCache, deltas: list, slopes: list) -> None:
+def _backward_into(net: Mlp, cache: ForwardCache, deltas: list, slopes: list,
+                   descend: Callable[[int], None] | None = None) -> None:
     """Propagate deltas[-1] down the chain in place:
-    deltas[l-1] = (deltas[l] W^{l+1}) * phi'(preacts[l-1]) for l = L-1, ..., 1."""
+    deltas[l-1] = (deltas[l] W^{l+1}) * phi'(preacts[l-1]) for l = L-1, ..., 1.
+
+    descend(l), when given, runs for l = L-1, ..., 0 once deltas[l] is final
+    and W^{l+1} is no longer read, so it may move W^{l+1} and b^{l+1}."""
     kind = net.activation
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(net.depth - 1, 0, -1):
-            np.matmul(deltas[l], net.weights[l], out=deltas[l - 1])
-            deltas[l - 1] *= dphi(kind, cache.preacts[l - 1], out=slopes[l - 1])
+        for l in range(net.depth - 1, -1, -1):
+            if l:
+                np.matmul(deltas[l], net.weights[l], out=deltas[l - 1])
+                deltas[l - 1] *= dphi(kind, cache.preacts[l - 1], out=slopes[l - 1])
+            if descend is not None:
+                descend(l)
 
 
 def backward_deltas(net: Mlp, cache: ForwardCache) -> list[np.ndarray]:
@@ -263,6 +271,15 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     resid, resid_sq = np.empty(s), np.empty(s)
     lr = cfg.learning_rate
 
+    def descend(l: int) -> None:
+        w, b = net.weights[l], net.biases[l]
+        np.matmul(deltas[l].T, cache.activations[l], out=grad_w[l])
+        np.add.reduce(deltas[l], axis=0, out=grad_b[l])
+        grad_w[l] *= lr
+        w -= grad_w[l]
+        grad_b[l] *= lr
+        b -= grad_b[l]
+
     snapshot(0)
     losses = np.empty(cfg.max_steps)
     best = np.inf
@@ -277,18 +294,10 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
             raise TrainingDivergenceError(step, losses[:step - 1].copy())
         losses[step - 1] = loss
 
-        # backprop of dL/dh^L = 2 (f - y) / S through the chain; every delta
-        # is taken before any weight moves
+        # backprop of dL/dh^L = 2 (f - y) / S through the chain, each layer
+        # stepping once the delta below has been taken from its weights
         np.multiply(resid, 2.0 / s, out=deltas[-1][:, 0])
-        _backward_into(net, cache, deltas, slopes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-                np.matmul(deltas[l].T, cache.activations[l], out=grad_w[l])
-                np.sum(deltas[l], axis=0, out=grad_b[l])
-                grad_w[l] *= lr
-                w -= grad_w[l]
-                grad_b[l] *= lr
-                b -= grad_b[l]
+        _backward_into(net, cache, deltas, slopes, descend)
 
         snapshot(step)
         if best - loss >= cfg.early_stop_delta:

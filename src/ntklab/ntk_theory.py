@@ -307,16 +307,16 @@ def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
 # ---------------------------------------------------------------------------
 # One numpy BLAS thread for the small dense algebra.
 #
-# numpy and scipy each bundle an OpenBLAS with its own thread pool.  On two
-# cores a threaded scipy Cholesky of a ~128 x 128 matrix waits for its worker
-# while numpy's worker still spins after a threaded numpy call made a few ms
-# before (the eigvalsh of the PSD check): spd_solve took ~6 ms and eigvalsh
-# ~5 ms, against < 0.4 ms and 0.7 ms on one thread.  trained_output_variance
-# therefore keeps numpy's pool on one thread for the check, the solve and
-# u^T K u.  A matrix-vector product rounds the same on one thread, so u^T K u
-# keeps its bits; a matrix product of S > 100 may not, which is one reason
-# ThetaStar.epsilon is computed only when read.  scipy's pool is left alone:
-# its one-thread Cholesky rounds differently.
+# On two cores, threaded LAPACK on a ~128 x 128 matrix spends more time
+# waking and waiting for OpenBLAS workers than computing: the eigvalsh of the
+# PSD check took ~5 ms threaded against 0.7 ms on one thread.
+# trained_output_variance therefore keeps numpy's pool on one thread for the
+# check, the solve and u^T K u.  spd_solve runs on numpy's LAPACK, so all of
+# that algebra runs inside the block and exact_variance does not depend on
+# the core count or on the thread count numpy's pool had on entry.  A
+# matrix-vector product rounds the same on one thread, so u^T K u keeps its
+# bits; a matrix product of S > 100 may not, which is one reason
+# ThetaStar.epsilon is computed only when read.
 
 _BLAS_LOCK = threading.RLock()
 
@@ -369,10 +369,17 @@ def _as_matrix(obj) -> np.ndarray:
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve a x = b for symmetric positive-definite a via Cholesky with an
-    escalating diagonal jitter ladder; returns (x, jitter_used)."""
-    from scipy.linalg import cho_factor, cho_solve  # imported here: slow, and only needed here
+    escalating diagonal jitter ladder; returns (x, jitter_used).
 
+    a = L L^T comes from np.linalg.cholesky and x from two solves, L y = b
+    and L^T x = y, all on numpy's LAPACK, so a process that solves loads one
+    OpenBLAS and one BLAS thread pool.  A NaN or inf in a or b raises
+    ValueError.
+    """
     a = _as_matrix(a)
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("spd_solve: a and b must not contain infs or NaNs")
     n = a.shape[0]
     scale = float(np.trace(a)) / n if n else 1.0
     if scale <= 0.0:
@@ -380,8 +387,8 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     jitter = 0.0
     while True:
         try:
-            factor = cho_factor(a + jitter * np.eye(n) if jitter else a, lower=True)
-            return cho_solve(factor, b), jitter
+            lower = np.linalg.cholesky(a + jitter * np.eye(n) if jitter else a)
+            return np.linalg.solve(lower.T, np.linalg.solve(lower, b)), jitter
         except np.linalg.LinAlgError:
             pass
         if jitter == 0.0:

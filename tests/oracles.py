@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -244,6 +245,32 @@ def trained_output(theta, theta_x: np.ndarray, f0_x: float,
         raise ValueError("inconsistent kernel/label dimensions")
     w, _ = spd_solve(theta, y - f0_train)
     return float(f0_x + theta_x @ w)
+
+
+def equicorrelated_trained_variance(theta, theta_x: np.ndarray, joint) -> Fraction:
+    """u^T K u, u = [1, -Theta^{-1} theta_x], in exact rational arithmetic for
+    an equicorrelated sample: Theta = (d - o) I + o 11^T, theta_x = t 1 and
+    K = (q - r) I + r 11^T over the S + 1 points, test point first.
+
+    Sherman-Morrison gives Theta^{-1} theta_x = v 1 with v = t / (d - o + S o),
+    so u^T K u = q - 2 S v r + v^2 (S q + S (S - 1) r), exactly, from the
+    entries as stored.  Raises if the matrices are not equicorrelated.
+    """
+    theta = np.asarray(getattr(theta, "matrix", theta), dtype=float)
+    joint = np.asarray(getattr(joint, "matrix", joint), dtype=float)
+    theta_x = np.asarray(theta_x, dtype=float)
+    s = len(theta_x)
+    for m in (theta, joint):
+        off = m[~np.eye(len(m), dtype=bool)]
+        if len(set(np.diag(m).tolist())) != 1 or len(set(off.tolist())) > 1:
+            raise ValueError("matrix is not equicorrelated")
+    if len(set(theta_x.tolist())) != 1:
+        raise ValueError("theta_x is not constant")
+    d, q = Fraction(theta[0, 0]), Fraction(joint[0, 0])
+    o = Fraction(theta[0, 1]) if s > 1 else Fraction(0)
+    r, t = Fraction(joint[0, 1]), Fraction(theta_x[0])
+    v = t / (d - o + s * o)
+    return q - 2 * s * v * r + v * v * (s * q + s * (s - 1) * r)
 
 
 def pairwise_nngp(hyper, depth: int, cov0: np.ndarray, q0: float = 1.0) -> np.ndarray:

@@ -13,8 +13,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_package_import_leaves_scipy_unloaded():
-    # scipy.special and scipy.linalg take ~0.3 s to import; only erf networks
-    # and SPD solves need them, so they load on first use
+    # scipy.special takes ~0.3 s to import and only erf networks need it, so
+    # it loads on first use
     code = ("import sys, math, numpy as np\n"
             "import ntklab, ntklab.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

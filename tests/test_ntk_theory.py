@@ -169,6 +169,19 @@ class TestSpdSolve:
         with pytest.raises(IllConditionedError):
             spd_solve(a, np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_non_finite_input_raises(self, bad, where):
+        # unchecked, a NaN passes the Cholesky factorization and returns NaNs,
+        # and an inf in a climbs the jitter ladder to IllConditionedError
+        a, b = np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
+        if where == "a":
+            a[1, 0] = a[0, 1] = bad
+        else:
+            b[1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spd_solve(a, b)
+
 
 class TestTrainedOutput:
     def test_interpolates_training_points(self):
@@ -467,6 +480,22 @@ class TestOneNumpyBlasThread:
         trained_output_variance(np.eye(2) * 2.0, np.eye(3), np.ones(2), 100)
         assert seen == [1]
         assert get() == before
+
+    def test_trained_output_variance_bits_do_not_depend_on_the_entry_thread_count(
+            self, threads):
+        # at S = 128 a solve on numpy's two-thread pool rounds differently
+        # from one on one thread; the block makes the entry count irrelevant
+        get, set_ = threads
+        before = get()
+        theta, joint, theta_x = _shared_covariance_cell(InitHyper(1.0, 1.0, RELU), 32, 128)
+        got = []
+        try:
+            for n in (1, 2):
+                set_(n)
+                got.append(trained_output_variance(theta, joint, theta_x, 1000, seed=5))
+        finally:
+            set_(before)
+        assert got[0] == got[1]
 
     def test_u_k_u_keeps_its_bits(self, threads):
         from ntklab.ntk_theory import _one_numpy_blas_thread

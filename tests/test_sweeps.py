@@ -1,5 +1,10 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +14,12 @@ from ntklab.activations import ActivationKind
 from ntklab.cli import build_parser, load_config, main
 from ntklab.data_io import RecordStore, code_identity
 from ntklab.meanfield import InitHyper, run_trace
-from ntklab.ntk_theory import compute_kappas, predict_variance
+from ntklab.ntk_theory import compute_kappas, predict_variance, trained_output_variance
 from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid
-from oracles import data_independent_kappas, reference_train_full_batch
+from oracles import data_independent_kappas, equicorrelated_trained_variance, \
+    reference_train_full_batch
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _rows(path):
@@ -281,6 +289,51 @@ def test_predict_variance_kernels_are_the_equicorrelated_theory_kernels(kind):
             np.testing.assert_array_equal(
                 theta_x, theta_star_matrix(hyper, L, cov0, m_width, reference_cov=c0).matrix[0, 1:])
             np.testing.assert_array_equal(joint.matrix, nngp_matrix(hyper, L, cov0).matrix)
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_predict_variance_exact_is_the_rational_u_k_u(kind):
+    # u^T K u of the cell's kernels against the same quantity in exact
+    # rational arithmetic: the solve and the products lose only rounding on
+    # the scale of K[0,0], also where u^T K u cancels to ~1e-13 of it
+    m_width = 64
+    for sb in (0.1, 1.0):
+        for sw in (1.0, 2.0, 3.0):
+            for L in (1, 4, 32):
+                trace = run_trace(InitHyper(sw, sb, kind), L, q0=1.0, q0_sr=0.5)
+                kbars = compute_kappas(trace)
+                for s in (2, 128):
+                    theta, theta_x, joint = sweeps._equicorrelated_kernels(
+                        kbars, L, float(trace.q[L]), float(trace.q_sr[L]), m_width, s)
+                    var = trained_output_variance(theta, joint, theta_x, 100)
+                    true = equicorrelated_trained_variance(theta, theta_x, joint)
+                    assert var.jitter == 0.0
+                    assert abs(Fraction(var.exact) - true) <= \
+                        Fraction(1e-13) * Fraction(joint.matrix[0, 0]), (sw, sb, L, s)
+
+
+def test_predict_variance_leaves_scipy_unloaded():
+    # ReLU and tanh cells, with and without trained networks, need no scipy:
+    # its import would load a second OpenBLAS with its own thread pool
+    base = ["predict-variance", "--set", "sigma_w_sq=[1.5]", "--set", "depths=[3]",
+            "--set", "widths=[9]", "--set", "sample_count=8", "--set", "mc_samples=1000",
+            "--set", "train_steps=20"]
+    code = ("import sys, tempfile\n"
+            "from ntklab.cli import main\n"
+            f"base = {base!r}\n"
+            "for act in ('relu', 'tanh'):\n"
+            "    for seeds in (0, 2):\n"
+            "        with tempfile.TemporaryDirectory() as out:\n"
+            "            argv = base + ['--set', f'activation={act}',\n"
+            "                           '--set', f'train_seeds={seeds}', '--out-dir', out]\n"
+            "            if main(argv) != 0:\n"
+            "                raise SystemExit(argv)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_predict_variance_reports_exact_variance_and_per_cell_mc_seeds(tmp_path):
