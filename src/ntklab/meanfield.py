@@ -24,9 +24,10 @@ phase), and chi1 = 1 is the edge of chaos (EOC).
 
 ReLU and erf use closed-form expectations (NumPy ufuncs); anything else
 falls back to Gauss-Hermite quadrature, whose pair rule fits a large array
-of correlations by one Chebyshev interpolant in c per call (see quadrature:
-q_s = q_r = q^l is shared by every pair of a layer, so the pair expectation
-is a function of c alone).  The expectations are elementwise over arrays.
+of correlations by one Chebyshev interpolant in c, kept across calls (see
+quadrature: q_s = q_r = q^l is shared by every pair of a layer, so the pair
+expectation is a function of c alone, and the fit of a layer variance serves
+every sample).  The expectations are elementwise over arrays.
 
 run_traces is the one place the recursions run.  It takes a 1-D array of
 layer-0 covariances and advances all of them through the layers in one
@@ -176,6 +177,16 @@ def avg_dphi_prod(kind: ActivationKind, q, c):
     return _dphi_prod(kind, q, _clamp_correlation(c))
 
 
+# The in-place integrands phi and phi' of each activation, one object each:
+# quadrature keeps its Chebyshev fits keyed by the integrand, and a fresh
+# lambda per call would never find one.  phi and dphi are looked up by name
+# when called, so a wrapper bound over them (the benchmark's tracer) sees
+# every call.
+_PAIR_INTEGRANDS = {kind: (lambda u, kind=kind: phi(kind, u, out=u),
+                           lambda u, kind=kind: dphi(kind, u, out=u))
+                    for kind in ActivationKind}
+
+
 def _phi_prod(kind: ActivationKind, q, c):
     """avg_phi_prod for c already clamped to [-1, 1]."""
     if kind is ActivationKind.RELU:
@@ -184,7 +195,7 @@ def _phi_prod(kind: ActivationKind, q, c):
     if kind is ActivationKind.ERF:
         arg = 2.0 * (c * q) / (1.0 + 2.0 * q)
         return 2.0 / math.pi * np.arcsin(np.minimum(np.maximum(arg, -1.0), 1.0))
-    return quadrature.normal_pair_expectation(lambda u: phi(kind, u, out=u), q, q, c)
+    return quadrature.normal_pair_expectation(_PAIR_INTEGRANDS[kind][0], q, q, c)
 
 
 def _dphi_prod(kind: ActivationKind, q, c):
@@ -195,7 +206,7 @@ def _dphi_prod(kind: ActivationKind, q, c):
         cov = c * q
         scale = 1.0 + 2.0 * q
         return 4.0 / math.pi / np.sqrt(scale * scale - 4.0 * cov * cov)
-    return quadrature.normal_pair_expectation(lambda u: dphi(kind, u, out=u), q, q, c)
+    return quadrature.normal_pair_expectation(_PAIR_INTEGRANDS[kind][1], q, q, c)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,12 @@ Chebyshev interpolant in c, fitted at up to 129 correlations per layer and
 function (quadrature.normal_pair_expectation), so the cost of Theta*(X) and
 K(X) grows with the number of distinct covariances only through evaluating
 that interpolant; they agree with the per-covariance rule to ~1e-15 of
-max|entry|.  ReLU and erf use closed forms, bit for bit as before.
+max|entry|.  A fit depends on the layer variance q^l, not on the sample, and
+quadrature keeps it across calls: nngp_matrix evaluates the fits that
+theta_star_matrix has just made, and another sample at the same (sigma_w^2,
+sigma_b^2, q0) refits nothing where its arrays can use the kept fits, with
+the same bits as a fresh fit.  ReLU and erf use closed forms, bit for bit
+as before.
 """
 from __future__ import annotations
 

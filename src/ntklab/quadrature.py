@@ -46,12 +46,23 @@ of half the degree in x, summed by a Clenshaw loop over preallocated
 buffers of the array's size.  x rounds the same for c and -c, so the
 interpolant is exactly even or odd.
 
-The interpolated path runs when the array has more than twice as many
-entries as the next node count, so that fitting saves work, and its entries
-lie in [-1, 1].  Scalars, smaller arrays, and fits whose coefficients are
-not finite (a NaN variance) or have not converged at 257 nodes take the
-direct path; a fit's coefficients live for one call only.  The fit is
-smooth in c: the rule's inner sum over the nodes x_j is even in
+A fit depends only on (f, q_s, q_r, n_nodes), not on the correlations, so
+it is kept across calls.  A call of more than 34 correlations, all in
+[-1, 1], looks its fit up by that key.  On a miss it fits only up to the
+largest degree D with 2 (D + 1) < its size, where fitting saves work, as a
+fit for that call alone would; the fit is kept if it converged, or if it
+ran to the last degree (then as None: not converged at 257 nodes, or
+coefficients that are not finite, as from a NaN variance).  A fit that
+stopped short is dropped, so a larger array refits.  The last FIT_CACHE_SIZE
+fits are kept, each as its coefficients of one parity, its parity and its
+degree D, never the rule and its block buffer.  The key holds the integrand
+object itself, so a caller that builds a new f per call never hits;
+meanfield passes one object per activation and function.  A call takes the
+interpolated path where its fit is not None and it has more than 2 (D + 1)
+entries; scalars, smaller arrays and all other calls take the direct path.
+A result therefore does not depend on what the cache holds, bit for bit.
+
+The fit is smooth in c: the rule's inner sum over the nodes x_j is even in
 s = sqrt(1 - c^2), because the nodes are mirror-symmetric, so it is a
 function of s^2 = 1 - c^2, and for an analytic f (tanh, tanh') the rule's
 value is analytic in c on [-1, 1], endpoints included.  Its Chebyshev
@@ -67,6 +78,8 @@ temporary per block.
 """
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -82,6 +95,10 @@ PAIR_CHUNK = 16
 CHEB_DEGREES = (16, 32, 64, 128, 256)
 CHEB_TAIL = 4
 CHEB_TOL = 1e-14
+
+# Fits kept by _FITS, the least recently used dropped first; an entry holds
+# at most 129 coefficients, so a full cache is ~0.4 MB.
+FIT_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=16)
@@ -108,7 +125,8 @@ def normal_pair_expectation(f, q_s: float, q_r: float, c,
     entry), for an odd or an even f.
 
     A large array of correlations in [-1, 1] goes through a Chebyshev
-    interpolant of the rule in c, which agrees with the direct rule to
+    interpolant of the rule in c, fitted once per (f, q_s, q_r, n_nodes)
+    and kept for later calls, which agrees with the direct rule to
     ~1e-14 of sqrt(E f(u1)^2 E f(u2)^2); a scalar or a smaller array is
     evaluated directly, each entry equal to the result for that correlation
     alone (see the module docstring).
@@ -119,10 +137,77 @@ def normal_pair_expectation(f, q_s: float, q_r: float, c,
     """
     c = np.asarray(c, dtype=float)
     flat = c.reshape(-1)
-    rule = _half_grid_rule(f, q_s, q_r, n_nodes, flat.size)
-    coeffs = _chebyshev_fit(rule, flat)
-    out = rule(flat) if coeffs is None else _evaluate_in_x(coeffs, flat, rule.odd)
+    fit = rule = None
+    # np.all is also false for a NaN correlation
+    if flat.size > 2 * (CHEB_DEGREES[0] + 1) and np.all(np.abs(flat) <= 1.0):
+        # as numpy scalars, so that 0-d array variances are hashable keys
+        fit, rule = _FITS.fit(f, np.asarray(q_s)[()], np.asarray(q_r)[()], n_nodes, flat.size)
+    if fit is not None and flat.size > 2 * (fit[2] + 1):
+        coeffs, odd, _ = fit
+        out = _evaluate_in_x(coeffs, flat, odd)
+    else:
+        if rule is None:
+            rule = _half_grid_rule(f, q_s, q_r, n_nodes, flat.size)
+        out = rule(flat)
     return out.reshape(c.shape)[()]
+
+
+class _FitCache:
+    """The last maxsize kept Chebyshev fits of the half-grid rule, keyed by
+    (f, q_s, q_r, n_nodes), the least recently used dropped first; safe to
+    call from concurrent threads (two of them may make the same fit).
+    hits and misses count the lookups since the last clear().
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.hits = self.misses = 0
+        self._fits = OrderedDict()
+        self._lock = threading.Lock()
+
+    def fit(self, f, q_s, q_r, n_nodes: int, size: int):
+        """(fit, rule).  fit is (coeffs, odd, degree) of the fit for (f, q_s,
+        q_r, n_nodes), or None where it did not converge or its coefficients
+        are not finite.  On a miss the fit stops at the largest degree D that
+        an array of size correlations can use, 2 (D + 1) < size (size > 34),
+        and rule is the direct rule it ran, for calls of up to size
+        correlations; on a hit rule is None.
+        """
+        # typed, so that a float32 variance, whose square root rounds
+        # differently, does not share the fit of the equal float64
+        key = (f, type(q_s), q_s, type(q_r), q_r, n_nodes)
+        with self._lock:
+            if key in self._fits:
+                self.hits += 1
+                self._fits.move_to_end(key)
+                return self._fits[key], None
+            self.misses += 1
+        max_degree = max(d for d in CHEB_DEGREES if size > 2 * (d + 1))
+        rule = _half_grid_rule(f, q_s, q_r, n_nodes, size)
+        fit = _chebyshev_fit(rule, max_degree)
+        if fit is not None:
+            coeffs, degree = fit
+            coeffs.flags.writeable = False  # shared by every call that hits the entry
+            fit = coeffs, rule.odd, degree
+        if fit is not None or max_degree == CHEB_DEGREES[-1]:
+            with self._lock:
+                self._fits[key] = fit
+                self._fits.move_to_end(key)
+                while len(self._fits) > self.maxsize:
+                    self._fits.popitem(last=False)
+        return fit, rule
+
+    def clear(self):
+        with self._lock:
+            self._fits.clear()
+            self.hits = self.misses = 0
+
+    def __len__(self):
+        with self._lock:
+            return len(self._fits)
+
+
+_FITS = _FitCache(FIT_CACHE_SIZE)
 
 
 def _half_grid_rule(f, q_s: float, q_r: float, n_nodes: int, size: int):
@@ -173,24 +258,23 @@ def _half_grid_rule(f, q_s: float, q_r: float, n_nodes: int, size: int):
     return rule
 
 
-def _chebyshev_fit(rule, c: np.ndarray) -> np.ndarray | None:
-    """Chebyshev coefficients on [-1, 1] of rule, sampled at nested
-    Chebyshev-Lobatto nodes cos(pi k / n), n = 16, 32, ..., 256, until the
-    coefficient tail has converged; None where c is to take the direct rule
-    instead (see the module docstring).
+def _chebyshev_fit(rule, max_degree: int = CHEB_DEGREES[-1]) -> tuple[np.ndarray, int] | None:
+    """(coeffs, degree): the Chebyshev coefficients on [-1, 1] of rule,
+    sampled at nested Chebyshev-Lobatto nodes cos(pi k / n), n = degree = 16,
+    32, ..., max_degree, at the first degree whose coefficient tail has
+    converged; None where none converges or the coefficients are not finite.
 
     The rule is run only at the nodes k <= n/2 (c >= 0); a node k > n/2
     takes the value at node n - k, negated for an odd rule.  Of the
-    coefficients, those of the rule's parity are returned: a_0, a_2, ... for
-    an even rule, a_1, a_3, ... for an odd one (see _evaluate_in_x).
+    coefficients, those of the rule's parity are returned, as a copy: a_0,
+    a_2, ... for an even rule, a_1, a_3, ... for an odd one (see
+    _evaluate_in_x).
     """
-    if not np.all(np.abs(c) <= 1.0):  # also false for a NaN correlation
-        return None
     sign = -1.0 if rule.odd else 1.0
     half = None
     for degree in CHEB_DEGREES:
-        if c.size <= 2 * (degree + 1):
-            return None
+        if degree > max_degree:
+            break
         nodes = np.cos(np.pi / degree * np.arange(degree // 2 + 1))
         if half is None:
             half = rule(nodes)
@@ -208,7 +292,7 @@ def _chebyshev_fit(rule, c: np.ndarray) -> np.ndarray | None:
         if not np.isfinite(coeffs).all():
             return None
         if np.abs(coeffs[-CHEB_TAIL:]).max() <= CHEB_TOL * np.abs(coeffs).max():
-            return coeffs[int(rule.odd)::2]
+            return coeffs[int(rule.odd)::2].copy(), degree
     return None
 
 

@@ -15,15 +15,23 @@ It times three things, each on its own inputs:
   - one cell of the default kappa-curves sweep and one predict-variance cell
     (S = 128, L = 32, 50 000 Monte-Carlo samples), through the cell
     functions the CLI runs;
-  - Theta*(X) plus K(X) of a 24-point sample of unit-norm rows.
+  - Theta*(X) plus K(X) of a 24-point sample of unit-norm rows;
+  - tanh Theta*(X) plus K(X), L = 16, on a fresh sample each round, with
+    quadrature's Chebyshev fits kept from earlier rounds (warm) or dropped
+    before each round (cold): 24 points at the infinite-width benchmark's
+    cell (1.5, 0.1), and 12 points at (4, 1), whose fits need degree 128 or
+    256, more than an array of a 12-point sample's covariances can use.
 
 Every benchmark uses only names that have existed since the one-loop trace
-(run_trace, theta_star_matrix, nngp_matrix, sweeps.SWEEPS), so the same file
-times earlier commits too.
+(run_trace, theta_star_matrix, nngp_matrix, sweeps.SWEEPS), and the fit
+cache is looked up with getattr, so the same file times earlier commits too.
 """
+import itertools
+
 import numpy as np
 import pytest
 
+from ntklab import quadrature
 from ntklab.activations import ActivationKind
 from ntklab.data_io import synthetic_dataset
 from ntklab.meanfield import InitHyper, run_trace
@@ -39,8 +47,8 @@ def _hyper(name):
     return InitHyper(sw, sb, ActivationKind.from_name(name))
 
 
-def _sample_covariances(n):
-    x = synthetic_dataset(n, 64, seed=0).inputs
+def _sample_covariances(n, seed=0):
+    x = synthetic_dataset(n, 64, seed=seed).inputs
     return x @ x.T
 
 
@@ -75,3 +83,25 @@ def test_theta_star_and_nngp(benchmark, activation):
         return theta_star_matrix(hyper, 16, cov0, 64), nngp_matrix(hyper, 16, cov0)
 
     benchmark(kernels)
+
+
+FRESH_CELLS = {"s24": (1.5, 0.1, 24), "s12-deep-fits": (4.0, 1.0, 12)}
+
+
+@pytest.mark.parametrize("fits", ["warm", "cold"])
+@pytest.mark.parametrize("cell", list(FRESH_CELLS))
+def test_tanh_kernels_of_fresh_samples(benchmark, cell, fits):
+    sw, sb, size = FRESH_CELLS[cell]
+    hyper = InitHyper(sw, sb, ActivationKind.TANH)
+    seeds = itertools.count(1)
+    fit_cache = getattr(quadrature, "_FITS", None)
+
+    def fresh_sample():
+        if fits == "cold" and fit_cache is not None:
+            fit_cache.clear()
+        return (_sample_covariances(size, next(seeds)),), {}
+
+    def kernels(cov0):
+        return theta_star_matrix(hyper, 16, cov0, 64), nngp_matrix(hyper, 16, cov0)
+
+    benchmark.pedantic(kernels, setup=fresh_sample, rounds=60, warmup_rounds=1)

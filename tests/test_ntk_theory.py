@@ -455,6 +455,31 @@ def test_tanh_kernels_with_half_grid_rule_match_full_grid(monkeypatch, sw, sb):
                                    atol=1e-13 * np.max(np.abs(want)))
 
 
+def test_tanh_kernels_are_the_same_with_a_warm_fit_cache():
+    # the benchmark's tanh cell on fresh samples: every fit after the first
+    # sample's comes from quadrature's cache, with the bits of a fresh fit
+    from ntklab.quadrature import _FITS
+
+    hyper = InitHyper(1.5, 0.1, TANH)
+
+    def kernels(seed):
+        x = synthetic_dataset(24, 64, seed=seed).inputs
+        cov0 = x @ x.T
+        return theta_star_matrix(hyper, 16, cov0, 64.0).matrix, nngp_matrix(hyper, 16, cov0).matrix
+
+    cold = []
+    for seed in (0, 1):
+        _FITS.clear()
+        cold.append(kernels(seed))
+    _FITS.clear()
+    warm = [kernels(seed) for seed in (0, 1, 0)]
+    # theta_star_matrix fits phi at layers 0..16 and phi' at layers 1..15;
+    # nngp_matrix and the later samples find all of them
+    assert _FITS.misses == 17 + 15 and len(_FITS) == 32
+    for got, want in zip(warm, cold + cold[:1]):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 class TestOneNumpyBlasThread:
     """The small dense algebra runs numpy's OpenBLAS on one thread, with the
     same bits, and leaves the thread count as it found it."""

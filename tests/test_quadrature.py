@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ntklab.activations import ActivationKind, dphi, phi
-from ntklab.quadrature import DEFAULT_NODES, CHEB_DEGREES, _chebyshev_fit, _evaluate_in_x, \
-    _half_grid_rule, gauss_hermite_rule, normal_expectation, normal_pair_expectation
+from ntklab.quadrature import DEFAULT_NODES, CHEB_DEGREES, FIT_CACHE_SIZE, PAIR_CHUNK, \
+    _FITS, _FitCache, _chebyshev_fit, _evaluate_in_x, _half_grid_rule, gauss_hermite_rule, \
+    normal_expectation, normal_pair_expectation
 
 TANH = ActivationKind.TANH
 IN_PLACE = {"tanh-in-place": lambda u: phi(TANH, u, out=u),
@@ -94,8 +95,9 @@ def test_pair_rule_allocates_one_block_buffer():
 
     # the 276 pairs of a 24-point sample: 18 blocks of correlations
     c = np.linspace(-0.9, 0.95, 276)
-    avg_phi_prod(ActivationKind.TANH, 1.2, c)  # warm the cached rule
+    avg_phi_prod(ActivationKind.TANH, 1.2, c)  # warm the cached Gauss-Hermite rule
     block = PAIR_CHUNK * DEFAULT_NODES * DEFAULT_NODES * 8
+    _FITS.clear()  # so that the measured call fits too
     tracemalloc.start()
     try:
         avg_phi_prod(ActivationKind.TANH, 1.2, c)
@@ -117,7 +119,8 @@ def test_pair_expectation_of_clamped_correlations_allocates_no_copy():
     peaks = []
     for call in (lambda: normal_pair_expectation(IN_PLACE["tanh-in-place"], 1.2, 1.2, c),
                  lambda: avg_phi_prod(TANH, 1.2, c)):
-        call()  # warm the cached rule
+        call()  # warm the cached Gauss-Hermite rule
+        _FITS.clear()  # so that the measured call fits too
         tracemalloc.start()
         try:
             call()
@@ -139,7 +142,8 @@ def test_interpolated_pair_rule_allocates_a_few_arrays_of_the_input_size():
     block = PAIR_CHUNK * (DEFAULT_NODES // 2) * DEFAULT_NODES * 8
     for f in IN_PLACE.values():
         for q in (0.3, 4.0):  # fitted at degree 32, and 128 or 256
-            normal_pair_expectation(f, q, q, c)  # warm the cached rule
+            normal_pair_expectation(f, q, q, c)  # warm the cached Gauss-Hermite rule
+            _FITS.clear()  # so that the measured call fits too
             tracemalloc.start()
             try:
                 normal_pair_expectation(f, q, q, c)
@@ -170,7 +174,7 @@ def test_interpolated_pair_rule_matches_direct_rule(name, q_s, q_r):
     # q = 16 the tail converges within 257 nodes, so the interpolant is used
     f = IN_PLACE[name]
     direct = _half_grid_rule(f, q_s, q_r, DEFAULT_NODES, LARGE_C.size)
-    assert _chebyshev_fit(direct, LARGE_C) is not None
+    assert _chebyshev_fit(direct) is not None
     got = normal_pair_expectation(f, q_s, q_r, LARGE_C)
     want = direct(LARGE_C)
     assert np.max(np.abs(got - want)) <= 1e-13 * _cauchy_schwarz_scale(f, q_s, q_r)
@@ -225,6 +229,136 @@ def test_arrays_up_to_the_threshold_equal_scalar_calls():
     vals = normal_pair_expectation(f, 0.01, 0.01, c)
     for ck, v in zip(c, vals):
         assert v == normal_pair_expectation(f, 0.01, 0.01, ck)
-    above = np.linspace(-1.0, 1.0, threshold + 1)
-    assert _chebyshev_fit(_half_grid_rule(f, 0.01, 0.01, DEFAULT_NODES, above.size),
-                          above) is not None
+    _, degree = _chebyshev_fit(_half_grid_rule(f, 0.01, 0.01, DEFAULT_NODES, threshold + 1))
+    assert degree == CHEB_DEGREES[0]
+
+
+class TestFitCache:
+    """The Chebyshev fits kept across calls give the bits of a fresh fit, and
+    only where a fresh fit would have been used."""
+
+    @pytest.mark.parametrize("name", sorted(IN_PLACE))
+    @pytest.mark.parametrize("q", [0.3, 4.0])
+    def test_warm_calls_equal_cold_calls(self, name, q):
+        f = IN_PLACE[name]
+        _, degree = _chebyshev_fit(_half_grid_rule(f, q, q, DEFAULT_NODES, PAIR_CHUNK))
+        nodes = degree + 1
+        above = np.linspace(-0.97, 0.99, 2 * nodes + 1)
+        at = np.linspace(-0.97, 0.99, 2 * nodes)
+        outside = np.append(above, 1.5)
+        with_nan = np.append(above, np.nan)
+        direct = {"at": at, "outside": outside, "nan": with_nan}
+        calls = {"above": above, **direct}
+        cold = {}
+        for key, c in calls.items():
+            _FITS.clear()
+            cold[key] = normal_pair_expectation(f, q, q, c)
+        # warm: the fit made by the call above
+        _FITS.clear()
+        normal_pair_expectation(f, q, q, above)
+        assert len(_FITS) == 1
+        for key, c in calls.items():
+            assert np.array_equal(normal_pair_expectation(f, q, q, c), cold[key],
+                                  equal_nan=True), key
+        # the arrays the fit does not serve take the direct rule
+        for key, c in direct.items():
+            rule = _half_grid_rule(f, q, q, DEFAULT_NODES, c.size)
+            assert np.array_equal(cold[key], rule(c), equal_nan=True), key
+        rule = _half_grid_rule(f, q, q, DEFAULT_NODES, above.size)
+        coeffs, _ = _chebyshev_fit(rule)
+        assert np.array_equal(cold["above"], _evaluate_in_x(coeffs, above, rule.odd))
+        # the warm calls above and at looked the fit up; an array outside
+        # [-1, 1] or holding a NaN never does
+        assert _FITS.hits == 2
+
+    def test_a_miss_fits_only_as_far_as_the_array_can_use(self):
+        # an array of 67 correlations can use degree 32 at most: a cold call
+        # runs the rule at the 17 nodes up to degree 32 and at its own
+        # entries, as an uncached call would, and keeps a fit only if it
+        # converged by then
+        blocks = []
+
+        def f(u):
+            if u.ndim == 3:  # a block of correlations of the pair rule
+                blocks.append(len(u))
+            return phi(TANH, u, out=u)
+
+        small = np.linspace(-0.97, 0.99, 2 * (32 + 1) + 1)
+        _FITS.clear()
+        cold = normal_pair_expectation(f, 4.0, 4.0, small)  # converges at 128 or 256
+        assert sum(blocks) == 32 // 2 + 1 + small.size
+        assert _FITS.misses == 1 and len(_FITS) == 0
+        normal_pair_expectation(f, 4.0, 4.0, LARGE_C)  # the fit to convergence, kept
+        assert _FITS.misses == 2 and len(_FITS) == 1
+        blocks.clear()
+        assert np.array_equal(normal_pair_expectation(f, 4.0, 4.0, small), cold)
+        assert sum(blocks) == small.size and _FITS.hits == 1
+        normal_pair_expectation(f, 0.3, 0.3, small)  # converges at degree 32, kept
+        assert _FITS.misses == 3 and len(_FITS) == 2
+
+    def test_concurrent_lookups_lose_no_update(self):
+        # more threads than cores, switching often, on a cache smaller than
+        # the variances they cycle through: every lookup is counted once, the
+        # cache never outgrows its bound, and each fit has the serial bits
+        import sys
+        import threading
+
+        f = IN_PLACE["tanh-in-place"]
+        qs = [0.05 * (k + 1) for k in range(8)]
+        want = {q: _chebyshev_fit(_half_grid_rule(f, q, q, DEFAULT_NODES, PAIR_CHUNK))
+                for q in qs}
+        cache = _FitCache(maxsize=3)
+        size = 2 * (CHEB_DEGREES[-1] + 1) + 1
+        wrong, sizes = [], []
+
+        def work(shift):
+            for k in range(40):
+                q = qs[(k + shift) % len(qs)]
+                (coeffs, _, degree), _ = cache.fit(f, q, q, DEFAULT_NODES, size)
+                if degree != want[q][1] or not np.array_equal(coeffs, want[q][0]):
+                    wrong.append(q)
+                sizes.append(len(cache))
+
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong and max(sizes) <= 3
+        assert cache.hits + cache.misses == 4 * 40
+
+    def test_zero_dimensional_variances_share_the_fit_of_scalars(self):
+        f = IN_PLACE["tanh-in-place"]
+        _FITS.clear()
+        want = normal_pair_expectation(f, 0.3, 0.3, LARGE_C)
+        got = normal_pair_expectation(f, np.array(0.3), np.array(0.3), LARGE_C)
+        assert np.array_equal(got, want)
+        assert len(_FITS) == 1
+
+    def test_the_cache_holds_only_coefficients(self):
+        import gc
+        import tracemalloc
+
+        f = IN_PLACE["tanh-in-place"]
+        c = np.linspace(-1.0, 1.0, 2 * (CHEB_DEGREES[-1] + 1) + 1)
+        normal_pair_expectation(f, 16.0, 16.0, c)  # warm the cached Gauss-Hermite rule
+        _FITS.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            # q up to 16 fits at degree 128 or 256: the largest entries
+            for q in np.linspace(4.0, 16.0, FIT_CACHE_SIZE + 8):
+                normal_pair_expectation(f, q, q, c)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(_FITS) == FIT_CACHE_SIZE
+        assert after - before < FIT_CACHE_SIZE * 2048
