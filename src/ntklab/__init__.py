@@ -5,14 +5,13 @@ __version__ = "0.1.0"
 
 from .activations import ActivationKind, dphi, phi
 from .meanfield import (
+    DepthSums,
     InitHyper,
-    MeanFieldTrace,
     Phase,
     PhaseLabel,
     classify_phase,
+    depth_sums,
     edge_of_chaos_sigma_w_sq,
-    run_trace,
-    run_traces,
     variance_fixed_point,
 )
 from .ntk_theory import (
@@ -22,7 +21,6 @@ from .ntk_theory import (
     TrainedVariance,
     VariancePrediction,
     build_theta_star,
-    compute_kappas,
     condition_ratio,
     nngp_matrix,
     predict_variance,
@@ -42,7 +40,6 @@ from .finite_net import (
 )
 from .empirical_ntk import (
     DriftStat,
-    KernelMatrix,
     VarianceRatioStat,
     empirical_kernel,
     init_variance_ratio,

@@ -53,24 +53,7 @@ MAX_FAILED_SEED_FRACTION = 0.01
 REPLICATE_CHUNK = 64
 
 
-@dataclass(frozen=True)
-class KernelProvenance:
-    kind: str  # "empirical" | "theoretical" | "nngp"
-    seed: int | None = None
-    step: int | None = None
-
-
-@dataclass
-class KernelMatrix:
-    matrix: np.ndarray
-    provenance: KernelProvenance
-
-    @property
-    def n_points(self) -> int:
-        return self.matrix.shape[0]
-
-
-def empirical_kernel(net: Mlp, x: np.ndarray, step: int | None = None) -> KernelMatrix:
+def empirical_kernel(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Gram matrix of output gradients over the batch x (S, M_0)."""
     _, cache = finite_net.forward_batch(net, x)
     s = cache.activations[0].shape[0]
@@ -88,8 +71,7 @@ def empirical_kernel(net: Mlp, x: np.ndarray, step: int | None = None) -> Kernel
             theta += block
     if not np.all(np.isfinite(theta)):
         raise FloatingPointError("empirical kernel is not finite")
-    theta = 0.5 * (theta + theta.T)
-    return KernelMatrix(theta, KernelProvenance("empirical", seed=net.seed, step=step))
+    return 0.5 * (theta + theta.T)
 
 
 def self_kernel(net: Mlp, x: np.ndarray) -> float:
@@ -269,7 +251,7 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
     raised TrainingDivergenceError as `.partial`.
     """
     net = finite_net.init(widths, hyper, seed)
-    theta0 = empirical_kernel(net, inputs, step=0).matrix
+    theta0 = empirical_kernel(net, inputs)
     norm0 = _frobenius(theta0)
     if norm0 == 0.0:
         raise ValueError("initial kernel has zero norm")
@@ -280,8 +262,7 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
         steps_rec.append(step)
         try:
             # step 0 is the initial network, whose kernel theta0 already is
-            theta_t = theta0 if step == 0 else \
-                empirical_kernel(live_net, inputs, step=step).matrix
+            theta_t = theta0 if step == 0 else empirical_kernel(live_net, inputs)
             drift_rec.append(_frobenius(theta_t - theta0) / norm0)
         except FloatingPointError:
             drift_rec.append(float("nan"))

@@ -13,9 +13,9 @@ expectations of the activation:
 with (u1, u2) a correlated Gaussian pair, for constant-width networks.
 Terminal conditions are p^L = p_sr^L = 1 because the output is a linear
 read-out of the last activations.  Layer 0 is treated as a virtual
-activation layer: the trace starts from a pre-activation variance q^0 (1 for
-normalized data) and q_hat^0 = E[phi(sqrt(q^0) z)^2] plays the role of the
-input second moment.
+activation layer: the recursion starts from a pre-activation variance q^0 (1
+for normalized data) and q_hat^0 = E[phi(sqrt(q^0) z)^2] plays the role of
+the input second moment.
 
 The per-layer multiplier chi1^l = sigma_w^2 * E[phi'(sqrt(q^l) z)^2]
 controls gradient propagation: chi1 < 1 at the variance fixed point means
@@ -29,16 +29,17 @@ quadrature: q_s = q_r = q^l is shared by every pair of a layer, so the pair
 expectation is a function of c alone, and the fit of a layer variance serves
 every sample).  The expectations are elementwise over arrays.
 
-run_traces is the one place the recursions run.  It takes a 1-D array of
-layer-0 covariances and advances all of them through the layers in one
-pass, which is how ntk_theory builds whole kernel matrices, and it takes a
-list of depths: the forward recursions do not depend on L, so one forward
-sweep to the deepest L serves every depth (the arrays of a shallower trace
-are a prefix), and the per-layer backward multipliers are computed once;
-only the products from p^L = 1 down run per depth.  run_trace is its
-one-depth case.  Each layer clamps its correlations c^l = q_sr^l / q^l to
-[-1, 1] once, and the pair expectations take that c with q^l as the scale,
-so no product q^l * q^l is formed (it would overflow long before q^l does).
+forward_layers is the one place the layer recursion runs.  It advances a
+1-D array of layer-0 covariances through the layers in one pass, one layer
+per step, and evaluates only phi expectations: the NNGP kernel reads its
+last layer.  depth_sums consumes it to get the NTK's depth sums without a
+backward pass (Jacot et al., arXiv:1806.07572; Arora et al.,
+arXiv:1904.11955): the sums sum_l q_hat^{l-1} p^l and sum_l p^l obey
+forward recursions in the multipliers chi, so every depth up to the deepest
+is read off in one pass and no per-layer array is kept.  Each layer clamps
+its correlations c^l = q_sr^l / q^l to [-1, 1] once, and the pair
+expectations take that c with q^l as the scale, so no product q^l * q^l is
+formed (it would overflow long before q^l does).
 """
 from __future__ import annotations
 
@@ -159,7 +160,7 @@ def avg_phi_sq(kind: ActivationKind, q):
 def avg_dphi_sq(kind: ActivationKind, q):
     """E[phi'(sqrt(q) z)^2] for z ~ N(0, 1)."""
     if kind is ActivationKind.RELU:
-        return np.full(np.shape(q), 0.5)[()]
+        return 0.5 if np.ndim(q) == 0 else np.full(np.shape(q), 0.5)
     if kind is ActivationKind.ERF:
         return 2.0 / math.pi / np.sqrt(q + 0.25)
     return quadrature.normal_expectation(lambda u: dphi(kind, u) ** 2, np.sqrt(q))
@@ -210,177 +211,120 @@ def _dphi_prod(kind: ActivationKind, q, c):
 
 
 # ---------------------------------------------------------------------------
-# Full traces.
+# The forward recursion.
 
-@dataclass
-class MeanFieldTrace:
-    """Per-layer second moments for one input and, optionally, input pairs.
-
-    All arrays are indexed by layer l = 0..L where L = depth (number of
-    affine maps).  Entry 0 holds the virtual input layer: q[0] = q^0,
-    q_hat[0] = E[phi(sqrt(q^0) z)^2].  The backward channel is defined for
-    l = 1..L with p[L] = p_sr[L] = 1; p[0], p_sr[0], chi1[L] are NaN.
-    chi1[l] is the gradient multiplier of the activation at layer l (the
-    read-out layer has none).  Covariance arrays are None when the trace was
-    run without a second input; they have shape (L + 1,) for a scalar layer-0
-    covariance and (L + 1, n) for an array of n covariances, column k being
-    the trace of covariance k.
-    """
-
-    hyper: InitHyper
-    q: np.ndarray
-    q_hat: np.ndarray
-    p: np.ndarray
-    chi1: np.ndarray
-    q_sr: np.ndarray | None = None
-    q_hat_sr: np.ndarray | None = None
-    c: np.ndarray | None = None
-    p_sr: np.ndarray | None = None
-
-    @property
-    def depth(self) -> int:
-        return len(self.q) - 1
-
-    @property
-    def has_covariance(self) -> bool:
-        return self.q_sr is not None
-
-
-def _check_layer(layer: int, variance, covariance) -> None:
-    """The one check per layer of the trace: the new variance (q or p) must
-    be finite and positive, the new covariances (None without them) finite."""
-    if not (math.isfinite(variance)
-            and (covariance is None
-                 or np.logical_and.reduce(np.isfinite(covariance), axis=None))):
+def _check_finite(layer: int, array, *scalars) -> None:
+    """SignalOverflowError at layer unless every entry of the array and
+    every scalar is finite."""
+    if not (all(map(math.isfinite, scalars))
+            and np.logical_and.reduce(np.isfinite(array), axis=None)):
         raise SignalOverflowError("mean-field recursion overflowed", layer=layer)
-    if not variance > 0.0:
-        raise ValueError(f"variance {float(variance)!r} at layer {layer} must be positive")
 
 
-def _forward_sweep(hyper: InitHyper, depth: int, q0: float, q0_sr):
-    """Forward recursions of run_traces: returns (q, q_hat, q_sr, q_hat_sr, c),
-    the last three None when q0_sr is None.
+def forward_layers(hyper: InitHyper, depth: int, q0: float, q0_sr):
+    """Yield, for l = 1..depth, (q^l, q_sr^l, c^l, q_hat^{l-1}, q_hat_sr^{l-1}):
+    layer l's variance, covariances and clamped correlations, and the
+    second moments of layer l - 1 that made them.
 
-    q0_sr may be a scalar or a 1-D array of layer-0 covariances; every
+    q0_sr is a 1-D array of layer-0 covariances (it may be empty); every
     covariance advances through the layers together with the shared
-    variance channel.
+    variance.  Only phi expectations are evaluated.  Raises
+    SignalOverflowError at the first layer whose q or q_sr is not finite,
+    and ValueError where q underflows to 0.  The layer that overflows does
+    so in NumPy arithmetic: callers run the loop under
+    np.errstate(over="ignore", invalid="ignore") to keep its warning quiet.
     """
+    q0_sr = np.asarray(q0_sr, dtype=float)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not (q0 > 0.0):
         raise ValueError("q0 must be positive")
+    if q0_sr.ndim != 1:
+        raise ValueError("q0_sr must be a 1-D array of layer-0 covariances")
+    if np.any(np.abs(q0_sr) > q0 * (1.0 + CORRELATION_SLACK)):
+        raise ValueError("|q0_sr| must not exceed q0")
     kind, sw, sb = hyper.activation, hyper.sigma_w_sq, hyper.sigma_b_sq
-    L = depth
-    q = np.empty(L + 1)
-    q_hat = np.empty(L + 1)
-    q[0] = q0
-    q_sr = q_hat_sr = c = None
-    if q0_sr is not None:
-        q0_sr = np.asarray(q0_sr, dtype=float)
-        if q0_sr.ndim > 1:
-            raise ValueError("q0_sr must be a scalar or a 1-D array")
-        if np.any(np.abs(q0_sr) > q0 * (1.0 + CORRELATION_SLACK)):
-            raise ValueError("|q0_sr| must not exceed q0")
-        shape = (L + 1,) + q0_sr.shape
-        q_sr = np.empty(shape)
-        q_hat_sr = np.empty(shape)
-        c = np.empty(shape)
-        q_sr[0] = q0_sr
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(L + 1):
-            q_l = q[l]
-            q_hat[l] = avg_phi_sq(kind, q_l)
-            if q_sr is not None:
-                c[l] = c_l = _clamp_correlation(q_sr[l] / q_l)
-                q_hat_sr[l] = _phi_prod(kind, q_l, c_l)
-            if l == L:
-                break
-            q[l + 1] = sw * q_hat[l] + sb
-            if q_sr is not None:
-                q_sr[l + 1] = sw * q_hat_sr[l] + sb
-            _check_layer(l + 1, q[l + 1], None if q_sr is None else q_sr[l + 1])
-    return q, q_hat, q_sr, q_hat_sr, c
+    q, c = q0, _clamp_correlation(q0_sr / q0)
+    for layer in range(1, depth + 1):
+        q_hat, q_hat_sr = avg_phi_sq(kind, q), _phi_prod(kind, q, c)
+        q, q_sr = sw * q_hat + sb, sw * q_hat_sr + sb
+        _check_finite(layer, q_sr, q)
+        if not q > 0.0:
+            raise ValueError(f"variance {float(q)!r} at layer {layer} must be positive")
+        c = _clamp_correlation(q_sr / q)
+        yield q, q_sr, c, q_hat, q_hat_sr
 
 
-def _backward_sweep(hyper: InitHyper, q: np.ndarray, c, depths: list[int]) -> list:
-    """Backward recursions of run_traces: (p, chi1, p_sr) for each depth in
-    depths, from the forward arrays q and c (None without covariances, and
-    then p_sr is None) of the deepest of them.
+@dataclass(frozen=True)
+class DepthSums:
+    """The forward NTK recursion at one depth L, for a 1-D array of layer-0
+    covariances: q = q^L and the arrays q_sr = q_sr^L, kappa2 and
+    p_sum_cross, one entry per covariance.
 
-    The multipliers chi1^l = sigma_w^2 E[phi'^2] and sigma_w^2 E[phi'(u1)
-    phi'(u2)] of layer l do not depend on the depth, so they are computed
-    once; each depth L multiplies them down from p^L = p_sr^L = 1.
+    kappa1 = T^L / alpha and kappa2 = T_sr^L / alpha, alpha = max(L - 1, 1);
+    p_sum_diag = B^L and p_sum_cross = B_sr^L are the bias-parameter sums.
     """
-    kind, sw = hyper.activation, hyper.sigma_w_sq
-    top = max(depths)
-    chi1_all = np.empty(top)
-    # layer l's covariance multipliers, kept as the arrays they are computed
-    # as: stacking them into one (top, n) block adds a large allocation to
-    # every call, which made Theta* of 8 128 covariances (L = 4) ~25 % slower
-    # in a long-running process
-    chi_sr = [None] * top
-    traces = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(top):
-            chi1_all[l] = sw * avg_dphi_sq(kind, q[l])
-            if c is not None and l > 0:
-                chi_sr[l] = sw * _dphi_prod(kind, q[l], c[l])
-        for L in depths:
-            chi1 = np.full(L + 1, np.nan)
-            chi1[:L] = chi1_all[:L]
-            p = np.full(L + 1, np.nan)
-            p[L] = 1.0
-            p_sr = None
-            if c is not None:
-                p_sr = np.full((L + 1,) + c.shape[1:], np.nan)
-                p_sr[L] = 1.0
-            for l in range(L - 1, 0, -1):
-                p[l] = chi1[l] * p[l + 1]
-                if p_sr is not None:
-                    p_sr[l] = chi_sr[l] * p_sr[l + 1]
-                _check_layer(l, p[l], None if p_sr is None else p_sr[l])
-            traces.append((p, chi1, p_sr))
-    return traces
+
+    q: float
+    q_sr: np.ndarray
+    kappa1: float
+    kappa2: np.ndarray
+    p_sum_diag: float
+    p_sum_cross: np.ndarray
 
 
-def run_traces(hyper: InitHyper, depths, q0: float = 1.0, q0_sr=None) -> list[MeanFieldTrace]:
-    """The trace of each depth in depths (in that order, repeats allowed):
-    one forward sweep of the variance/covariance recursions to the deepest,
-    then the backward sweep of each depth with terminal conditions
-    p^L = p_sr^L = 1.
+def depth_sums(hyper: InitHyper, depths, q0: float, q0_sr) -> list[DepthSums]:
+    """The DepthSums of each depth in depths (in that order, repeats
+    allowed), from one pass of forward_layers to the deepest.
 
-    Each trace is bit for bit the one a separate forward sweep to its own
-    depth would give; its forward arrays are views of the deepest sweep's,
-    shared with the other traces.  A depth whose recursion overflows fails
-    the whole call, with the layer where it overflowed.
+    The depth sums run forward with the layers,
 
-    q0_sr is None (variance channel only), a scalar layer-0 covariance, or a
-    1-D array of them; an array runs every covariance through the layers in
-    one pass.  Column k of the covariance arrays equals the trace run with
-    q0_sr = q0_sr[k]: bit for bit for ReLU and erf (closed forms) and for
-    tanh arrays at or below the size where quadrature.normal_pair_expectation
-    switches to its Chebyshev interpolant in c (34 covariances); above that,
-    to ~1e-14 of the pair expectations' scale per layer.
+        T^{l+1} = T^l chi^l + q_hat^l,   B^{l+1} = B^l chi^l + 1,
+        T^1 = q_hat^0,                   B^1 = 1,
+
+    and likewise T_sr, B_sr with the covariance multipliers, where
+    chi^l = sigma_w^2 E[phi'(sqrt(q^l) z)^2] and the covariance multiplier
+    is sigma_w^2 E[phi'(u1) phi'(u2)] at (q^l, c^l).  Unrolled, T^L is
+    sum_{l=1}^{L} q_hat^{l-1} p^l and B^L is sum_{l=1}^{L} p^l, with
+    p^l = prod_{m=l}^{L-1} chi^m: the backward recursion's products, summed
+    without storing a layer.  So memory does not grow with the depth, and a
+    shallower depth's sums are read off on the way to the deepest, bit for
+    bit those of a call at that depth alone.
+
+    Raises SignalOverflowError at the first layer where q, q_sr, T or B is
+    not finite, so a depth that overflows fails the whole call.  Entry k of
+    the array fields equals the call with q0_sr[k] alone: bit for bit for
+    ReLU and erf (closed forms) and for tanh arrays at or below the size
+    where quadrature.normal_pair_expectation switches to its Chebyshev
+    interpolant in c (34 covariances); above that, to ~1e-14 of the pair
+    expectations' scale per layer.
     """
     depths = list(depths)
     if not depths or min(depths) < 1:
         raise ValueError("depths must be a non-empty list of depths >= 1")
-    q, q_hat, q_sr, q_hat_sr, c = _forward_sweep(hyper, max(depths), q0, q0_sr)
-    traces = []
-    for L, (p, chi1, p_sr) in zip(depths, _backward_sweep(hyper, q, c, depths)):
-        n = L + 1
-        if q_sr is None:
-            traces.append(MeanFieldTrace(hyper, q[:n], q_hat[:n], p, chi1))
-        else:
-            traces.append(MeanFieldTrace(hyper, q[:n], q_hat[:n], p, chi1, q_sr=q_sr[:n],
-                                         q_hat_sr=q_hat_sr[:n], c=c[:n], p_sr=p_sr))
-    return traces
-
-
-def run_trace(hyper: InitHyper, depth: int, q0: float = 1.0, q0_sr=None) -> MeanFieldTrace:
-    """The trace of one depth: run_traces(hyper, [depth], q0, q0_sr)[0]."""
-    return run_traces(hyper, [depth], q0, q0_sr)[0]
+    kind, sw = hyper.activation, hyper.sigma_w_sq
+    top, wanted, sums = max(depths), set(depths), {}
+    # T^0 = B^0 = 0 and chi^0 = 0 start the recursion at T^1 = q_hat^0,
+    # B^1 = 1; the rows of cross are T_sr and B_sr, updated in place
+    t = b = chi = chi_sr = 0.0
+    cross = np.zeros((2,) + np.shape(q0_sr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        layers = forward_layers(hyper, top, q0, q0_sr)
+        for layer, (q, q_sr, c, q_hat, q_hat_sr) in enumerate(layers, start=1):
+            t, b = t * chi + q_hat, b * chi + 1.0
+            cross *= chi_sr
+            cross[0] += q_hat_sr
+            cross[1] += 1.0
+            _check_finite(layer, cross, t, b)
+            if layer in wanted:
+                alpha = float(max(layer - 1, 1))
+                sums[layer] = DepthSums(q=float(q), q_sr=q_sr, kappa1=float(t) / alpha,
+                                        kappa2=cross[0] / alpha, p_sum_diag=float(b),
+                                        p_sum_cross=cross[1].copy())
+            if layer < top:
+                chi = sw * avg_dphi_sq(kind, q)
+                chi_sr = sw * _dphi_prod(kind, q, c)
+    return [sums[L] for L in depths]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Deterministic (infinite-width) NTK machinery built on mean-field traces.
+"""Deterministic (infinite-width) NTK machinery built on the mean-field recursion.
 
 For a constant-width network of depth L (input dimension and hidden widths
 all M, as finite_net.layer_widths builds it), the NTK converges at
@@ -47,8 +47,9 @@ of K and no matrix product.  The dense sampler remains as a test oracle.
 
 Kernel matrices come from one array-valued mean-field pass: theta_star_matrix
 sends every distinct off-diagonal layer-0 covariance of the sample, plus the
-reference covariance, through a single run_trace call, and nngp_matrix runs
-only the forward recursions over the distinct covariances.  For tanh the
+reference covariance, through one meanfield.depth_sums call, whose kappa sums
+run forward with the layers, and nngp_matrix runs only the forward
+recursions over the distinct covariances (no phi' expectation).  For tanh the
 per-layer pair expectations of more than 34 covariances come from a
 Chebyshev interpolant in c, fitted at up to 129 correlations per layer and
 function (quadrature.normal_pair_expectation), so the cost of Theta*(X) and
@@ -73,7 +74,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .meanfield import InitHyper, MeanFieldTrace, _forward_sweep, run_trace
+from .meanfield import InitHyper, depth_sums, forward_layers
 
 logger = logging.getLogger(__name__)
 
@@ -100,11 +101,9 @@ class KappaPair:
     """Depth-summed NTK coefficients for one input pair.
 
     kappa1/kappa2 are the diagonal/off-diagonal coefficients; p_sum_diag and
-    p_sum_cross carry the exact bias-parameter sums (the O(1/M) term).  A
-    trace run at the reference covariance gives the data-independent
-    kbar1/kbar2.  For a trace run on an array of layer-0 covariances, kappa2
-    and p_sum_cross are arrays with one entry per covariance; the diagonal
-    quantities stay scalars.
+    p_sum_cross carry the exact bias-parameter sums (the O(1/M) term).  Read
+    off meanfield.depth_sums at the reference covariance, they are the
+    data-independent kbar1/kbar2.
     """
 
     kappa1: float
@@ -115,27 +114,6 @@ class KappaPair:
     @property
     def ratio(self) -> float:
         return condition_ratio(self)
-
-
-def compute_kappas(trace: MeanFieldTrace) -> KappaPair:
-    """Depth-sum a mean-field trace into (kappa1, kappa2).
-
-    A trace run on an array of covariances gives array-valued kappa2 and
-    p_sum_cross.
-    """
-    if not trace.has_covariance:
-        raise ValueError("trace must carry the covariance channel (run with q0_sr)")
-    L = trace.depth
-    # depth sums as dot products with ones: a .sum() rounds differently
-    ones, alpha = np.ones(L), float(max(L - 1, 1))
-    kappa1 = float(np.dot(ones, trace.q_hat[:L] * trace.p[1:])) / alpha
-    kappa2 = np.dot(ones, trace.q_hat_sr[:L] * trace.p_sr[1:]) / alpha
-    p_sum_cross = np.sum(trace.p_sr[1:], axis=0)
-    if kappa2.ndim == 0:
-        kappa2, p_sum_cross = float(kappa2), float(p_sum_cross)
-    return KappaPair(kappa1=kappa1, kappa2=kappa2,
-                     p_sum_diag=float(np.sum(trace.p[1:])),
-                     p_sum_cross=p_sum_cross)
 
 
 def condition_ratio(kappas: KappaPair, n_points: int | None = None) -> float:
@@ -171,8 +149,6 @@ class ThetaStar:
     matrix: np.ndarray
     scale: float
     alpha: float
-    kappa1: np.ndarray
-    kappa2: np.ndarray
     mean_kappa1: float
     mean_kappa2: float
 
@@ -235,28 +211,32 @@ def build_theta_star(kappa1: Sequence[float], kappa2: np.ndarray,
     kappa2 = np.asarray(kappa2, dtype=float)
     if kappa2.shape != (n, n):
         raise ValueError(f"kappa2 must be ({n}, {n}), got {kappa2.shape}")
+    if (p_sum_diag is None) != (p_sum_cross is None):
+        raise ValueError("pass both bias-parameter sums or neither")
     scale = alpha * m_width
-    lam = kappa2.copy()
-    np.fill_diagonal(lam, kappa1)
-    matrix = scale * lam
-    if p_sum_diag is not None or p_sum_cross is not None:
-        if p_sum_diag is None or p_sum_cross is None:
-            raise ValueError("pass both bias-parameter sums or neither")
-        corr = np.asarray(p_sum_cross, dtype=float).copy()
-        np.fill_diagonal(corr, np.asarray(p_sum_diag, dtype=float))
-        matrix = matrix + corr
-    matrix = 0.5 * (matrix + matrix.T)
-    return ThetaStar(matrix=matrix, scale=scale, alpha=alpha,
-                     kappa1=kappa1, kappa2=kappa2,
+    # entry by entry scale * kappa (+ p_sum), the diagonal taken from kappa1
+    # (and p_sum_diag); the diagonals of kappa2 and p_sum_cross are unused
+    matrix = scale * kappa2
+    diag = scale * kappa1
+    if p_sum_cross is not None:
+        matrix += np.asarray(p_sum_cross, dtype=float)
+        diag += np.asarray(p_sum_diag, dtype=float)
+    np.fill_diagonal(matrix, diag)
+    sym = matrix + matrix.T
+    sym *= 0.5
+    return ThetaStar(matrix=sym, scale=scale, alpha=alpha,
                      mean_kappa1=kappa1_bar, mean_kappa2=kappa2_bar)
 
 
-def _upper_triangle(cov0) -> tuple[np.ndarray, tuple]:
-    """The validated layer-0 covariance matrix and its strict upper-triangle indices."""
+def _upper_triangle(cov0, q0: float) -> tuple[np.ndarray, tuple]:
+    """The validated layer-0 covariance matrix (symmetric, with diagonal q0)
+    and its strict upper-triangle indices."""
     cov0 = np.asarray(cov0, dtype=float)
     if (cov0.ndim != 2 or cov0.shape[0] != cov0.shape[1]
             or not np.allclose(cov0, cov0.T, atol=1e-12)):
         raise ValueError("cov0 must be a symmetric matrix of layer-0 covariances")
+    if not np.allclose(np.diag(cov0), q0, rtol=1e-12):
+        raise ValueError("diagonal of cov0 must equal q0")
     return cov0, np.triu_indices(cov0.shape[0], 1)
 
 
@@ -274,38 +254,39 @@ def nngp_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
     """NNGP matrix K with K[s][s] = q^L and K[s][r] = q_sr^L for the pairwise
     layer-0 covariances in cov0 (diagonal entries must equal q0).
 
-    Only the forward recursions run: the distinct off-diagonal covariances
-    go through the layers together in one pass.
+    Only the forward recursions run, with no phi' expectation: the distinct
+    off-diagonal covariances go through the layers together in one pass.
     """
-    cov0, iu = _upper_triangle(cov0)
-    if not np.allclose(np.diag(cov0), q0, rtol=1e-12):
-        raise ValueError("diagonal of cov0 must equal q0")
+    cov0, iu = _upper_triangle(cov0, q0)
     covs, inverse = np.unique(cov0[iu], return_inverse=True)
-    q, _, q_sr, _, _ = _forward_sweep(hyper, depth, q0, covs)
-    return NngpMatrix(matrix=_symmetric(len(cov0), q[depth], iu, q_sr[depth][inverse]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, q_sr, *_ in forward_layers(hyper, depth, q0, covs):
+            pass
+    return NngpMatrix(matrix=_symmetric(len(cov0), q, iu, q_sr[inverse]))
 
 
 def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
                       m_width: float, q0: float = 1.0,
                       reference_cov: float = DEFAULT_REFERENCE_COV) -> ThetaStar:
     """Deterministic NTK for a sample described by its layer-0 covariance
-    matrix, including the exact bias-parameter sums.
+    matrix (diagonal entries must equal q0), including the exact
+    bias-parameter sums.
 
     The distinct off-diagonal covariances and the reference covariance
-    (for the data-independent kbar1/kbar2) go through one run_trace call;
+    (for the data-independent kbar1/kbar2) go through one depth_sums call;
     the diagonal comes from its variance channel.
     """
-    cov0, iu = _upper_triangle(cov0)
+    cov0, iu = _upper_triangle(cov0, q0)
     n = len(cov0)
     covs, inverse = np.unique(np.append(cov0[iu], reference_cov * q0),
                               return_inverse=True)
-    kappas = compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=covs))
-    kappa2 = kappas.kappa2[inverse]
-    p_sum_cross = kappas.p_sum_cross[inverse]
+    (sums,) = depth_sums(hyper, [depth], q0, covs)
+    kappa2 = sums.kappa2[inverse]
+    p_sum_cross = sums.p_sum_cross[inverse]
     alpha = float(max(depth - 1, 1))
-    return build_theta_star(np.full(n, kappas.kappa1), _symmetric(n, 0.0, iu, kappa2[:-1]),
-                            m_width, alpha, kappas.kappa1, float(kappa2[-1]),
-                            p_sum_diag=np.full(n, kappas.p_sum_diag),
+    return build_theta_star(np.full(n, sums.kappa1), _symmetric(n, 0.0, iu, kappa2[:-1]),
+                            m_width, alpha, sums.kappa1, float(kappa2[-1]),
+                            p_sum_diag=np.full(n, sums.p_sum_diag),
                             p_sum_cross=_symmetric(n, 0.0, iu, p_sum_cross[:-1]))
 
 

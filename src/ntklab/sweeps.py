@@ -33,9 +33,9 @@ import numpy as np
 import yaml
 
 from .activations import ActivationKind
-from .meanfield import InitHyper, classify_phase, run_trace, run_traces
-from .ntk_theory import KappaPair, NngpMatrix, ThetaStar, build_theta_star, compute_kappas, \
-    predict_variance, trained_output_variance
+from .meanfield import InitHyper, classify_phase, depth_sums
+from .ntk_theory import KappaPair, NngpMatrix, ThetaStar, build_theta_star, predict_variance, \
+    trained_output_variance
 from .finite_net import TrainConfig, TrainingDivergenceError, init, layer_widths, \
     train_full_batch, forward_batch
 from .empirical_ntk import default_probe, init_variance_ratio, training_drift
@@ -167,6 +167,8 @@ class SweepConfig:
             raise ConfigError("mc_samples must be >= 2")
         if self.train_seeds == 1 or self.train_seeds < 0:
             raise ConfigError("train_seeds must be 0 or >= 2 (a variance over seeds)")
+        if self.input_dim is not None and self.input_dim < 1:
+            raise ConfigError(f"input_dim must be >= 1 or null, got {self.input_dim}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.experiment == "train-drift" and self.snapshot_steps is not None:
@@ -396,12 +398,11 @@ def _kappa_curves(cfg: SweepConfig) -> CellFn:
     def run(cell, _seed):
         sw, sb = cell
         hyper = cfg.hyper(sw, sb)
-        # one forward sweep carries every covariance to the deepest depth
-        pairs = [compute_kappas(trace)
-                 for trace in run_traces(hyper, depths, q0=1.0, q0_sr=covs)]
+        # one forward pass carries every covariance to the deepest depth
+        sums = depth_sums(hyper, depths, 1.0, covs)
         rows = []
         for k, c0 in enumerate(covs):
-            for L, pair in zip(depths, pairs):
+            for L, pair in zip(depths, sums):
                 kappa2 = float(pair.kappa2[k])
                 ratio = pair.kappa1 / kappa2 if kappa2 else float("inf")
                 rows.append([cfg.activation, sw, sb, float(c0), L, pair.kappa1,
@@ -461,16 +462,25 @@ def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
     return stats
 
 
+def _reference_sums(hyper: InitHyper, depth: int, c0: float) -> tuple[KappaPair, float, float]:
+    """kbar1/kbar2 with their bias sums, qbar^L and qbar_sr^L: depth_sums of
+    the one layer-0 covariance c0 (with q^0 = 1)."""
+    (ref,) = depth_sums(hyper, [depth], 1.0, np.array([c0]))
+    kbars = KappaPair(ref.kappa1, float(ref.kappa2[0]), ref.p_sum_diag,
+                      float(ref.p_sum_cross[0]))
+    return kbars, ref.q, float(ref.q_sr[0])
+
+
 def _equicorrelated_kernels(kbars: KappaPair, depth: int, q_bar: float, q_bar_sr: float,
                             m_width: int, s: int) -> tuple[ThetaStar, np.ndarray, NngpMatrix]:
     """Theta*(X), the test row theta_x = Theta*(x, X) and the joint NNGP
     matrix of [x] + X, for S = s training points and a test point x whose
-    pairs all share one layer-0 covariance, from the kappas and the last
-    layer's q^L and q_sr^L of that covariance's trace.
+    pairs all share one layer-0 covariance, from _reference_sums of that
+    covariance.
 
     Bit for bit what theta_star_matrix and nngp_matrix give on the
-    equicorrelated layer-0 covariance matrices, which trace the same
-    covariance again.
+    equicorrelated layer-0 covariance matrices, which run the same
+    one-covariance recursion again.
     """
     theta = build_theta_star(np.full(s, kbars.kappa1), np.full((s, s), kbars.kappa2),
                              m_width, float(max(depth - 1, 1)), kbars.kappa1, kbars.kappa2,
@@ -492,11 +502,9 @@ def _predict_variance(cfg: SweepConfig) -> CellFn:
         sw, L = cell
         hyper = cfg.hyper(sw, sb)
         # every pair, the test point included, shares the reference
-        # covariance, so one trace gives kbar1/kbar2, qbar^L and qbar_sr^L,
-        # and with them Theta*(X), theta_x and the joint NNGP matrix K
-        ref_trace = run_trace(hyper, L, q0=1.0, q0_sr=c0)
-        kbars = compute_kappas(ref_trace)
-        q_bar, q_bar_sr = float(ref_trace.q[L]), float(ref_trace.q_sr[L])
+        # covariance, so one recursion gives kbar1/kbar2, qbar^L and
+        # qbar_sr^L, and with them Theta*(X), theta_x and the joint NNGP matrix K
+        kbars, q_bar, q_bar_sr = _reference_sums(hyper, L, c0)
         pred = predict_variance(kbars, q_bar, q_bar_sr, s)
         theta, theta_x, joint = _equicorrelated_kernels(kbars, L, q_bar, q_bar_sr, M, s)
         var = trained_output_variance(theta, joint, theta_x, cfg.mc_samples, seed=seed)

@@ -6,35 +6,40 @@ from the root of a checkout with
     PYTHONPATH=src python -m pytest tests/bench_meanfield.py -p no:cacheprovider \
         --benchmark-json=<file>
 
-It times three things, each on its own inputs:
+It times these things, each on its own inputs:
 
-  - one run_trace of depth TRACE_DEPTH at 1 (a scalar), 3 and 277 layer-0
-    covariances: the predict-variance reference trace, the default
+  - one meanfield.depth_sums of depth TRACE_DEPTH at 1, 3 and 277 layer-0
+    covariances: the predict-variance reference covariance, the default
     kappa-curves covariances and the 276 pairs of a 24-point sample plus the
     reference covariance; the time per layer is the time / TRACE_DEPTH;
   - one cell of the default kappa-curves sweep and one predict-variance cell
     (S = 128, L = 32, 50 000 Monte-Carlo samples), through the cell
     functions the CLI runs;
-  - Theta*(X) plus K(X) of a 24-point sample of unit-norm rows;
+  - Theta*(X) plus K(X), L = 16, of samples of 24, 64, 512 and 1024
+    unit-norm rows, and the peak resident memory of a fresh interpreter
+    that builds them at S = 1024;
   - tanh Theta*(X) plus K(X), L = 16, on a fresh sample each round, with
     quadrature's Chebyshev fits kept from earlier rounds (warm) or dropped
     before each round (cold): 24 points at the infinite-width benchmark's
     cell (1.5, 0.1), and 12 points at (4, 1), whose fits need degree 128 or
     256, more than an array of a 12-point sample's covariances can use.
 
-Every benchmark uses only names that have existed since the one-loop trace
-(run_trace, theta_star_matrix, nngp_matrix, sweeps.SWEEPS), and the fit
-cache is looked up with getattr, so the same file times earlier commits too.
+Apart from the depth_sums timings, which are skipped where it does not
+exist, every benchmark uses only names that have existed since the one-loop
+trace (theta_star_matrix, nngp_matrix, sweeps.SWEEPS), and the fit cache is
+looked up with getattr, so the same file times earlier commits too.
 """
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ntklab import quadrature
+from ntklab import meanfield, quadrature
 from ntklab.activations import ActivationKind
 from ntklab.data_io import synthetic_dataset
-from ntklab.meanfield import InitHyper, run_trace
+from ntklab.meanfield import InitHyper
 from ntklab.ntk_theory import nngp_matrix, theta_star_matrix
 from ntklab.sweeps import SWEEPS, SweepConfig
 
@@ -54,16 +59,19 @@ def _sample_covariances(n, seed=0):
 
 @pytest.mark.parametrize("activation", list(HYPER))
 @pytest.mark.parametrize("n_covs", [1, 3, 277])
-def test_run_trace(benchmark, activation, n_covs):
+def test_depth_sums(benchmark, activation, n_covs):
+    depth_sums = getattr(meanfield, "depth_sums", None)
+    if depth_sums is None:
+        pytest.skip("no meanfield.depth_sums in this commit")
     if n_covs == 1:
-        q0_sr = 0.5
+        q0_sr = np.array([0.5])
     elif n_covs == 3:
         q0_sr = np.array([0.0, 0.5, 0.9])
     else:
         cov = _sample_covariances(24)
         q0_sr = np.append(cov[np.triu_indices(24, 1)], 0.5)
     benchmark.extra_info["layers"] = TRACE_DEPTH
-    benchmark(run_trace, _hyper(activation), TRACE_DEPTH, 1.0, q0_sr)
+    benchmark(depth_sums, _hyper(activation), [TRACE_DEPTH], 1.0, q0_sr)
 
 
 @pytest.mark.parametrize("experiment,cell", [("kappa-curves", (2.0, 1.0)),
@@ -75,14 +83,46 @@ def test_sweep_cell(benchmark, experiment, cell):
 
 
 @pytest.mark.parametrize("activation", list(HYPER))
-def test_theta_star_and_nngp(benchmark, activation):
-    cov0 = _sample_covariances(24)
+@pytest.mark.parametrize("size", [24, 64, 512, 1024])
+def test_theta_star_and_nngp(benchmark, activation, size):
+    cov0 = _sample_covariances(size)
     hyper = _hyper(activation)
 
     def kernels():
         return theta_star_matrix(hyper, 16, cov0, 64), nngp_matrix(hyper, 16, cov0)
 
-    benchmark(kernels)
+    if size <= 64:
+        benchmark(kernels)
+    else:  # ~0.1 to 3 s a call
+        benchmark.pedantic(kernels, rounds=5, warmup_rounds=1)
+
+
+PEAK_RSS_CHILD = """
+import resource, sys
+from ntklab.activations import ActivationKind
+from ntklab.data_io import synthetic_dataset
+from ntklab.meanfield import InitHyper
+from ntklab.ntk_theory import nngp_matrix, theta_star_matrix
+x = synthetic_dataset(1024, 64, seed=0).inputs
+hyper = InitHyper(*{hyper}, ActivationKind.from_name({activation!r}))
+theta_star_matrix(hyper, 16, x @ x.T, 64), nngp_matrix(hyper, 16, x @ x.T)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+
+
+@pytest.mark.parametrize("activation", list(HYPER))
+def test_peak_rss_s1024(benchmark, activation):
+    # a fresh interpreter per round: ru_maxrss is the peak of the whole process
+    code = PEAK_RSS_CHILD.format(hyper=HYPER[activation], activation=activation)
+    peaks = []
+
+    def child():
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True).stdout
+        peaks.append(float(out.split()[-1]))
+
+    benchmark.pedantic(child, rounds=3)
+    benchmark.extra_info["peak_rss_mb"] = peaks
 
 
 FRESH_CELLS = {"s24": (1.5, 0.1, 24), "s12-deep-fits": (4.0, 1.0, 12)}

@@ -152,11 +152,12 @@ def linear_fit_r_squared(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 # The mean-field trace of one depth, written out layer by layer.
 
 def reference_trace(hyper, depth: int, q0: float = 1.0, q0_sr=None) -> dict:
-    """The arrays of a MeanFieldTrace (q, q_hat, p, chi1 and, with q0_sr,
-    q_sr, q_hat_sr, c, p_sr) from the recursions of the meanfield docstring,
-    evaluated with the public expectations: the forward sweep to depth, then
-    the backward sweep from p^L = p_sr^L = 1.  The reference for run_traces,
-    which shares one forward sweep and the backward multipliers among depths."""
+    """The per-layer arrays q, q_hat, p, chi1 (indexed by layer 0..depth)
+    and, with q0_sr, q_sr, q_hat_sr, c, p_sr, from the recursions of the
+    meanfield docstring, evaluated with the public expectations: the forward
+    sweep to depth, then the backward sweep from p^L = p_sr^L = 1.  p[0],
+    p_sr[0] and chi1[depth] are NaN.  The reference for meanfield's forward
+    recursion, which keeps no layer's arrays."""
     from ntklab.meanfield import avg_dphi_prod, avg_dphi_sq, avg_phi_prod, avg_phi_sq
 
     kind, sw, sb, L = hyper.activation, hyper.sigma_w_sq, hyper.sigma_b_sq, depth
@@ -190,42 +191,66 @@ def reference_trace(hyper, depth: int, q0: float = 1.0, q0_sr=None) -> dict:
     return t
 
 
+def reference_sums(hyper, depth: int, q0: float, q0_sr) -> dict:
+    """The depth sums of the reference trace, as plain sums over its layers:
+
+        kappa1 = sum_{l=1}^{L} q_hat^{l-1} p^l / alpha,   p_sum_diag = sum_{l=1}^{L} p^l,
+
+    kappa2 and p_sum_cross likewise from q_hat_sr and p_sr (one entry per
+    covariance of q0_sr; left out when it is None), alpha = max(L - 1, 1),
+    and the last layer's q and q_sr.  "terms1" and "terms2" hold
+    sum |q_hat p| and sum |q_hat_sr p_sr|: the rounding of a sum of terms of
+    both signs is relative to the sum of their magnitudes."""
+    L = depth
+    t = reference_trace(hyper, L, q0=q0, q0_sr=q0_sr)
+    alpha = float(max(L - 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = t["q_hat"][:L] * t["p"][1:]
+        sums = dict(q=t["q"][L], kappa1=np.sum(diag) / alpha, p_sum_diag=np.sum(t["p"][1:]),
+                    terms1=np.sum(np.abs(diag)))
+        if q0_sr is not None:
+            cross = t["q_hat_sr"][:L] * t["p_sr"][1:]
+            sums.update(q_sr=t["q_sr"][L], kappa2=np.sum(cross, axis=0) / alpha,
+                        p_sum_cross=np.sum(t["p_sr"][1:], axis=0),
+                        terms2=np.sum(np.abs(cross), axis=0))
+    return sums
+
+
 # ---------------------------------------------------------------------------
-# Per-pair kernel assembly: one scalar mean-field trace per entry.
+# Per-pair kernel assembly: one scalar reference trace per entry.
 
 def pairwise_theta_star(hyper, depth: int, cov0: np.ndarray, m_width: float,
                         q0: float = 1.0, reference_cov: float = 0.5):
-    """Theta*(X) assembled entry by entry from scalar run_trace calls, the
-    reference for the one-pass theta_star_matrix."""
-    from ntklab.meanfield import run_trace
-    from ntklab.ntk_theory import build_theta_star, compute_kappas
-
-    def kappas(c0):
-        return compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=c0))
+    """Theta*(X) assembled entry by entry from the reference sums of one
+    layer-0 covariance each: scale * kappa + p_sum with scale = alpha * M.
+    The reference for the one-pass theta_star_matrix."""
+    from ntklab.ntk_theory import ThetaStar
 
     n = cov0.shape[0]
-    diag = kappas(q0)
-    kbars = kappas(reference_cov * q0)
-    kappa2 = np.zeros((n, n))
-    psum2 = np.zeros((n, n))
+    alpha = float(max(depth - 1, 1))
+    scale = alpha * m_width
+
+    matrix = np.empty((n, n))
     for s in range(n):
         for r in range(s + 1, n):
-            pair = kappas(float(cov0[s, r]))
-            kappa2[s, r] = kappa2[r, s] = pair.kappa2
-            psum2[s, r] = psum2[r, s] = pair.p_sum_cross
-    alpha = float(max(depth - 1, 1))
-    return build_theta_star(np.full(n, diag.kappa1), kappa2, m_width, alpha,
-                            kbars.kappa1, kbars.kappa2,
-                            p_sum_diag=np.full(n, diag.p_sum_diag), p_sum_cross=psum2)
+            sums = reference_sums(hyper, depth, q0, float(cov0[s, r]))
+            matrix[s, r] = matrix[r, s] = scale * sums["kappa2"] + sums["p_sum_cross"]
+    sums = reference_sums(hyper, depth, q0, None)  # the variance channel
+    np.fill_diagonal(matrix, scale * sums["kappa1"] + sums["p_sum_diag"])
+    kbars = data_independent_kappas(hyper, depth, reference_cov, q0)
+    return ThetaStar(matrix=matrix, scale=scale, alpha=alpha,
+                     mean_kappa1=kbars.kappa1, mean_kappa2=kbars.kappa2)
 
 
 def data_independent_kappas(hyper, depth: int, reference_cov: float = 0.5,
                             q0: float = 1.0):
-    """kbar1/kbar2 from the trace started at q^0 = q0 and the reference covariance."""
-    from ntklab.meanfield import run_trace
-    from ntklab.ntk_theory import compute_kappas
+    """kbar1/kbar2 and their bias sums from the reference trace started at
+    q^0 = q0 and the reference covariance."""
+    from ntklab.ntk_theory import KappaPair
 
-    return compute_kappas(run_trace(hyper, depth, q0=q0, q0_sr=reference_cov * q0))
+    sums = reference_sums(hyper, depth, q0, reference_cov * q0)
+    return KappaPair(float(sums["kappa1"]), float(sums["kappa2"]),
+                     float(sums["p_sum_diag"]), float(sums["p_sum_cross"]))
 
 
 def trained_output(theta, theta_x: np.ndarray, f0_x: float,
@@ -274,16 +299,14 @@ def equicorrelated_trained_variance(theta, theta_x: np.ndarray, joint) -> Fracti
 
 
 def pairwise_nngp(hyper, depth: int, cov0: np.ndarray, q0: float = 1.0) -> np.ndarray:
-    """K(X) assembled entry by entry from scalar run_trace calls."""
-    from ntklab.meanfield import run_trace
-
+    """K(X) assembled entry by entry from scalar reference traces."""
     n = cov0.shape[0]
     k = np.empty((n, n))
-    np.fill_diagonal(k, run_trace(hyper, depth, q0=q0).q[depth])
+    np.fill_diagonal(k, reference_trace(hyper, depth, q0=q0)["q"][depth])
     for s in range(n):
         for r in range(s + 1, n):
-            k[s, r] = k[r, s] = run_trace(hyper, depth, q0=q0,
-                                          q0_sr=float(cov0[s, r])).q_sr[depth]
+            k[s, r] = k[r, s] = reference_trace(hyper, depth, q0=q0,
+                                                q0_sr=float(cov0[s, r]))["q_sr"][depth]
     return k
 
 
@@ -292,22 +315,17 @@ def pairwise_nngp(hyper, depth: int, cov0: np.ndarray, q0: float = 1.0) -> np.nd
 # initializations: the references for the library's layerwise kernel and its
 # rank-one variance-ratio sampler.
 
-def naive_kernel(net, x: np.ndarray):
+def naive_kernel(net, x: np.ndarray) -> np.ndarray:
     """Reference Gram matrix from explicitly stacked gradient vectors."""
-    from ntklab.empirical_ntk import KernelMatrix, KernelProvenance
-
     x = np.atleast_2d(np.asarray(x, float))
     grads = np.stack([gradient(net, row) for row in x])
     theta = grads @ grads.T
-    return KernelMatrix(0.5 * (theta + theta.T),
-                        KernelProvenance("empirical", seed=net.seed))
+    return 0.5 * (theta + theta.T)
 
 
-def streaming_kernel(net, x: np.ndarray):
+def streaming_kernel(net, x: np.ndarray) -> np.ndarray:
     """Pairwise-streaming Gram matrix holding at most two gradient vectors;
     recomputes gradients per pair."""
-    from ntklab.empirical_ntk import KernelMatrix, KernelProvenance
-
     x = np.atleast_2d(np.asarray(x, float))
     s = x.shape[0]
     theta = np.empty((s, s))
@@ -317,7 +335,7 @@ def streaming_kernel(net, x: np.ndarray):
         for j in range(i + 1, s):
             g_j = gradient(net, x[j])
             theta[i, j] = theta[j, i] = g_i @ g_j
-    return KernelMatrix(theta, KernelProvenance("empirical", seed=net.seed))
+    return theta
 
 
 def replicate_seeds(seed: int, n: int) -> np.ndarray:

@@ -17,9 +17,9 @@ from ntklab.empirical_ntk import (
 )
 from ntklab.finite_net import TrainConfig, TrainingDivergenceError, backward_deltas, \
     forward_batch, init, layer_widths, mse_loss
-from ntklab.meanfield import InitHyper, run_trace
+from ntklab.meanfield import InitHyper
 from oracles import full_init_theta0, naive_kernel, reference_backward_deltas, \
-    reference_forward_batch, replicate_seeds, streaming_kernel
+    reference_forward_batch, reference_trace, replicate_seeds, streaming_kernel
 
 RELU = ActivationKind.RELU
 ERF = ActivationKind.ERF
@@ -41,22 +41,22 @@ class TestEmpiricalKernel:
         # f = Wx + b: Theta(x, x') = x.x' + 1 regardless of the parameter values
         net = init((4, 1), InitHyper(1.0, 1.0, RELU), 0)
         x = np.random.default_rng(2).standard_normal((6, 4))
-        theta = empirical_kernel(net, x).matrix
+        theta = empirical_kernel(net, x)
         assert np.allclose(theta, x @ x.T + 1.0, rtol=1e-12)
 
     def test_single_input_is_gradient_norm(self, erf_net):
         from oracles import gradient
 
         x = np.random.default_rng(3).standard_normal(7)
-        theta = empirical_kernel(erf_net, x[None, :]).matrix
+        theta = empirical_kernel(erf_net, x[None, :])
         g = gradient(erf_net, x)
         assert theta[0, 0] == pytest.approx(float(g @ g), rel=1e-12)
         assert self_kernel(erf_net, x) == pytest.approx(float(g @ g), rel=1e-12)
 
     def test_layerwise_equals_naive_and_streaming(self, erf_net, batch):
-        fast = empirical_kernel(erf_net, batch).matrix
-        slow = naive_kernel(erf_net, batch).matrix
-        stream = streaming_kernel(erf_net, batch).matrix
+        fast = empirical_kernel(erf_net, batch)
+        slow = naive_kernel(erf_net, batch)
+        stream = streaming_kernel(erf_net, batch)
         assert np.allclose(fast, slow, rtol=1e-12)
         assert np.allclose(fast, stream, rtol=1e-12)
 
@@ -68,19 +68,13 @@ class TestEmpiricalKernel:
         for d, a in zip(reference_backward_deltas(net, pres), acts):
             theta += (d @ d.T) * (a @ a.T + 1.0)
         want = 0.5 * (theta + theta.T)
-        assert empirical_kernel(net, batch).matrix.tobytes() == want.tobytes()
+        assert empirical_kernel(net, batch).tobytes() == want.tobytes()
 
     def test_gram_properties(self, erf_net, batch):
-        theta = empirical_kernel(erf_net, batch).matrix
+        theta = empirical_kernel(erf_net, batch)
         assert np.allclose(theta, theta.T, atol=1e-12)
         eigmin = float(np.linalg.eigvalsh(theta).min())
         assert eigmin >= -1e-8 * np.trace(theta) / len(theta)
-
-    def test_provenance(self, erf_net, batch):
-        km = empirical_kernel(erf_net, batch, step=17)
-        assert km.provenance.kind == "empirical"
-        assert km.provenance.seed == 42
-        assert km.provenance.step == 17
 
 
 class TestInitVarianceRatio:
@@ -251,15 +245,16 @@ class TestTrainingDrift:
     def test_initial_kernel_computed_once(self, monkeypatch):
         calls = []
 
-        def counted(net, x, step=None):
-            calls.append(step)
-            return empirical_kernel(net, x, step=step)
+        def counted(net, x):
+            calls.append(net)
+            return empirical_kernel(net, x)
 
         monkeypatch.setattr(empirical_ntk, "empirical_kernel", counted)
         stat = training_drift(self.widths, self.hyper, self.x, self.y,
                               TrainConfig(learning_rate=1e-2, max_steps=30),
                               snapshot_steps=(0, 10, 30), seed=2)
-        assert calls == [0, 10, 30]
+        # the initial network's kernel and the snapshots at steps 10 and 30
+        assert len(calls) == 3
         assert list(stat.steps) == [0, 10, 30] and stat.rel_change[0] == 0.0
 
     @pytest.mark.parametrize("steps", [0, 1, 30])
@@ -335,8 +330,8 @@ class TestGradientVarianceScaling:
         # E[(df/dW^1_ij)^2] over seeds ~ p^1 q_hat^0 / M_1 at square first layer
         hyper = InitHyper(1.0, 1.0, RELU)
         L, M = 3, 500
-        trace = run_trace(hyper, L)
-        probe = default_probe(M, 77) * np.sqrt(M * trace.q_hat[0])
+        trace = reference_trace(hyper, L)
+        probe = default_probe(M, 77) * np.sqrt(M * trace["q_hat"][0])
         total = 0.0
         n_seeds = 60
         from ntklab.finite_net import backward_deltas
@@ -348,7 +343,7 @@ class TestGradientVarianceScaling:
             # mean over (i, j) of (delta_i x_j)^2 = |delta|^2 |x|^2 / (M1 M0)
             total += float(d1 @ d1) * float(probe @ probe) / (M * M)
         observed = total / n_seeds
-        predicted = trace.p[1] * trace.q_hat[0] / M
+        predicted = trace["p"][1] * trace["q_hat"][0] / M
         assert observed == pytest.approx(predicted, rel=0.10)
 
 

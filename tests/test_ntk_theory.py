@@ -6,15 +6,14 @@ import pytest
 from scipy.stats import ks_2samp
 
 from oracles import data_independent_kappas, pairwise_nngp, pairwise_theta_star, \
-    psd_sampler, trained_output, variance_oracle_mc
+    psd_sampler, reference_trace, trained_output, variance_oracle_mc
 from ntklab.activations import ActivationKind
 from ntklab.data_io import synthetic_dataset
-from ntklab.meanfield import InitHyper, edge_of_chaos_sigma_w_sq, run_trace
+from ntklab.meanfield import InitHyper, edge_of_chaos_sigma_w_sq
 from ntklab.ntk_theory import (
     IllConditionedError,
     KappaPair,
     build_theta_star,
-    compute_kappas,
     condition_ratio,
     mean_theta_inverse,
     nngp_matrix,
@@ -44,24 +43,7 @@ THETA3_COV0 = np.array([
 ])
 
 
-class TestComputeKappas:
-    def test_full_correlation_makes_kappas_equal(self):
-        trace = run_trace(InitHyper(1.3, 0.4, ERF), 7, q0=1.0, q0_sr=1.0)
-        pair = compute_kappas(trace)
-        assert pair.kappa2 == pytest.approx(pair.kappa1, rel=1e-10)
-        assert pair.p_sum_cross == pytest.approx(pair.p_sum_diag, rel=1e-10)
-
-    def test_relu_eoc_hand_value(self):
-        # q_hat^l = 1/2 and p^l = 1 for every layer, so kappa1 = (L/2) / (L-1);
-        # at L = 5 that is 5/8.
-        trace = run_trace(InitHyper(2.0, 0.0, RELU), 5, q0=1.0, q0_sr=1.0)
-        pair = compute_kappas(trace)
-        assert pair.kappa1 == pytest.approx(0.625, rel=1e-14)
-
-    def test_requires_covariance_channel(self):
-        with pytest.raises(ValueError):
-            compute_kappas(run_trace(InitHyper(2.0, 0.0, RELU), 5))
-
+class TestDataIndependentKappas:
     def test_ordered_ratio_approaches_one_from_above(self):
         ratios = []
         for depth in (5, 10, 20, 30):
@@ -108,6 +90,54 @@ class TestThetaStar:
         theta = theta_star_matrix(InitHyper(3.0, 1.0, ERF), 10, THETA3_COV0, 1000.0)
         assert np.allclose(theta.matrix, THETA3_FIXTURE, rtol=1e-12)
 
+    def test_rejects_a_diagonal_other_than_q0(self):
+        # the covariances of q0 = 4, passed with the default q0 = 1
+        hyper, cov0 = InitHyper(3.0, 1.0, ERF), 4.0 * THETA3_COV0
+        for build in (lambda **q0: theta_star_matrix(hyper, 10, cov0, 1000.0, **q0),
+                      lambda **q0: nngp_matrix(hyper, 10, cov0, **q0)):
+            with pytest.raises(ValueError, match="diagonal of cov0 must equal q0"):
+                build()
+            build(q0=4.0)
+
+    def test_peak_memory_does_not_grow_with_depth(self):
+        # 19 900 distinct covariances: one layer's array of them is 159 kB,
+        # and the depth sums keep none per layer
+        import tracemalloc
+
+        cov0 = _unit_norm_cov0(200, 64)
+        peaks = []
+        for depth in (4, 64):
+            tracemalloc.start()
+            theta_star_matrix(InitHyper(2.0, 1.0, RELU), depth, cov0, 64.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16_000, peaks
+
+    def test_assembly_keeps_the_bits_of_the_copying_assembly(self):
+        # build_theta_star against the assembly that copied kappa2 and
+        # p_sum_cross to set their diagonals: the diagonals of the inputs
+        # are unused, and the inputs need not be symmetric
+        def copying(kappa1, kappa2, m_width, alpha, p_sum_diag=None, p_sum_cross=None):
+            lam = np.array(kappa2, dtype=float)
+            np.fill_diagonal(lam, kappa1)
+            matrix = (alpha * m_width) * lam
+            if p_sum_diag is not None:
+                corr = np.array(p_sum_cross, dtype=float)
+                np.fill_diagonal(corr, p_sum_diag)
+                matrix = matrix + corr
+            return 0.5 * (matrix + matrix.T)
+
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 5, 33):
+            kappa1, p_sum_diag = rng.uniform(0.5, 2.0, n), rng.uniform(1.0, 9.0, n)
+            kappa2, p_sum_cross = rng.uniform(-1.0, 1.0, (2, n, n))
+            for sums in ({}, dict(p_sum_diag=p_sum_diag, p_sum_cross=p_sum_cross)):
+                got = build_theta_star(kappa1, kappa2, 64.0, 3.0, 2.0, 1.0, **sums).matrix
+                want = copying(kappa1, kappa2, 64.0, 3.0, **sums)
+                assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="both"):
+            build_theta_star(kappa1, kappa2, 64.0, 3.0, 2.0, 1.0, p_sum_diag=p_sum_diag)
+
     def test_mean_plus_perturbation_reconstructs(self):
         theta = theta_star_matrix(InitHyper(3.0, 1.0, ERF), 10, THETA3_COV0, 1000.0)
         recon = theta.theta_bar() @ (np.eye(3) + theta.epsilon)
@@ -132,8 +162,39 @@ def test_mean_inverse_woodbury_identity(n):
 class TestNngp:
     def test_single_point(self):
         k = nngp_matrix(InitHyper(1.0, 1.0, ERF), 5, np.array([[1.0]]))
-        trace = run_trace(InitHyper(1.0, 1.0, ERF), 5)
-        assert k.matrix[0, 0] == pytest.approx(trace.q[5], rel=1e-14)
+        assert k.matrix[0, 0] == reference_trace(InitHyper(1.0, 1.0, ERF), 5)["q"][5]
+
+    @pytest.mark.parametrize("kind,sw,sb,n", [(RELU, 2.0, 1.0, 12), (ERF, 3.0, 1.0, 10),
+                                              (TANH, 1.5, 0.1, 6), (TANH, 1.5, 0.1, 24)])
+    def test_entries_are_the_forward_recursion_bit_for_bit(self, kind, sw, sb, n):
+        # the last layer of the reference trace over the same array of distinct
+        # covariances, which is the forward recursion K was built from before
+        # the depth sums ran forward too (tanh: 15 covariances, and 276 above
+        # the Chebyshev-fit threshold)
+        cov0 = _unit_norm_cov0(n, 32)
+        hyper = InitHyper(sw, sb, kind)
+        iu = np.triu_indices(n, 1)
+        covs, inverse = np.unique(cov0[iu], return_inverse=True)
+        ref = reference_trace(hyper, 16, q0=1.0, q0_sr=covs)
+        k = nngp_matrix(hyper, 16, cov0).matrix
+        np.testing.assert_array_equal(k[iu], ref["q_sr"][16][inverse])
+        np.testing.assert_array_equal(k.T[iu], ref["q_sr"][16][inverse])
+        np.testing.assert_array_equal(np.diag(k), np.full(n, ref["q"][16]))
+
+    def test_evaluates_no_phi_prime_expectation(self, monkeypatch):
+        from ntklab import meanfield
+
+        def forbidden(*args):
+            raise AssertionError("phi' expectation evaluated")
+
+        monkeypatch.setattr(meanfield, "avg_dphi_sq", forbidden)
+        monkeypatch.setattr(meanfield, "_dphi_prod", forbidden)
+        monkeypatch.setattr(meanfield, "dphi", forbidden)
+        cov0 = _unit_norm_cov0(24, 64)
+        for kind in (RELU, ERF, TANH):
+            nngp_matrix(InitHyper(1.5, 0.1, kind), 16, cov0)
+        with pytest.raises(AssertionError, match="phi'"):
+            theta_star_matrix(InitHyper(1.5, 0.1, RELU), 16, cov0, 64.0)
 
     def test_relu_eoc_diagonal_is_one_any_depth(self):
         cov0 = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -287,17 +348,20 @@ class TestVarianceOracleMc:
             variance_oracle_mc(np.eye(2), np.eye(2), np.ones(2), 1000)
 
 
+def _unit_norm_cov0(n, dim, seed=None):
+    x = synthetic_dataset(n, dim, seed=n if seed is None else seed).inputs
+    return x @ x.T
+
+
 def _shared_covariance_cell(hyper, depth, s, c0=0.5, m_width=64.0):
     """Theta*, joint K (test point first) and theta_x of a predict-variance
     cell: S training points and the test point, all pairs at covariance c0."""
-    cov0 = np.full((s, s), c0)
-    np.fill_diagonal(cov0, 1.0)
-    theta = theta_star_matrix(hyper, depth, cov0, m_width, reference_cov=c0)
-    kbars = compute_kappas(run_trace(hyper, depth, q0=1.0, q0_sr=c0))
     joint_cov0 = np.full((s + 1, s + 1), c0)
     np.fill_diagonal(joint_cov0, 1.0)
+    theta = theta_star_matrix(hyper, depth, joint_cov0[1:, 1:], m_width, reference_cov=c0)
     joint = nngp_matrix(hyper, depth, joint_cov0).matrix
-    theta_x = np.full(s, theta.scale * kbars.kappa2 + kbars.p_sum_cross)
+    # the test point's row of Theta* over the joint sample
+    theta_x = theta_star_matrix(hyper, depth, joint_cov0, m_width, reference_cov=c0).matrix[0, 1:]
     return theta, joint, theta_x
 
 
@@ -401,8 +465,9 @@ class TestTrainedOutputVariance:
 
 
 class TestOnePassAgainstPerPairAssembly:
-    """theta_star_matrix/nngp_matrix (one array-valued trace over the distinct
-    covariances) against the per-pair double loop of scalar traces."""
+    """theta_star_matrix/nngp_matrix (one array-valued recursion over the
+    distinct covariances) against the per-pair double loop of scalar
+    reference traces and their plain depth sums."""
 
     @pytest.mark.parametrize("kind,sw,sb,depth,n", [
         (RELU, 2.0, 1.0, 16, 12), (RELU, 3.0, 0.2, 5, 9),
@@ -413,10 +478,10 @@ class TestOnePassAgainstPerPairAssembly:
         hyper = InitHyper(sw, sb, kind)
         theta = theta_star_matrix(hyper, depth, cov0, 64.0)
         ref = pairwise_theta_star(hyper, depth, cov0, 64.0)
-        np.testing.assert_allclose(theta.matrix, ref.matrix, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(theta.kappa2, ref.kappa2, rtol=1e-13, atol=0)
-        assert theta.mean_kappa1 == ref.mean_kappa1
-        assert theta.mean_kappa2 == pytest.approx(ref.mean_kappa2, rel=1e-13)
+        np.testing.assert_allclose(theta.matrix, ref.matrix, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(ref.matrix)))
+        assert theta.mean_kappa1 == pytest.approx(ref.mean_kappa1, rel=1e-14)
+        assert theta.mean_kappa2 == pytest.approx(ref.mean_kappa2, rel=1e-14)
         k = nngp_matrix(hyper, depth, cov0)
         np.testing.assert_allclose(k.matrix, pairwise_nngp(hyper, depth, cov0),
                                    rtol=1e-13, atol=0)
@@ -430,8 +495,9 @@ class TestOnePassAgainstPerPairAssembly:
         hyper = InitHyper(1.5, 0.5, ERF)
         theta = theta_star_matrix(hyper, 4, cov0, 32.0, reference_cov=0.3)
         ref = pairwise_theta_star(hyper, 4, cov0, 32.0, reference_cov=0.3)
-        np.testing.assert_allclose(theta.matrix, ref.matrix, rtol=1e-13, atol=0)
-        assert theta.mean_kappa2 == pytest.approx(ref.mean_kappa2, rel=1e-13)
+        np.testing.assert_allclose(theta.matrix, ref.matrix, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(ref.matrix)))
+        assert theta.mean_kappa2 == pytest.approx(ref.mean_kappa2, rel=1e-14)
 
 
 @pytest.mark.parametrize("sw,sb", [(1.5, 0.1), (0.8, 0.0)], ids=["sb0.1", "ordered-sb0"])
@@ -473,9 +539,9 @@ def test_tanh_kernels_are_the_same_with_a_warm_fit_cache():
         cold.append(kernels(seed))
     _FITS.clear()
     warm = [kernels(seed) for seed in (0, 1, 0)]
-    # theta_star_matrix fits phi at layers 0..16 and phi' at layers 1..15;
+    # theta_star_matrix fits phi at layers 0..15 and phi' at layers 1..15;
     # nngp_matrix and the later samples find all of them
-    assert _FITS.misses == 17 + 15 and len(_FITS) == 32
+    assert _FITS.misses == 16 + 15 and len(_FITS) == 31
     for got, want in zip(warm, cold + cold[:1]):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 

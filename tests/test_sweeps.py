@@ -13,11 +13,11 @@ from ntklab import finite_net, sweeps
 from ntklab.activations import ActivationKind
 from ntklab.cli import build_parser, load_config, main
 from ntklab.data_io import RecordStore, code_identity
-from ntklab.meanfield import InitHyper, run_trace
-from ntklab.ntk_theory import compute_kappas, predict_variance, trained_output_variance
+from ntklab.meanfield import InitHyper
+from ntklab.ntk_theory import predict_variance, trained_output_variance
 from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid
 from oracles import data_independent_kappas, equicorrelated_trained_variance, \
-    reference_train_full_batch
+    reference_sums, reference_train_full_batch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -36,6 +36,16 @@ class TestValidation:
         out = tmp_path / "out"
         # default widths [64] cannot hold sample_count + 1 = 129 Gram-anchored points
         assert _run(["predict-variance", "--set", "train_seeds=2"], out) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["init-variance", "train-drift"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_rejects_input_dim_below_one(self, tmp_path, capsys, experiment, value):
+        # 0 ran at dimension M, -2 failed with a NumPy error after the run began
+        out = tmp_path / "out"
+        assert _run([experiment, "--set", f"input_dim={value}"], out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "input_dim" in err
         assert not out.exists()
 
     def test_predict_variance_accepts_enough_dimensions(self):
@@ -233,7 +243,7 @@ def test_tanh_phase_diagram_at_edge_of_chaos_without_bias(tmp_path):
     assert [(r["phase"], float(r["chi1_fixed_point"])) for r in rows] == [("eoc", 1.0)]
 
 
-def test_kappa_curves_match_scalar_traces(tmp_path):
+def test_kappa_curves_match_the_reference_sums(tmp_path):
     out = tmp_path / "out"
     argv = ["kappa-curves", "--set", "activation=erf", "--set", "sigma_w_sq=[1.0,3.0]",
             "--set", "covariances=[0.0,0.5,0.9]", "--set", "depths=[2,7]"]
@@ -243,23 +253,25 @@ def test_kappa_curves_match_scalar_traces(tmp_path):
     assert [(float(r["sigma_w_sq"]), float(r["covariance"]), int(r["depth"]))
             for r in rows] == expected
     for r, (sw, c0, L) in zip(rows, expected):
-        pair = compute_kappas(run_trace(InitHyper(sw, 1.0, ActivationKind.ERF), L,
-                                        q0=1.0, q0_sr=c0))
-        assert float(r["kappa1"]) == pair.kappa1
-        assert float(r["kappa2"]) == pytest.approx(pair.kappa2, rel=1e-13)
+        # kappa > 0 here, so the sums' rounding is relative to kappa itself
+        ref = reference_sums(InitHyper(sw, 1.0, ActivationKind.ERF), L, 1.0, c0)
+        assert float(r["kappa1"]) == pytest.approx(ref["kappa1"], rel=1e-14)
+        assert float(r["kappa2"]) == pytest.approx(ref["kappa2"], rel=1e-14)
+        assert float(r["kappa_ratio"]) == float(r["kappa1"]) / float(r["kappa2"])
 
 
-def test_predict_variance_prediction_from_reference_trace(tmp_path):
+def test_predict_variance_prediction_from_the_reference_sums(tmp_path):
     out = tmp_path / "out"
     argv = ["predict-variance", "--set", "sigma_w_sq=[1.5]", "--set", "depths=[3]",
             "--set", "sample_count=6", "--set", "mc_samples=4000"]
     assert _run(argv, out) == 0
     (row,) = _rows(out / "predict_variance.csv")
     hyper = InitHyper(1.5, 1.0, ActivationKind.RELU)
-    trace = run_trace(hyper, 3, q0=1.0, q0_sr=0.5)
+    ref = reference_sums(hyper, 3, 1.0, 0.5)
     pred = predict_variance(data_independent_kappas(hyper, 3, reference_cov=0.5),
-                            float(trace.q[3]), float(trace.q_sr[3]), 6)
-    assert float(row["predicted_variance"]) == pred.variance
+                            float(ref["q"]), float(ref["q_sr"]), 6)
+    assert float(row["A"]) == pytest.approx(pred.A, rel=1e-14)
+    assert float(row["predicted_variance"]) == pytest.approx(pred.variance, rel=1e-14)
     mc, se = float(row["mc_variance"]), float(row["mc_standard_error"])
     assert math.isfinite(mc) and abs(mc - pred.variance) < 0.5 * pred.variance
     assert se > 0.0
@@ -267,18 +279,18 @@ def test_predict_variance_prediction_from_reference_trace(tmp_path):
 
 @pytest.mark.parametrize("kind", list(ActivationKind))
 def test_predict_variance_kernels_are_the_equicorrelated_theory_kernels(kind):
-    # the cell builds Theta*(X), theta_x and K from its one reference trace;
-    # they are bit for bit the kernels of the equicorrelated layer-0 matrices
+    # the cell builds Theta*(X), theta_x and K from its one-covariance
+    # recursion; they are bit for bit the kernels of the equicorrelated
+    # layer-0 matrices
     from ntklab.ntk_theory import nngp_matrix, theta_star_matrix
 
     c0, m_width = 0.5, 64
     for L in (1, 4, 32):
         hyper = InitHyper(2.0, 0.5, kind)
-        trace = run_trace(hyper, L, q0=1.0, q0_sr=c0)
-        kbars = compute_kappas(trace)
+        kbars, q_bar, q_bar_sr = sweeps._reference_sums(hyper, L, c0)
         for s in (2, 128):
             theta, theta_x, joint = sweeps._equicorrelated_kernels(
-                kbars, L, float(trace.q[L]), float(trace.q_sr[L]), m_width, s)
+                kbars, L, q_bar, q_bar_sr, m_width, s)
             cov0 = np.full((s + 1, s + 1), c0)
             np.fill_diagonal(cov0, 1.0)
             want = theta_star_matrix(hyper, L, cov0[1:, 1:], m_width, reference_cov=c0)
@@ -300,11 +312,10 @@ def test_predict_variance_exact_is_the_rational_u_k_u(kind):
     for sb in (0.1, 1.0):
         for sw in (1.0, 2.0, 3.0):
             for L in (1, 4, 32):
-                trace = run_trace(InitHyper(sw, sb, kind), L, q0=1.0, q0_sr=0.5)
-                kbars = compute_kappas(trace)
+                kbars, q_bar, q_bar_sr = sweeps._reference_sums(InitHyper(sw, sb, kind), L, 0.5)
                 for s in (2, 128):
                     theta, theta_x, joint = sweeps._equicorrelated_kernels(
-                        kbars, L, float(trace.q[L]), float(trace.q_sr[L]), m_width, s)
+                        kbars, L, q_bar, q_bar_sr, m_width, s)
                     var = trained_output_variance(theta, joint, theta_x, 100)
                     true = equicorrelated_trained_variance(theta, theta_x, joint)
                     assert var.jitter == 0.0
