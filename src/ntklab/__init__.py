@@ -32,7 +32,6 @@ from .finite_net import (
     Mlp,
     TrainConfig,
     TrainLog,
-    forward,
     forward_batch,
     init,
     layer_widths,
@@ -43,7 +42,6 @@ from .empirical_ntk import (
     VarianceRatioStat,
     empirical_kernel,
     init_variance_ratio,
-    self_kernel,
     training_drift,
 )
 from .data_io import (

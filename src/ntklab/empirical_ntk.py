@@ -8,8 +8,11 @@ matrix decomposes layerwise into Hadamard products of small Gram factors,
     Theta = sum_l (D_l D_l^T) * (A_{l-1} A_{l-1}^T + 11^T),
 
 (D_l the batch of delta^l rows, A_{l-1} the batch of activations, 11^T the
-bias block), which needs only O(S * max_l M_l) working memory instead of the
-S x P gradient matrix.
+bias block), which needs the activations, slopes and deltas of one
+backpropagation (a finite_net.Workspace, O(S * sum_l M_l)) and two S x S
+buffers instead of the S x P gradient matrix.  training_drift allocates one
+Workspace per network: Theta^0, every training step and every snapshot
+kernel run in it, so a snapshot allocates no per-layer array.
 
 Diagnostics:
   * initialization variance ratio  E[Theta^0(x,x)^2] / E[Theta^0(x,x)]^2,
@@ -53,37 +56,35 @@ MAX_FAILED_SEED_FRACTION = 0.01
 REPLICATE_CHUNK = 64
 
 
-def empirical_kernel(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Gram matrix of output gradients over the batch x (S, M_0)."""
-    _, cache = finite_net.forward_batch(net, x)
-    s = cache.activations[0].shape[0]
+def empirical_kernel(net: Mlp, x: np.ndarray,
+                     buffers: finite_net.Workspace | None = None) -> np.ndarray:
+    """Gram matrix of output gradients over the batch x (S, M_0).
+
+    The passes run in buffers, a Workspace for this network's widths and
+    batch shape (allocated when None); the kernel overwrites all of it."""
+    ws = finite_net.Workspace.holding(net, x, buffers)
+    s = ws.output.shape[0]
     theta = np.zeros((s, s))
     d_gram, block = np.empty((s, s)), np.empty((s, s))
+    finite_net._forward_into(net, ws)
+    deltas = ws.deltas
+    deltas[-1][:] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        deltas = finite_net.backward_deltas(net, cache)
+        finite_net._backward_into(net, ws, deltas)
         for l in range(net.depth):
             # theta += (D D^T) * (A A^T + 1), assembled in two reused buffers
             np.matmul(deltas[l], deltas[l].T, out=d_gram)
-            a = cache.activations[l]
+            a = ws.activations[l]
             np.matmul(a, a.T, out=block)
             block += 1.0
             block *= d_gram
             theta += block
     if not np.all(np.isfinite(theta)):
         raise FloatingPointError("empirical kernel is not finite")
-    return 0.5 * (theta + theta.T)
-
-
-def self_kernel(net: Mlp, x: np.ndarray) -> float:
-    """Theta(x, x) = ||grad_w f(x)||^2 for a single input, without forming gradients."""
-    _, cache = finite_net.forward_batch(net, np.asarray(x, float)[None, :])
-    deltas = finite_net.backward_deltas(net, cache)
-    total = 0.0
-    for l in range(net.depth):
-        d = deltas[l][0]
-        a = cache.activations[l][0]
-        total += float(d @ d) * (float(a @ a) + 1.0)
-    return total
+    # 0.5 (theta + theta^T), symmetrized in a buffer that is free again
+    sym = np.add(theta, theta.T, out=block)
+    sym *= 0.5
+    return sym
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,9 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
     raised TrainingDivergenceError as `.partial`.
     """
     net = finite_net.init(widths, hyper, seed)
-    theta0 = empirical_kernel(net, inputs)
+    # Theta^0, every training step and every snapshot kernel run in one workspace
+    ws = finite_net.Workspace.allocate(net, inputs)
+    theta0 = empirical_kernel(net, inputs, buffers=ws)
     norm0 = _frobenius(theta0)
     if norm0 == 0.0:
         raise ValueError("initial kernel has zero norm")
@@ -262,7 +265,7 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
         steps_rec.append(step)
         try:
             # step 0 is the initial network, whose kernel theta0 already is
-            theta_t = theta0 if step == 0 else empirical_kernel(live_net, inputs)
+            theta_t = theta0 if step == 0 else empirical_kernel(live_net, inputs, buffers=ws)
             drift_rec.append(_frobenius(theta_t - theta0) / norm0)
         except FloatingPointError:
             drift_rec.append(float("nan"))
@@ -279,7 +282,7 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
     try:
         log = finite_net.train_full_batch(net, inputs, targets, cfg,
                                           snapshot_steps=sorted(set(snapshot_steps)),
-                                          on_snapshot=on_snapshot)
+                                          on_snapshot=on_snapshot, buffers=ws)
     except TrainingDivergenceError as err:
         err.partial = DriftStat(steps=np.asarray(steps_rec), rel_change=np.asarray(drift_rec),
                                 final_loss=float(err.losses[-1]) if len(err.losses) else np.nan,

@@ -16,21 +16,28 @@ with the ReLU derivative at 0 taken to be 0.  Training is plain full-batch
 gradient descent on the mean-squared error (mean over samples) with an
 early-stopping rule on the loss sequence.
 
-One forward routine and one backward routine serve inference and
-training alike.  _forward_into writes every pre-activation and activation
-into the buffers of a ForwardCache; _backward_into writes every delta into
-per-layer buffers, with phi'(h) in a slope buffer.  forward_batch and
-backward_deltas fill fresh buffers with them.  train_full_batch allocates
-the cache, the deltas and slopes and the weight and bias gradients once per
-call, and each step refills them in place: matmuls with out=, then the bias
-add, activation, derivative, learning-rate scaling and update, all in place.
-The update runs inside the backward loop: W^l and b^l move right after
-delta^{l-1} has been taken from W^l.
+One forward routine and one backward routine serve inference, training and
+empirical kernels alike, and both work in place.  _forward_into makes each
+hidden pre-activation h^l in the buffer of the activation x^l, writes
+phi'(h^l) into a slope buffer (a bool mask for ReLU), then lets phi
+overwrite h^l; no pre-activation is kept.  _backward_into writes every delta
+into its own buffer, multiplying in the stored slopes.  forward_batch and
+backward_deltas fill fresh buffers with them.
 
-The buffered step is bitwise the step that builds fresh arrays
+A Workspace holds one network's activations, slopes and deltas for one batch,
+plus one weight-gradient and one bias-gradient buffer that every layer uses
+as a view: the update runs inside the backward loop, so W^l and b^l move
+right after delta^{l-1} has been taken from W^l, and no two layers'
+gradients are alive at once.  train_full_batch takes a Workspace, or
+allocates one per call, and each step refills it: matmuls with out=, then
+the bias add, derivative, activation, learning-rate scaling and update, all
+in place.  Nothing in it outlives a step, so the same buffers serve kernel
+snapshots between steps (empirical_ntk.training_drift).
+
+The in-place step is bitwise the step that builds fresh arrays
 (tests/oracles.py, reference_train_full_batch): each operation runs on the
 same operands in the same order, so losses, parameters, snapshot weights,
-stop reasons and divergence steps all match.  The ReLU derivative is a bool
+stop reasons and divergence steps all match.  The ReLU slope is a bool
 mask multiplied into delta; the cast gives exactly 1.0 and 0.0, so the
 products keep their signed zeros and NaNs.
 """
@@ -79,13 +86,6 @@ class Mlp:
     def activation(self) -> ActivationKind:
         return self.hyper.activation
 
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([np.concatenate((w.ravel(), b))
-                               for w, b in zip(self.weights, self.biases)])
-
 
 def checked_widths(widths: Sequence[int]) -> tuple[int, ...]:
     """Network widths as ints: an input dimension, positive sizes, scalar output."""
@@ -113,44 +113,98 @@ def init(widths: Sequence[int], hyper: InitHyper, seed: int) -> Mlp:
     return Mlp(widths=widths, weights=weights, biases=biases, hyper=hyper, seed=seed)
 
 
+def _batch(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """x as a float batch (S, M_0) for net; a float64 2-d x is not copied."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != net.widths[0]:
+        raise ValueError(f"input dimension {x.shape[1]} != {net.widths[0]}")
+    return x
+
+
 @dataclass
 class ForwardCache:
-    """Batch activations and pre-activations kept for backpropagation.
+    """What a forward pass keeps for backpropagation.
 
     activations[l] is the (S, M_l) input to affine map l+1 (activations[0] is
-    the raw batch); preacts[l] is the (S, M_{l+1}) pre-activation of map l+1.
+    the raw batch); slopes[l] holds phi'(h^{l+1}) of the same shape as
+    activations[l+1], a bool mask for ReLU; output is the (S, 1) read-out.
+    No pre-activation is kept: each is made in its activation buffer, and
+    phi overwrites it there once its slope is taken.
     """
 
     activations: list[np.ndarray]
-    preacts: list[np.ndarray]
+    slopes: list[np.ndarray]
+    output: np.ndarray
 
     @classmethod
     def allocate(cls, net: Mlp, x: np.ndarray) -> "ForwardCache":
         """Unfilled buffers for the batch x (S, M_0), which becomes activations[0]."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != net.widths[0]:
-            raise ValueError(f"input dimension {x.shape[1]} != {net.widths[0]}")
-        s = x.shape[0]
-        return cls(activations=[x] + [np.empty((s, m)) for m in net.widths[1:-1]],
-                   preacts=[np.empty((s, m)) for m in net.widths[1:]])
+        x = _batch(net, x)
+        s, hidden = x.shape[0], net.widths[1:-1]
+        slope_type = bool if net.activation is ActivationKind.RELU else float
+        return cls(activations=[x] + [np.empty((s, m)) for m in hidden],
+                   slopes=[np.empty((s, m), dtype=slope_type) for m in hidden],
+                   output=np.empty((s, 1)))
 
     @property
     def outputs(self) -> np.ndarray:
-        return self.preacts[-1][:, 0]
+        return self.output[:, 0]
+
+
+@dataclass
+class Workspace(ForwardCache):
+    """A ForwardCache plus the deltas and gradients of backpropagation: every
+    buffer one network needs to train on a batch and to take its kernel.
+
+    deltas[l] (S, M_{l+1}) is df/dh^{l+1}.  grad_w[l] and grad_b[l] are
+    views of one weight-gradient and one bias-gradient buffer, shared by all
+    layers: a layer's gradient is dead once that layer has stepped.  No
+    buffer holds data from one training step, or one kernel, to the next.
+    """
+
+    deltas: list[np.ndarray]
+    grad_w: list[np.ndarray]
+    grad_b: list[np.ndarray]
+
+    @classmethod
+    def allocate(cls, net: Mlp, x: np.ndarray) -> "Workspace":
+        cache = ForwardCache.allocate(net, x)
+        s = cache.output.shape[0]
+        w_buf = np.empty(max(w.size for w in net.weights))
+        b_buf = np.empty(max(b.size for b in net.biases))
+        return cls(activations=cache.activations, slopes=cache.slopes, output=cache.output,
+                   deltas=[np.empty((s, m)) for m in net.widths[1:]],
+                   grad_w=[w_buf[:w.size].reshape(w.shape) for w in net.weights],
+                   grad_b=[b_buf[:b.size] for b in net.biases])
+
+    @classmethod
+    def holding(cls, net: Mlp, x: np.ndarray, buffers: "Workspace | None") -> "Workspace":
+        """buffers with x as the input batch, or a fresh workspace for x."""
+        if buffers is None:
+            return cls.allocate(net, x)
+        x = _batch(net, x)
+        if x.shape != buffers.activations[0].shape:
+            raise ValueError(f"batch shape {x.shape} != the workspace's "
+                             f"{buffers.activations[0].shape}")
+        buffers.activations[0] = x
+        return buffers
 
 
 def _forward_into(net: Mlp, cache: ForwardCache) -> None:
     """Run the network on cache.activations[0], overwriting the cache's
-    pre-activations and hidden activations in place."""
+    activations, slopes and output in place: each hidden pre-activation is
+    made in its activation buffer, its slope taken, then phi applied in place."""
     kind = net.activation
-    acts, pres = cache.activations, cache.preacts
+    acts, slopes = cache.activations, cache.slopes
     # overflow flows through as inf/nan and is checked by the consumers
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-            h = np.matmul(acts[l], w.T, out=pres[l])
+            hidden = l + 1 < len(acts)
+            h = np.matmul(acts[l], w.T, out=acts[l + 1] if hidden else cache.output)
             h += b
-            if l + 1 < len(acts):
-                phi(kind, h, out=acts[l + 1])
+            if hidden:
+                dphi(kind, h, out=slopes[l])
+                phi(kind, h, out=h)
 
 
 def forward_batch(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -160,33 +214,18 @@ def forward_batch(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     return cache.outputs, cache
 
 
-def forward(net: Mlp, x: np.ndarray) -> tuple[float, ForwardCache]:
-    """Scalar output and cache for a single input vector."""
-    out, cache = forward_batch(net, np.asarray(x, dtype=float)[None, :])
-    return float(out[0]), cache
-
-
-def _backward_buffers(net: Mlp, cache: ForwardCache) -> tuple[list, list]:
-    """Unfilled (deltas, slopes) for _backward_into: deltas[l] (S, M_{l+1})
-    like preacts[l]; slopes hold phi'(h), as a bool mask for ReLU."""
-    slope_type = bool if net.activation is ActivationKind.RELU else float
-    return ([np.empty_like(h) for h in cache.preacts],
-            [np.empty(h.shape, dtype=slope_type) for h in cache.preacts[:-1]])
-
-
-def _backward_into(net: Mlp, cache: ForwardCache, deltas: list, slopes: list,
+def _backward_into(net: Mlp, cache: ForwardCache, deltas: list,
                    descend: Callable[[int], None] | None = None) -> None:
     """Propagate deltas[-1] down the chain in place:
-    deltas[l-1] = (deltas[l] W^{l+1}) * phi'(preacts[l-1]) for l = L-1, ..., 1.
+    deltas[l-1] = (deltas[l] W^{l+1}) * slopes[l-1] for l = L-1, ..., 1.
 
     descend(l), when given, runs for l = L-1, ..., 0 once deltas[l] is final
     and W^{l+1} is no longer read, so it may move W^{l+1} and b^{l+1}."""
-    kind = net.activation
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(net.depth - 1, -1, -1):
             if l:
                 np.matmul(deltas[l], net.weights[l], out=deltas[l - 1])
-                deltas[l - 1] *= dphi(kind, cache.preacts[l - 1], out=slopes[l - 1])
+                deltas[l - 1] *= cache.slopes[l - 1]
             if descend is not None:
                 descend(l)
 
@@ -197,9 +236,10 @@ def backward_deltas(net: Mlp, cache: ForwardCache) -> list[np.ndarray]:
     Returns a list indexed l = 1..L of arrays (S, M_l); the last entry is the
     constant 1 of the linear read-out.
     """
-    deltas, slopes = _backward_buffers(net, cache)
+    s = cache.output.shape[0]
+    deltas = [np.empty((s, m)) for m in net.widths[1:]]
     deltas[-1][:] = 1.0
-    _backward_into(net, cache, deltas, slopes)
+    _backward_into(net, cache, deltas)
     return deltas
 
 
@@ -237,11 +277,15 @@ def mse_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
 
 def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                      snapshot_steps: Sequence[int] = (),
-                     on_snapshot: Callable[[int, Mlp], None] | None = None) -> TrainLog:
+                     on_snapshot: Callable[[int, Mlp], None] | None = None,
+                     buffers: Workspace | None = None) -> TrainLog:
     """Full-batch gradient descent on MSE = mean_s (f(x_s) - y_s)^2.
 
     Mutates the network in place.  on_snapshot(step, net) is invoked at each
     requested step index (0 = before any update) and after the final step.
+    Every step runs in buffers, a Workspace for this network and batch
+    (allocated when None); on_snapshot may use them too, since each step
+    overwrites them before it reads them.
     The stop reason is "early_stop" or "max_steps", or "loss_rose" when the
     last loss is above the step-1 loss (a finite blow-up is not convergence).
     Raises TrainingDivergenceError on a non-finite loss, with the partial
@@ -262,23 +306,19 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
             on_snapshot(step, net)
             snapped.add(step)
 
-    # Every step reuses these buffers (see the module docstring).
-    cache = ForwardCache.allocate(net, x)
-    out = cache.outputs
-    deltas, slopes = _backward_buffers(net, cache)
-    grad_w = [np.empty(w.shape) for w in net.weights]
-    grad_b = [np.empty(b.shape) for b in net.biases]
+    ws = Workspace.holding(net, x, buffers)
+    out, deltas = ws.outputs, ws.deltas
     resid, resid_sq = np.empty(s), np.empty(s)
     lr = cfg.learning_rate
 
     def descend(l: int) -> None:
-        w, b = net.weights[l], net.biases[l]
-        np.matmul(deltas[l].T, cache.activations[l], out=grad_w[l])
-        np.add.reduce(deltas[l], axis=0, out=grad_b[l])
-        grad_w[l] *= lr
-        w -= grad_w[l]
-        grad_b[l] *= lr
-        b -= grad_b[l]
+        grad_w, grad_b = ws.grad_w[l], ws.grad_b[l]
+        np.matmul(deltas[l].T, ws.activations[l], out=grad_w)
+        np.add.reduce(deltas[l], axis=0, out=grad_b)
+        grad_w *= lr
+        net.weights[l] -= grad_w
+        grad_b *= lr
+        net.biases[l] -= grad_b
 
     snapshot(0)
     losses = np.empty(cfg.max_steps)
@@ -287,7 +327,7 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     reason = "max_steps"
     step = 0
     for step in range(1, cfg.max_steps + 1):
-        _forward_into(net, cache)
+        _forward_into(net, ws)
         np.subtract(out, y, out=resid)
         loss = float(np.mean(np.square(resid, out=resid_sq)))
         if not np.isfinite(loss):
@@ -297,7 +337,7 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
         # backprop of dL/dh^L = 2 (f - y) / S through the chain, each layer
         # stepping once the delta below has been taken from its weights
         np.multiply(resid, 2.0 / s, out=deltas[-1][:, 0])
-        _backward_into(net, cache, deltas, slopes, descend)
+        _backward_into(net, ws, deltas, descend)
 
         snapshot(step)
         if best - loss >= cfg.early_stop_delta:

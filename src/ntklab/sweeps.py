@@ -137,6 +137,10 @@ class SweepConfig:
             empty.append("covariances")
         if empty:
             raise ConfigError(f"{', '.join(empty)} must not be empty")
+        for key in SWEEPS[self.experiment].one_value:
+            if len(getattr(self, key)) > 1:
+                raise ConfigError(f"{self.experiment} runs one {key} value, "
+                                  f"got {getattr(self, key)}")
         try:
             for sw in self.sigma_w_sq:
                 for sb in self.sigma_b_sq:
@@ -172,6 +176,9 @@ class SweepConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.experiment == "train-drift" and self.snapshot_steps is not None:
+            fractional = [t for t in self.snapshot_steps if not float(t).is_integer()]
+            if fractional:
+                raise ConfigError(f"snapshot_steps must be whole numbers, got {fractional}")
             outside = [t for t in self.snapshot_steps if not 0 <= int(t) <= self.train_steps]
             if outside:
                 raise ConfigError(f"snapshot_steps {outside} lie outside "
@@ -255,6 +262,7 @@ class Sweep:
     grid: Callable[[SweepConfig], list]     # the cells, in record and CSV order
     setup: Callable[[SweepConfig], CellFn]  # per-sweep work, then the cell function
     csvs: tuple                             # (file name, header) per CSV
+    one_value: tuple = ()                   # grid fields of which only [0] is read
 
 
 @dataclass
@@ -540,14 +548,16 @@ SWEEPS = {
         csvs=(("init_variance_heatmap.csv",
                _COORDS + ("depth", "width", "ratio", "standard_error")),
               ("init_variance_lm_curves.csv",
-               _COORDS + ("width", "depth", "depth_over_width", "ratio")))),
+               _COORDS + ("width", "depth", "depth_over_width", "ratio"))),
+        one_value=("sigma_b_sq",)),
     "train-drift": Sweep(
         grid=lambda cfg: [(float(sw), int(L)) for L in cfg.depths for sw in cfg.sigma_w_sq],
         setup=_train_drift,
         csvs=(("train_drift_heatmap.csv",
                _COORDS + ("depth", "width", "final_drift", "final_loss", "initial_loss")),
               ("train_drift_curves.csv",
-               _COORDS + ("depth", "width", "replicate", "step", "rel_change")))),
+               _COORDS + ("depth", "width", "replicate", "step", "rel_change"))),
+        one_value=("sigma_b_sq", "widths")),
     "kappa-curves": Sweep(
         grid=lambda cfg: [(float(sw), float(sb))
                           for sw in cfg.sigma_w_sq for sb in cfg.sigma_b_sq],
@@ -560,7 +570,8 @@ SWEEPS = {
         csvs=(("predict_variance.csv",
                _COORDS + ("depth", "width", "sample_count", "A", "predicted_variance",
                           "exact_variance", "mc_variance", "mc_standard_error",
-                          "trained_variance", "trained_standard_error")),)),
+                          "trained_variance", "trained_standard_error")),),
+        one_value=("sigma_b_sq", "widths")),
 }
 
 EXPERIMENT_KINDS = tuple(SWEEPS)

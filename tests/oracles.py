@@ -93,13 +93,31 @@ def avg_dphi_prod_oracle(kind: ActivationKind, q_s: float, q_r: float, c: float)
 
 
 # ---------------------------------------------------------------------------
-# Parameter gradients: the exact chain rule and finite differences.
+# Single inputs, flat parameter vectors, and parameter gradients: the exact
+# chain rule and finite differences.
+
+def forward(net, x: np.ndarray):
+    """Scalar output and cache of the library's forward pass for one input vector."""
+    from ntklab.finite_net import forward_batch
+
+    out, cache = forward_batch(net, np.asarray(x, dtype=float)[None, :])
+    return float(out[0]), cache
+
+
+def param_count(net) -> int:
+    return sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+
+
+def flat_params(net) -> np.ndarray:
+    """All parameters in one vector: layer-major, weights row-major before biases."""
+    return np.concatenate([np.concatenate((w.ravel(), b))
+                           for w, b in zip(net.weights, net.biases)])
+
 
 def gradient(net, x: np.ndarray) -> np.ndarray:
     """Exact flat gradient of the scalar output with respect to all
-    parameters, in the layout of Mlp.flat_params (layer-major, weights
-    row-major before biases)."""
-    from ntklab.finite_net import backward_deltas, forward
+    parameters, in the layout of flat_params."""
+    from ntklab.finite_net import backward_deltas
 
     _, cache = forward(net, x)
     deltas = backward_deltas(net, cache)
@@ -113,9 +131,7 @@ def gradient(net, x: np.ndarray) -> np.ndarray:
 
 def finite_difference_gradient(net, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the scalar output in all parameters."""
-    from ntklab.finite_net import forward
-
-    flat = net.flat_params()
+    flat = flat_params(net)
     grad = np.empty_like(flat)
 
     def set_params(values: np.ndarray) -> None:
@@ -343,9 +359,23 @@ def replicate_seeds(seed: int, n: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
 
 
+def self_kernel(net, x: np.ndarray) -> float:
+    """Theta(x, x) = ||grad_w f(x)||^2 for a single input, from the library's
+    deltas and activations, without forming gradients."""
+    from ntklab.finite_net import backward_deltas
+
+    _, cache = forward(net, x)
+    deltas = backward_deltas(net, cache)
+    total = 0.0
+    for l in range(net.depth):
+        d = deltas[l][0]
+        a = cache.activations[l][0]
+        total += float(d @ d) * (float(a @ a) + 1.0)
+    return total
+
+
 def full_init_theta0(widths, hyper, probe: np.ndarray, seeds) -> np.ndarray:
     """Theta^0(x, x) at the probe of one fully initialized network per seed."""
-    from ntklab.empirical_ntk import self_kernel
     from ntklab.finite_net import init
 
     return np.array([self_kernel(init(widths, hyper, int(s)), probe) for s in seeds])
@@ -362,7 +392,8 @@ def _reference_phi(kind: ActivationKind, u: np.ndarray) -> np.ndarray:
     return _erf(u) if kind is ActivationKind.ERF else np.tanh(u)
 
 
-def _reference_dphi(kind: ActivationKind, u: np.ndarray) -> np.ndarray:
+def reference_dphi(kind: ActivationKind, u: np.ndarray) -> np.ndarray:
+    """phi'(u) as a fresh float array, 1.0/0.0 for ReLU (0.0 at the kink)."""
     if kind is ActivationKind.RELU:
         return np.where(u > 0.0, 1.0, 0.0)
     if kind is ActivationKind.ERF:
@@ -389,14 +420,15 @@ def reference_backward_deltas(net, preacts) -> list:
     d = np.ones((preacts[-1].shape[0], 1))
     deltas = [d]
     for l in range(net.depth - 1, 0, -1):
-        d = (d @ net.weights[l]) * _reference_dphi(net.activation, preacts[l - 1])
+        d = (d @ net.weights[l]) * reference_dphi(net.activation, preacts[l - 1])
         deltas.append(d)
     return deltas[::-1]
 
 
 def reference_train_full_batch(net, x: np.ndarray, y: np.ndarray, cfg,
-                               snapshot_steps=(), on_snapshot=None):
-    """train_full_batch with an out-of-place forward pass, derivative and update."""
+                               snapshot_steps=(), on_snapshot=None, buffers=None):
+    """train_full_batch with an out-of-place forward pass, derivative and
+    update; it allocates its own arrays and ignores buffers."""
     from ntklab.finite_net import TrainingDivergenceError, TrainLog
 
     x = np.asarray(x, dtype=float)
@@ -431,7 +463,7 @@ def reference_train_full_batch(net, x: np.ndarray, y: np.ndarray, cfg,
                 grad_w = d.T @ acts[l]
                 grad_b = d.sum(axis=0)
                 if l > 0:
-                    d = (d @ net.weights[l]) * _reference_dphi(net.activation, pres[l - 1])
+                    d = (d @ net.weights[l]) * reference_dphi(net.activation, pres[l - 1])
                 net.weights[l] -= cfg.learning_rate * grad_w
                 net.biases[l] -= cfg.learning_rate * grad_b
 

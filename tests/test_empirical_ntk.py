@@ -1,3 +1,6 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -11,15 +14,14 @@ from ntklab.empirical_ntk import (
     empirical_kernel,
     init_variance_ratio,
     sample_theta0,
-    self_kernel,
     training_drift,
     variance_ratio_stat,
 )
-from ntklab.finite_net import TrainConfig, TrainingDivergenceError, backward_deltas, \
-    forward_batch, init, layer_widths, mse_loss
+from ntklab.finite_net import TrainConfig, TrainingDivergenceError, Workspace, backward_deltas, \
+    forward_batch, init, layer_widths, mse_loss, train_full_batch
 from ntklab.meanfield import InitHyper
 from oracles import full_init_theta0, naive_kernel, reference_backward_deltas, \
-    reference_forward_batch, reference_trace, replicate_seeds, streaming_kernel
+    reference_forward_batch, reference_trace, replicate_seeds, self_kernel, streaming_kernel
 
 RELU = ActivationKind.RELU
 ERF = ActivationKind.ERF
@@ -245,9 +247,9 @@ class TestTrainingDrift:
     def test_initial_kernel_computed_once(self, monkeypatch):
         calls = []
 
-        def counted(net, x):
+        def counted(net, x, buffers=None):
             calls.append(net)
-            return empirical_kernel(net, x)
+            return empirical_kernel(net, x, buffers)
 
         monkeypatch.setattr(empirical_ntk, "empirical_kernel", counted)
         stat = training_drift(self.widths, self.hyper, self.x, self.y,
@@ -316,6 +318,53 @@ class TestTrainingDrift:
         assert np.all(drifts[1][1:9] > 0.0)
         assert np.array_equal(drifts[0], drifts[1])
 
+    def test_snapshot_kernels_are_the_kernels_of_the_parameters_at_that_step(self,
+                                                                            monkeypatch):
+        seen = []
+
+        def recorded(net, batch, buffers=None):
+            theta = empirical_kernel(net, batch, buffers)
+            seen.append((copy.deepcopy(net), theta))
+            return theta
+
+        monkeypatch.setattr(empirical_ntk, "empirical_kernel", recorded)
+        stat = training_drift(self.widths, self.hyper, self.x, self.y,
+                              TrainConfig(learning_rate=5e-2, max_steps=30),
+                              snapshot_steps=(0, 3, 10, 30), seed=2)
+        assert len(seen) == 4  # Theta^0, then steps 3, 10 and 30
+        for net, theta in seen:
+            assert theta.tobytes() == empirical_kernel(net, self.x).tobytes()
+        theta0 = seen[0][1]
+        norm0 = np.sqrt(np.sum(np.square(theta0)))
+        assert stat.rel_change.tolist() == [0.0] + [
+            np.sqrt(np.sum(np.square(theta - theta0))) / norm0 for _, theta in seen[1:]]
+
+    @pytest.mark.parametrize("kind", [RELU, ERF, TANH])
+    def test_snapshots_allocate_no_per_layer_arrays(self, monkeypatch, kind):
+        # a per-layer array holds S x M floats; a kernel's own arrays are S x S
+        s, m = 32, 1024
+        rng = np.random.default_rng(13)
+        x, y = rng.standard_normal((s, m)) / np.sqrt(m), rng.uniform(size=s)
+        peaks = []
+
+        def measured(net, batch, buffers=None):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            theta = empirical_kernel(net, batch, buffers)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return theta
+
+        monkeypatch.setattr(empirical_ntk, "empirical_kernel", measured)
+        tracemalloc.start()
+        try:
+            training_drift(layer_widths(m, m, 3), InitHyper(1.5, 0.5, kind), x, y,
+                           TrainConfig(learning_rate=1e-2, max_steps=4),
+                           snapshot_steps=(0, 2, 4), seed=3)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3
+        assert max(peaks) < s * m * 8
+
     def test_drift_grows_with_training(self):
         stat = training_drift(self.widths, self.hyper, self.x, self.y,
                               TrainConfig(learning_rate=5e-2, max_steps=200),
@@ -323,6 +372,43 @@ class TestTrainingDrift:
         assert stat.rel_change[1] > 0.0
         assert stat.rel_change[2] > stat.rel_change[1]
         assert stat.final_loss < stat.initial_loss
+
+
+@pytest.mark.parametrize("kind, sigma_w_sq, cfg", [
+    (RELU, 2.0, TrainConfig(learning_rate=1e-2, max_steps=40)),
+    (ERF, 1.2, TrainConfig(learning_rate=1e-2, max_steps=500, early_stop_delta=1e-2,
+                           early_stop_patience=5)),
+    (TANH, 1.2, TrainConfig(learning_rate=1e-4, max_steps=30)),
+    (RELU, 3.0, TrainConfig(learning_rate=1e6, max_steps=500)),
+])
+def test_snapshot_kernels_in_the_workspace_do_not_perturb_training(kind, sigma_w_sq, cfg):
+    rng = np.random.default_rng(14)
+    x, y = 10.0 * rng.standard_normal((12, 6)), rng.uniform(-1.0, 1.0, size=12)
+    widths = layer_widths(6, 10, 4)
+
+    def train(snapshots: bool):
+        net = init(widths, InitHyper(sigma_w_sq, 0.5, kind), 4)
+        ws = Workspace.allocate(net, x)
+        kernels = []
+
+        def on_snapshot(step, live):
+            try:
+                kernels.append(empirical_kernel(live, x, buffers=ws))
+            except FloatingPointError:
+                kernels.append(None)
+
+        try:
+            log = train_full_batch(net, x, y, cfg, snapshot_steps=range(cfg.max_steps),
+                                   on_snapshot=on_snapshot if snapshots else None, buffers=ws)
+            outcome = (log.losses.tobytes(), log.stop_reason, log.steps_run)
+        except TrainingDivergenceError as err:
+            outcome = ("diverged", err.step, err.losses.tobytes())
+        params = [p.tobytes() for p in net.weights + net.biases]
+        return outcome, params, len(kernels)
+
+    with_snapshots, without = train(True), train(False)
+    assert with_snapshots[2] >= 2 and without[2] == 0
+    assert with_snapshots[:2] == without[:2]
 
 
 class TestGradientVarianceScaling:

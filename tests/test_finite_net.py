@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from ntklab.finite_net import (
     TrainConfig,
     TrainingDivergenceError,
     backward_deltas,
-    forward,
     forward_batch,
     init,
     layer_widths,
@@ -15,8 +16,9 @@ from ntklab.finite_net import (
     train_full_batch,
 )
 from ntklab.meanfield import InitHyper, edge_of_chaos_sigma_w_sq
-from oracles import finite_difference_gradient, gradient, reference_backward_deltas, \
-    reference_forward_batch, reference_train_full_batch
+from oracles import finite_difference_gradient, flat_params, forward, gradient, param_count, \
+    reference_backward_deltas, reference_dphi, reference_forward_batch, \
+    reference_train_full_batch
 
 RELU = ActivationKind.RELU
 ERF = ActivationKind.ERF
@@ -122,8 +124,12 @@ class TestGradient:
         net.weights[1][:] = np.array([[1.0, 1.0]])
         net.biases[1][:] = 0.0
         x = np.array([1.0, 1.0])  # h_0 = 0 exactly, h_1 = 2
+        assert np.array_equal(net.weights[0] @ x + net.biases[0], [0.0, 2.0])
         _, cache = forward(net, x)
-        assert cache.preacts[0][0, 0] == 0.0
+        # the slope at the kink is 0, and phi(0) = 0 replaced the pre-activation
+        assert cache.slopes[0].dtype == bool
+        assert cache.slopes[0].tolist() == [[False, True]]
+        assert cache.activations[1].tolist() == [[0.0, 2.0]]
         g = gradient(net, x)
         # layout: W1 (4), b1 (2), W2 (2), b2 (1); row 0 of W1 gets delta=0
         assert np.allclose(g[0:2], 0.0)
@@ -132,7 +138,7 @@ class TestGradient:
 
     def test_layout_matches_param_count(self):
         net = small_net()
-        assert gradient(net, np.zeros(5)).shape == (net.param_count(),)
+        assert gradient(net, np.zeros(5)).shape == (param_count(net),)
 
 
 class TestTraining:
@@ -140,12 +146,12 @@ class TestTraining:
         net = small_net(ERF, seed=3, widths=(3, 6, 1))
         x = np.random.default_rng(2).standard_normal((4, 3))
         y, _ = forward_batch(net, x)  # targets equal current outputs
-        before = net.flat_params()
+        before = flat_params(net)
         log = train_full_batch(net, x, y, TrainConfig(learning_rate=0.1, max_steps=5000))
         assert log.stop_reason == "early_stop"
         # constant loss: the patience window fills right after the first step
         assert log.steps_run == TrainConfig().early_stop_patience + 1
-        assert np.allclose(net.flat_params(), before, atol=1e-12)
+        assert np.allclose(flat_params(net), before, atol=1e-12)
         assert np.allclose(log.losses, 0.0, atol=1e-25)
 
     def test_finite_blow_up_is_not_convergence(self):
@@ -176,9 +182,9 @@ class TestTraining:
         net = small_net(TANH, seed=4)
         x = np.random.default_rng(3).standard_normal((6, 5))
         y = np.zeros(6)
-        before = net.flat_params()
+        before = flat_params(net)
         train_full_batch(net, x, y, TrainConfig(learning_rate=0.0, max_steps=120))
-        assert np.array_equal(net.flat_params(), before)
+        assert np.array_equal(flat_params(net), before)
 
     def test_divergence_raises_with_step(self):
         net = small_net(RELU, seed=5, widths=(3, 8, 8, 1), sw=3.0, sb=1.0)
@@ -325,10 +331,56 @@ class TestBufferedStepMatchesAllocatingStep:
         out, cache = forward_batch(net, x)
         ref_out, ref_acts, ref_pres = reference_forward_batch(net, x)
         assert _bits(out) == _bits(ref_out)
+        # the read-out pre-activation is kept; each hidden one was overwritten
+        # by its activation, after its slope was taken from it
+        assert _bits(cache.output) == _bits(ref_pres[-1])
         assert [_bits(a) for a in cache.activations] == [_bits(a) for a in ref_acts]
-        assert [_bits(h) for h in cache.preacts] == [_bits(h) for h in ref_pres]
+        assert [_bits(np.multiply(1.0, m)) for m in cache.slopes] == \
+            [_bits(reference_dphi(kind, h)) for h in ref_pres[:-1]]
         assert [_bits(d) for d in backward_deltas(net, cache)] == \
             [_bits(d) for d in reference_backward_deltas(net, ref_pres)]
+
+    @pytest.mark.parametrize("kind", [RELU, ERF, TANH])
+    def test_slopes_at_the_kink_and_at_overflow(self, kind):
+        # pre-activations 0, +-tiny, large enough that cosh overflows, and inf
+        # and nan: slopes and activations are the reference's, bit for bit
+        net = init((1, 3, 1), InitHyper(1.0, 0.0, kind), 0)
+        net.weights[0][:] = [[1.0], [-1.0], [1e3]]
+        net.biases[0][:] = 0.0
+        x = np.array([[0.0], [-0.0], [5e-324], [-3.0], [0.7], [400.0], [np.inf],
+                      [-np.inf], [np.nan]])
+        _, cache = forward_batch(net, x)
+        _, ref_acts, ref_pres = reference_forward_batch(net, x)
+        (slope,) = cache.slopes
+        assert slope.dtype == (bool if kind is RELU else np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_dphi(kind, ref_pres[0])
+        assert _bits(np.multiply(1.0, slope)) == _bits(want)
+        assert _bits(cache.activations[1]) == _bits(ref_acts[1])
+
+
+def test_training_holds_only_activations_slopes_deltas_and_one_gradient():
+    # the peak a training run adds is its workspace: per hidden layer an
+    # activation, a ReLU mask and a delta, plus the output delta, one
+    # weight-gradient and one bias-gradient buffer, and S-sized vectors
+    s, m, depth, steps = 128, 64, 32, 3
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((s, m)), rng.uniform(size=s)
+    net = init(layer_widths(m, m, depth), InitHyper(2.0, 1.0, RELU), 1)
+    layer = s * m * 8
+    workspace = (depth - 1) * (layer + s * m + layer) + s * 8 + (m * m + m) * 8
+    vectors = 3 * s * 8 + steps * 8  # output, residual and its square; the loss log
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        log = train_full_batch(net, x, y, TrainConfig(learning_rate=1e-3, max_steps=steps))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert log.steps_run == steps
+    assert workspace <= peak
+    # slack for Python objects and NumPy's 64 KiB ufunc buffer (the bias add)
+    assert peak <= workspace + vectors + 128 * 1024
 
 
 def test_mse_loss_mean_over_samples():

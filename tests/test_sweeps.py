@@ -124,6 +124,18 @@ class TestValidation:
         (["predict-variance", "--set", "reference_cov=-0.1"], "reference_cov"),
         (["kappa-curves", "--set", "sigma_w_sq=[2.0]", "--set", "depths=[2.5,3.9]"], "depths"),
         (["init-variance", "--set", "widths=[8,16.5]", "--set", "n_seeds=2"], "widths"),
+        (["train-drift", "--set", "snapshot_steps=[0,2.7]", "--set", "train_steps=3",
+          "--set", "n_seeds=2", "--set", "sample_count=8"], "snapshot_steps"),
+        # the fields an experiment reads only the first entry of
+        (["train-drift", "--set", "widths=[8,16]", "--set", "n_seeds=2",
+          "--set", "train_steps=3", "--set", "sample_count=8"], "widths"),
+        (["train-drift", "--set", "sigma_b_sq=[0.5,1.0]", "--set", "n_seeds=2",
+          "--set", "train_steps=3", "--set", "sample_count=8"], "sigma_b_sq"),
+        (["predict-variance", "--set", "widths=[9,16]", "--set", "sample_count=8"], "widths"),
+        (["predict-variance", "--set", "sigma_b_sq=[0.5,1.0]", "--set", "sample_count=8"],
+         "sigma_b_sq"),
+        (["init-variance", "--set", "sigma_b_sq=[0.5,1.0]", "--set", "n_seeds=2"],
+         "sigma_b_sq"),
     ])
     def test_infeasible_grid_is_a_config_error(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"
