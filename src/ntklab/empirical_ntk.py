@@ -19,7 +19,8 @@ Diagnostics:
     estimated over independent re-initializations (>= 1, and == 1 iff the
     kernel is deterministic at initialization);
   * training drift  ||Theta^t - Theta^0||_F / ||Theta^0||_F recorded at
-    snapshot steps during full-batch gradient descent.
+    snapshot steps during full-batch gradient descent; a run whose loss
+    becomes non-finite returns its drift up to that step, marked diverged.
 
 The variance ratio never draws a weight matrix.  For one input, condition
 each Gaussian W^l (entries N(0, sigma_w^2 / fan_in)) on u = W^l a^{l-1}:
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import finite_net
 from .activations import dphi, phi
-from .finite_net import Mlp, TrainConfig, TrainingDivergenceError, checked_widths
+from .finite_net import Mlp, TrainConfig, checked_widths
 from .meanfield import InitHyper
 
 logger = logging.getLogger(__name__)
@@ -54,6 +55,8 @@ MAX_FAILED_SEED_FRACTION = 0.01
 # Replicates per PRNG stream and per row block of the variance-ratio sampler;
 # at M = 64, L = 32 a block keeps ~2 MB of per-layer arrays.
 REPLICATE_CHUNK = 64
+# training_drift's snapshot steps, and train-drift's when the config sets none
+DEFAULT_SNAPSHOT_STEPS = (0, 10, 100, 1000)
 
 
 def empirical_kernel(net: Mlp, x: np.ndarray,
@@ -70,7 +73,7 @@ def empirical_kernel(net: Mlp, x: np.ndarray,
     deltas = ws.deltas
     deltas[-1][:] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        finite_net._backward_into(net, ws, deltas)
+        finite_net._backward_into(net, ws)
         for l in range(net.depth):
             # theta += (D D^T) * (A A^T + 1), assembled in two reused buffers
             np.matmul(deltas[l], deltas[l].T, out=d_gram)
@@ -180,7 +183,8 @@ def variance_ratio_stat(values: np.ndarray) -> VarianceRatioStat:
     """Moments, ratio and jackknife SE of per-replicate Theta^0(x, x) values.
 
     Non-finite (overflowed) values are dropped as long as they stay under
-    MAX_FAILED_SEED_FRACTION of the total; beyond that this raises.
+    MAX_FAILED_SEED_FRACTION of the total; beyond that this raises.  The
+    standard error is NaN below three finite values.
     """
     values = np.asarray(values, dtype=float)
     finite = np.isfinite(values)
@@ -195,7 +199,9 @@ def variance_ratio_stat(values: np.ndarray) -> VarianceRatioStat:
     mean = float(values.mean())
     m2 = float(np.mean(values ** 2))
     ratio = m2 / mean ** 2
-    se = _jackknife_ratio_se(values) if len(values) > 1 else np.nan
+    # each leave-one-out sample of two values holds one, whose ratio is
+    # exactly 1: no spread to estimate an error from
+    se = _jackknife_ratio_se(values) if len(values) > 2 else np.nan
     return VarianceRatioStat(ratio=ratio, n_seeds=len(values), mean=mean,
                              second_moment=m2, standard_error=se, n_failed=failed)
 
@@ -216,7 +222,9 @@ class DriftStat:
     """Relative Frobenius change of the kernel at recorded training steps.
 
     Entries are NaN for snapshots where the kernel had already left the
-    representable range (diverging chaotic runs).
+    representable range (diverging chaotic runs).  A diverged run's record
+    ends at its last step before the non-finite loss: diverged is set,
+    stop_reason is "diverged" and steps_run is the step of that loss.
     """
 
     steps: np.ndarray
@@ -225,6 +233,7 @@ class DriftStat:
     initial_loss: float
     stop_reason: str
     diverged: bool = False
+    steps_run: int = 0
 
     @property
     def final_drift(self) -> float:
@@ -243,13 +252,14 @@ def _frobenius(a: np.ndarray) -> float:
 
 def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
                    targets: np.ndarray, cfg: TrainConfig,
-                   snapshot_steps: Sequence[int] = (0, 10, 100, 1000, 10_000),
+                   snapshot_steps: Sequence[int] = DEFAULT_SNAPSHOT_STEPS,
                    seed: int = 0) -> DriftStat:
     """Train a fresh network and record ||Theta^t - Theta^0||_F / ||Theta^0||_F
     at the requested snapshot steps and at the final step.
 
-    On training divergence the partial drift record is attached to the
-    raised TrainingDivergenceError as `.partial`.
+    A run whose loss becomes non-finite is returned as a diverged DriftStat
+    holding the drift up to its last finite step; its final loss is the last
+    finite one (NaN when the first loss was not finite).
     """
     net = finite_net.init(widths, hyper, seed)
     # Theta^0, every training step and every snapshot kernel run in one workspace
@@ -270,27 +280,18 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
         except FloatingPointError:
             drift_rec.append(float("nan"))
 
-    def initial_loss(losses: np.ndarray) -> float:
-        # step 1 evaluates the initial network; a separate forward pass is
-        # needed only when no step recorded a loss (max_steps = 0, or a
-        # divergence at step 1, which happens before any update)
-        if len(losses):
-            return float(losses[0])
-        out0, _ = finite_net.forward_batch(net, inputs)
-        return finite_net.mse_loss(out0, np.ravel(targets))
-
-    try:
-        log = finite_net.train_full_batch(net, inputs, targets, cfg,
-                                          snapshot_steps=sorted(set(snapshot_steps)),
-                                          on_snapshot=on_snapshot, buffers=ws)
-    except TrainingDivergenceError as err:
-        err.partial = DriftStat(steps=np.asarray(steps_rec), rel_change=np.asarray(drift_rec),
-                                final_loss=float(err.losses[-1]) if len(err.losses) else np.nan,
-                                initial_loss=initial_loss(err.losses), stop_reason="diverged",
-                                diverged=True)
-        raise
-    loss0 = initial_loss(log.losses)
-    final_loss = float(log.losses[-1]) if len(log.losses) else loss0
+    log = finite_net.train_full_batch(net, inputs, targets, cfg, snapshot_steps=snapshot_steps,
+                                      on_snapshot=on_snapshot, buffers=ws)
+    diverged = log.stop_reason == "diverged"
+    if len(log.losses):
+        # step 1 evaluates the initial network
+        initial_loss, final_loss = float(log.losses[0]), float(log.losses[-1])
+    else:
+        # no step recorded a loss (max_steps = 0, or a divergence at step 1,
+        # which happens before any update): the network is the initial one
+        finite_net._forward_into(net, ws)
+        initial_loss = finite_net.mse_loss(ws.outputs, np.ravel(targets))
+        final_loss = float("nan") if diverged else initial_loss
     return DriftStat(steps=np.asarray(steps_rec), rel_change=np.asarray(drift_rec),
-                     final_loss=final_loss, initial_loss=loss0,
-                     stop_reason=log.stop_reason)
+                     final_loss=final_loss, initial_loss=initial_loss,
+                     stop_reason=log.stop_reason, diverged=diverged, steps_run=log.steps_run)

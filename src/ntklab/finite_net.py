@@ -17,22 +17,20 @@ gradient descent on the mean-squared error (mean over samples) with an
 early-stopping rule on the loss sequence.
 
 One forward routine and one backward routine serve inference, training and
-empirical kernels alike, and both work in place.  _forward_into makes each
-hidden pre-activation h^l in the buffer of the activation x^l, writes
-phi'(h^l) into a slope buffer (a bool mask for ReLU), then lets phi
-overwrite h^l; no pre-activation is kept.  _backward_into writes every delta
-into its own buffer, multiplying in the stored slopes.  forward_batch and
-backward_deltas fill fresh buffers with them.
+empirical kernels alike, and both work in place in a Workspace, the one
+buffer type: a network's activations, slopes and deltas for one batch, and
+one weight-gradient and one bias-gradient buffer that every layer views.
+_forward_into makes each hidden pre-activation h^l in the buffer of the
+activation x^l, writes phi'(h^l) into a slope buffer (a bool mask for ReLU),
+then lets phi overwrite h^l; no pre-activation is kept.  _backward_into
+writes every delta into its own buffer, multiplying in the stored slopes.
 
-A Workspace holds one network's activations, slopes and deltas for one batch,
-plus one weight-gradient and one bias-gradient buffer that every layer uses
-as a view: the update runs inside the backward loop, so W^l and b^l move
-right after delta^{l-1} has been taken from W^l, and no two layers'
-gradients are alive at once.  train_full_batch takes a Workspace, or
-allocates one per call, and each step refills it: matmuls with out=, then
-the bias add, derivative, activation, learning-rate scaling and update, all
-in place.  Nothing in it outlives a step, so the same buffers serve kernel
-snapshots between steps (empirical_ntk.training_drift).
+train_full_batch refills its Workspace at each step with in-place
+operations and moves W^l and b^l inside the backward loop, right after
+delta^{l-1} has been taken from W^l, so no two layers' gradients are alive
+at once.  Nothing in the Workspace outlives a step, so the same buffers serve
+kernel snapshots between steps (empirical_ntk.training_drift).  A non-finite
+loss ends a run as "diverged", an outcome returned like any other.
 
 The in-place step is bitwise the step that builds fresh arrays
 (tests/oracles.py, reference_train_full_batch): each operation runs on the
@@ -50,15 +48,6 @@ import numpy as np
 
 from .activations import ActivationKind, dphi, phi
 from .meanfield import InitHyper
-
-
-class TrainingDivergenceError(Exception):
-    """Training produced a non-finite loss; carries the step and partial log."""
-
-    def __init__(self, step: int, losses: np.ndarray):
-        self.step = step
-        self.losses = losses
-        super().__init__(f"non-finite loss at step {step}")
 
 
 def layer_widths(input_dim: int, width: int, depth: int) -> tuple[int, ...]:
@@ -122,57 +111,40 @@ def _batch(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ForwardCache:
-    """What a forward pass keeps for backpropagation.
+class Workspace:
+    """Every buffer one network needs to run, train and take its kernel on a
+    batch.
 
     activations[l] is the (S, M_l) input to affine map l+1 (activations[0] is
     the raw batch); slopes[l] holds phi'(h^{l+1}) of the same shape as
     activations[l+1], a bool mask for ReLU; output is the (S, 1) read-out.
     No pre-activation is kept: each is made in its activation buffer, and
-    phi overwrites it there once its slope is taken.
+    phi overwrites it there once its slope is taken.  deltas[l] (S, M_{l+1})
+    is df/dh^{l+1}.  grad_w[l] and grad_b[l] are views of one weight-gradient
+    and one bias-gradient buffer, shared by all layers: a layer's gradient is
+    dead once that layer has stepped.  No buffer holds data from one training
+    step, or one kernel, to the next.
     """
 
     activations: list[np.ndarray]
     slopes: list[np.ndarray]
     output: np.ndarray
-
-    @classmethod
-    def allocate(cls, net: Mlp, x: np.ndarray) -> "ForwardCache":
-        """Unfilled buffers for the batch x (S, M_0), which becomes activations[0]."""
-        x = _batch(net, x)
-        s, hidden = x.shape[0], net.widths[1:-1]
-        slope_type = bool if net.activation is ActivationKind.RELU else float
-        return cls(activations=[x] + [np.empty((s, m)) for m in hidden],
-                   slopes=[np.empty((s, m), dtype=slope_type) for m in hidden],
-                   output=np.empty((s, 1)))
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.output[:, 0]
-
-
-@dataclass
-class Workspace(ForwardCache):
-    """A ForwardCache plus the deltas and gradients of backpropagation: every
-    buffer one network needs to train on a batch and to take its kernel.
-
-    deltas[l] (S, M_{l+1}) is df/dh^{l+1}.  grad_w[l] and grad_b[l] are
-    views of one weight-gradient and one bias-gradient buffer, shared by all
-    layers: a layer's gradient is dead once that layer has stepped.  No
-    buffer holds data from one training step, or one kernel, to the next.
-    """
-
     deltas: list[np.ndarray]
     grad_w: list[np.ndarray]
     grad_b: list[np.ndarray]
 
     @classmethod
     def allocate(cls, net: Mlp, x: np.ndarray) -> "Workspace":
-        cache = ForwardCache.allocate(net, x)
-        s = cache.output.shape[0]
+        """Unfilled buffers for the batch x (S, M_0), which becomes activations[0]."""
+        x = _batch(net, x)
+        s, hidden = x.shape[0], net.widths[1:-1]
+        slope_type = bool if net.activation is ActivationKind.RELU else float
+        activations = [x] + [np.empty((s, m)) for m in hidden]
+        slopes = [np.empty((s, m), dtype=slope_type) for m in hidden]
+        output = np.empty((s, 1))
         w_buf = np.empty(max(w.size for w in net.weights))
         b_buf = np.empty(max(b.size for b in net.biases))
-        return cls(activations=cache.activations, slopes=cache.slopes, output=cache.output,
+        return cls(activations=activations, slopes=slopes, output=output,
                    deltas=[np.empty((s, m)) for m in net.widths[1:]],
                    grad_w=[w_buf[:w.size].reshape(w.shape) for w in net.weights],
                    grad_b=[b_buf[:b.size] for b in net.biases])
@@ -189,58 +161,51 @@ class Workspace(ForwardCache):
         buffers.activations[0] = x
         return buffers
 
+    @property
+    def outputs(self) -> np.ndarray:
+        return self.output[:, 0]
 
-def _forward_into(net: Mlp, cache: ForwardCache) -> None:
-    """Run the network on cache.activations[0], overwriting the cache's
+
+def _forward_into(net: Mlp, ws: Workspace) -> None:
+    """Run the network on ws.activations[0], overwriting the workspace's
     activations, slopes and output in place: each hidden pre-activation is
     made in its activation buffer, its slope taken, then phi applied in place."""
     kind = net.activation
-    acts, slopes = cache.activations, cache.slopes
+    acts, slopes = ws.activations, ws.slopes
     # overflow flows through as inf/nan and is checked by the consumers
     with np.errstate(over="ignore", invalid="ignore"):
         for l, (w, b) in enumerate(zip(net.weights, net.biases)):
             hidden = l + 1 < len(acts)
-            h = np.matmul(acts[l], w.T, out=acts[l + 1] if hidden else cache.output)
+            h = np.matmul(acts[l], w.T, out=acts[l + 1] if hidden else ws.output)
             h += b
             if hidden:
                 dphi(kind, h, out=slopes[l])
                 phi(kind, h, out=h)
 
 
-def forward_batch(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Outputs (S,) and the cache for a batch of inputs (S, M_0)."""
-    cache = ForwardCache.allocate(net, x)
-    _forward_into(net, cache)
-    return cache.outputs, cache
+def forward_batch(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, Workspace]:
+    """Outputs (S,) and the workspace of a forward pass over a batch of inputs
+    (S, M_0); its deltas and gradients are left unfilled."""
+    ws = Workspace.allocate(net, x)
+    _forward_into(net, ws)
+    return ws.outputs, ws
 
 
-def _backward_into(net: Mlp, cache: ForwardCache, deltas: list,
+def _backward_into(net: Mlp, ws: Workspace,
                    descend: Callable[[int], None] | None = None) -> None:
-    """Propagate deltas[-1] down the chain in place:
+    """Propagate ws.deltas[-1] down the chain in place:
     deltas[l-1] = (deltas[l] W^{l+1}) * slopes[l-1] for l = L-1, ..., 1.
 
     descend(l), when given, runs for l = L-1, ..., 0 once deltas[l] is final
     and W^{l+1} is no longer read, so it may move W^{l+1} and b^{l+1}."""
+    deltas = ws.deltas
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(net.depth - 1, -1, -1):
             if l:
                 np.matmul(deltas[l], net.weights[l], out=deltas[l - 1])
-                deltas[l - 1] *= cache.slopes[l - 1]
+                deltas[l - 1] *= ws.slopes[l - 1]
             if descend is not None:
                 descend(l)
-
-
-def backward_deltas(net: Mlp, cache: ForwardCache) -> list[np.ndarray]:
-    """Per-layer output sensitivities delta^l = df/dh^l for the whole batch.
-
-    Returns a list indexed l = 1..L of arrays (S, M_l); the last entry is the
-    constant 1 of the linear read-out.
-    """
-    s = cache.output.shape[0]
-    deltas = [np.empty((s, m)) for m in net.widths[1:]]
-    deltas[-1][:] = 1.0
-    _backward_into(net, cache, deltas)
-    return deltas
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +231,19 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
+    """The finite losses of a run, in step order, why it stopped and how many
+    steps it ran.  A "diverged" run's last step is the one whose loss was not
+    finite; that loss is not in the log, and the step made no update."""
+
     losses: np.ndarray
     stop_reason: str
     steps_run: int
 
 
 def mse_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
-    return float(np.mean((outputs - targets) ** 2))
+    """Mean squared error; inf or nan where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean((outputs - targets) ** 2))
 
 
 def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
@@ -282,29 +253,21 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     """Full-batch gradient descent on MSE = mean_s (f(x_s) - y_s)^2.
 
     Mutates the network in place.  on_snapshot(step, net) is invoked at each
-    requested step index (0 = before any update) and after the final step.
+    requested step index (0 = before any update) and, unless the run
+    diverged, after the final step when that step was not requested.
     Every step runs in buffers, a Workspace for this network and batch
     (allocated when None); on_snapshot may use them too, since each step
     overwrites them before it reads them.
-    The stop reason is "early_stop" or "max_steps", or "loss_rose" when the
-    last loss is above the step-1 loss (a finite blow-up is not convergence).
-    Raises TrainingDivergenceError on a non-finite loss, with the partial
-    loss log attached.
+    The stop reason is "early_stop" or "max_steps", "loss_rose" when the
+    last loss is above the step-1 loss (a finite blow-up is not convergence),
+    or "diverged" when a loss is not finite, which ends the run at that step.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if x.ndim != 2 or x.shape[0] != len(y) or len(y) < 1:
         raise ValueError("need matching, non-empty inputs and targets")
     s = len(y)
-    wanted = set(int(t) for t in snapshot_steps)
-    snapped: set[int] = set()
-
-    def snapshot(step: int, force: bool = False):
-        if on_snapshot is None or step in snapped:
-            return
-        if force or step in wanted:
-            on_snapshot(step, net)
-            snapped.add(step)
+    wanted = set(int(t) for t in snapshot_steps) if on_snapshot is not None else set()
 
     ws = Workspace.holding(net, x, buffers)
     out, deltas = ws.outputs, ws.deltas
@@ -320,7 +283,8 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
         grad_b *= lr
         net.biases[l] -= grad_b
 
-    snapshot(0)
+    if 0 in wanted:
+        on_snapshot(0, net)
     losses = np.empty(cfg.max_steps)
     best = np.inf
     stale = 0
@@ -328,18 +292,22 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     step = 0
     for step in range(1, cfg.max_steps + 1):
         _forward_into(net, ws)
-        np.subtract(out, y, out=resid)
-        loss = float(np.mean(np.square(resid, out=resid_sq)))
+        # an overflowing loss is an outcome, reported as "diverged"
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(out, y, out=resid)
+            loss = float(np.mean(np.square(resid, out=resid_sq)))
         if not np.isfinite(loss):
-            raise TrainingDivergenceError(step, losses[:step - 1].copy())
+            return TrainLog(losses=losses[:step - 1].copy(), stop_reason="diverged",
+                            steps_run=step)
         losses[step - 1] = loss
 
         # backprop of dL/dh^L = 2 (f - y) / S through the chain, each layer
         # stepping once the delta below has been taken from its weights
         np.multiply(resid, 2.0 / s, out=deltas[-1][:, 0])
-        _backward_into(net, ws, deltas, descend)
+        _backward_into(net, ws, descend)
 
-        snapshot(step)
+        if step in wanted:
+            on_snapshot(step, net)
         if best - loss >= cfg.early_stop_delta:
             best = loss
             stale = 0
@@ -351,5 +319,6 @@ def train_full_batch(net: Mlp, x: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     if step and losses[step - 1] > losses[0]:
         reason = "loss_rose"
 
-    snapshot(step, force=True)
+    if on_snapshot is not None and step not in wanted:
+        on_snapshot(step, net)
     return TrainLog(losses=losses[:step].copy(), stop_reason=reason, steps_run=step)

@@ -15,9 +15,11 @@ that cell and every earlier one are done, before any CSV is written, so a
 sweep that fails part way leaves a queryable audit trail.  Every record's
 stats carry a status: "ok", or "diverged" when a trained network of the
 cell (a train-drift replicate, a predict-variance network) reached a
-non-finite loss.  Divergence is a result, not an error: the cell still
-writes its rows.  Given (config, seed) the output bytes are identical
-across runs and thread counts.
+non-finite loss.  Divergence is a result, not an error: training returns
+it like any other stop reason, and the cell still writes its rows.  A cell
+that raises is recorded too, by its grid coordinates (Sweep.coords), with
+status "overflow" or "error", before the exception ends the sweep.  Given
+(config, seed) the output bytes are identical across runs and thread counts.
 """
 from __future__ import annotations
 
@@ -33,20 +35,15 @@ import numpy as np
 import yaml
 
 from .activations import ActivationKind
-from .meanfield import InitHyper, classify_phase, depth_sums
+from .meanfield import InitHyper, SignalOverflowError, classify_phase, depth_sums
 from .ntk_theory import KappaPair, NngpMatrix, ThetaStar, build_theta_star, predict_variance, \
     trained_output_variance
-from .finite_net import TrainConfig, TrainingDivergenceError, init, layer_widths, \
-    train_full_batch, forward_batch
-from .empirical_ntk import default_probe, init_variance_ratio, training_drift
+from .finite_net import TrainConfig, init, layer_widths, train_full_batch, forward_batch
+from .empirical_ntk import DEFAULT_SNAPSHOT_STEPS, default_probe, init_variance_ratio, \
+    training_drift
 from .data_io import RecordStore, RunRecord, code_identity, synthetic_dataset, \
     write_csv, gram_anchored_inputs
 from .meanfield import avg_phi_prod, avg_phi_sq
-
-# train-drift snapshot steps when snapshot_steps is None; those past
-# train_steps are left out, so a short run needs no hand-set list
-DEFAULT_SNAPSHOT_STEPS = (0, 10, 100, 1000)
-
 
 class ConfigError(Exception):
     """Invalid sweep configuration (reported as exit code 1 by the CLI)."""
@@ -167,6 +164,9 @@ class SweepConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.n_seeds < 2:
             raise ConfigError("n_seeds must be >= 2")
+        if self.experiment == "init-variance" and self.n_seeds < 3:
+            # a leave-one-out sample of two values holds one, whose ratio is 1
+            raise ConfigError("init-variance needs n_seeds >= 3 for a jackknife standard error")
         if self.mc_samples < 2:
             raise ConfigError("mc_samples must be >= 2")
         if self.train_seeds == 1 or self.train_seeds < 0:
@@ -196,7 +196,8 @@ class SweepConfig:
 
     def snapshots(self) -> list[int]:
         """The train-drift snapshot steps: the configured ones, or the
-        defaults that fit in train_steps, plus step 0 and the final step."""
+        defaults that fit in train_steps (so a short run needs no hand-set
+        list), plus step 0 and the final step."""
         steps = self.snapshot_steps
         if steps is None:
             steps = [t for t in DEFAULT_SNAPSHOT_STEPS if t <= self.train_steps]
@@ -260,6 +261,7 @@ CellFn = Callable[[tuple, int], tuple[dict, dict, tuple[list, ...]]]
 @dataclass(frozen=True)
 class Sweep:
     grid: Callable[[SweepConfig], list]     # the cells, in record and CSV order
+    coords: tuple                           # record param name of each cell entry
     setup: Callable[[SweepConfig], CellFn]  # per-sweep work, then the cell function
     csvs: tuple                             # (file name, header) per CSV
     one_value: tuple = ()                   # grid fields of which only [0] is read
@@ -275,9 +277,19 @@ def grid(cfg: SweepConfig) -> list:
     return SWEEPS[cfg.experiment].grid(cfg)
 
 
+def _failure_stats(err: Exception) -> dict:
+    """Record stats of a cell that raised err."""
+    overflow = isinstance(err, (SignalOverflowError, FloatingPointError))
+    stats = dict(status="overflow" if overflow else "error", error_class=type(err).__name__)
+    if getattr(err, "layer", None) is not None:
+        stats["layer"] = err.layer
+    return stats
+
+
 def run_experiment(cfg: SweepConfig) -> SweepOutput:
     """Run every cell of cfg's grid, append its RunRecord as it finishes,
-    then write the sweep's CSVs."""
+    then write the sweep's CSVs.  The first cell that raises is recorded
+    with _failure_stats, then its exception propagates."""
     cfg.validate()
     sweep = SWEEPS[cfg.experiment]
     cells = sweep.grid(cfg)
@@ -288,17 +300,27 @@ def run_experiment(cfg: SweepConfig) -> SweepOutput:
     def timed(job):
         cell, seed = job
         t0 = time.perf_counter()
-        result = run_cell(cell, int(seed))
-        return result, time.perf_counter() - t0
+        try:
+            result = run_cell(cell, int(seed))
+        except Exception as err:  # noqa: BLE001 - recorded, then raised in cell order
+            result = err
+        return cell, result, time.perf_counter() - t0
+
+    def record(params, stats, elapsed):
+        rec = RunRecord(kind=cfg.experiment, params=params, stats=stats, seed=cfg.seed,
+                        wall_clock_s=round(elapsed, 6), code_version=code_identity())
+        store.append(rec)
+        return rec
 
     records, tables = [], [[] for _ in sweep.csvs]
     jobs = list(zip(cells, cell_seeds(cfg.seed, len(cells))))
-    for (params, stats, rows), elapsed in _run_cells(jobs, timed, cfg.threads):
-        rec = RunRecord(kind=cfg.experiment, params=params, stats={"status": "ok", **stats},
-                        seed=cfg.seed, wall_clock_s=round(elapsed, 6),
-                        code_version=code_identity())
-        store.append(rec)
-        records.append(rec)
+    for cell, result, elapsed in _run_cells(jobs, timed, cfg.threads):
+        if isinstance(result, Exception):
+            record(dict(activation=cfg.activation, **dict(zip(sweep.coords, cell))),
+                   _failure_stats(result), elapsed)
+            raise result
+        params, stats, rows = result
+        records.append(record(params, {"status": "ok", **stats}, elapsed))
         for table, cell_rows in zip(tables, rows):
             table.extend(cell_rows)
     paths = [out_dir / name for name, _ in sweep.csvs]
@@ -365,16 +387,10 @@ def _train_drift(cfg: SweepConfig) -> CellFn:
 
     def run(cell, seed):
         sw, L = cell
-        reps, divergence_steps = [], []
-        for k in range(cfg.n_seeds):
-            try:
-                reps.append(training_drift(layer_widths(dim, M, L), cfg.hyper(sw, sb),
-                                           data.inputs, data.targets, tc,
-                                           snapshot_steps=snaps, seed=seed + k))
-            except TrainingDivergenceError as err:
-                # a diverging replicate is a result: keep its curve up to the blow-up
-                reps.append(err.partial)
-                divergence_steps.append(err.step)
+        reps = [training_drift(layer_widths(dim, M, L), cfg.hyper(sw, sb), data.inputs,
+                               data.targets, tc, snapshot_steps=snaps, seed=seed + k)
+                for k in range(cfg.n_seeds)]
+        divergence_steps = [r.steps_run for r in reps if r.diverged]
         finished = [r for r in reps if not r.diverged]
         drift, final_loss, initial_loss = (
             float(np.mean([getattr(r, name) for r in finished])) if finished else float("nan")
@@ -450,11 +466,11 @@ def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
     outs, logs, divergence_steps = [], [], []
     for k in range(n_nets):
         net = init(layer_widths(dim, m_width, depth), hyper, seed + 1000 + k)
-        try:
-            logs.append(train_full_batch(net, x_train, y, tc))
-        except TrainingDivergenceError as err:
-            divergence_steps.append(err.step)
+        log = train_full_batch(net, x_train, y, tc)
+        if log.stop_reason == "diverged":
+            divergence_steps.append(log.steps_run)
             continue
+        logs.append(log)
         out, _ = forward_batch(net, x_test[None, :])
         outs.append(out[0])
     nan = float("nan")
@@ -539,11 +555,13 @@ SWEEPS = {
     "phase-diagram": Sweep(
         grid=lambda cfg: [(float(sw), float(sb))
                           for sb in cfg.sigma_b_sq for sw in cfg.sigma_w_sq],
+        coords=("sigma_w_sq", "sigma_b_sq"),
         setup=_phase_diagram,
         csvs=(("phase_diagram.csv", _COORDS + ("chi1_fixed_point", "phase")),)),
     "init-variance": Sweep(
         grid=lambda cfg: [(float(sw), int(L), int(M))
                           for M in cfg.widths for L in cfg.depths for sw in cfg.sigma_w_sq],
+        coords=("sigma_w_sq", "depth", "width"),
         setup=_init_variance,
         csvs=(("init_variance_heatmap.csv",
                _COORDS + ("depth", "width", "ratio", "standard_error")),
@@ -552,6 +570,7 @@ SWEEPS = {
         one_value=("sigma_b_sq",)),
     "train-drift": Sweep(
         grid=lambda cfg: [(float(sw), int(L)) for L in cfg.depths for sw in cfg.sigma_w_sq],
+        coords=("sigma_w_sq", "depth"),
         setup=_train_drift,
         csvs=(("train_drift_heatmap.csv",
                _COORDS + ("depth", "width", "final_drift", "final_loss", "initial_loss")),
@@ -561,11 +580,13 @@ SWEEPS = {
     "kappa-curves": Sweep(
         grid=lambda cfg: [(float(sw), float(sb))
                           for sw in cfg.sigma_w_sq for sb in cfg.sigma_b_sq],
+        coords=("sigma_w_sq", "sigma_b_sq"),
         setup=_kappa_curves,
         csvs=(("kappa_curves.csv", _COORDS + ("covariance", "depth", "kappa1", "kappa2",
                                               "kappa_ratio")),)),
     "predict-variance": Sweep(
         grid=lambda cfg: [(float(sw), int(L)) for sw in cfg.sigma_w_sq for L in cfg.depths],
+        coords=("sigma_w_sq", "depth"),
         setup=_predict_variance,
         csvs=(("predict_variance.csv",
                _COORDS + ("depth", "width", "sample_count", "A", "predicted_variance",

@@ -97,11 +97,25 @@ def avg_dphi_prod_oracle(kind: ActivationKind, q_s: float, q_r: float, c: float)
 # chain rule and finite differences.
 
 def forward(net, x: np.ndarray):
-    """Scalar output and cache of the library's forward pass for one input vector."""
+    """Scalar output and workspace of the library's forward pass for one input vector."""
     from ntklab.finite_net import forward_batch
 
-    out, cache = forward_batch(net, np.asarray(x, dtype=float)[None, :])
-    return float(out[0]), cache
+    out, ws = forward_batch(net, np.asarray(x, dtype=float)[None, :])
+    return float(out[0]), ws
+
+
+def backward_deltas(net, ws) -> list:
+    """Per-layer output sensitivities delta^l = df/dh^l for the whole batch of
+    a forward_batch workspace, by the library's backward pass in ws.
+
+    Returns ws.deltas, a list indexed l = 1..L of arrays (S, M_l); the last
+    entry is the constant 1 of the linear read-out.
+    """
+    from ntklab.finite_net import _backward_into
+
+    ws.deltas[-1][:] = 1.0
+    _backward_into(net, ws)
+    return ws.deltas
 
 
 def param_count(net) -> int:
@@ -117,8 +131,6 @@ def flat_params(net) -> np.ndarray:
 def gradient(net, x: np.ndarray) -> np.ndarray:
     """Exact flat gradient of the scalar output with respect to all
     parameters, in the layout of flat_params."""
-    from ntklab.finite_net import backward_deltas
-
     _, cache = forward(net, x)
     deltas = backward_deltas(net, cache)
     parts = []
@@ -362,8 +374,6 @@ def replicate_seeds(seed: int, n: int) -> np.ndarray:
 def self_kernel(net, x: np.ndarray) -> float:
     """Theta(x, x) = ||grad_w f(x)||^2 for a single input, from the library's
     deltas and activations, without forming gradients."""
-    from ntklab.finite_net import backward_deltas
-
     _, cache = forward(net, x)
     deltas = backward_deltas(net, cache)
     total = 0.0
@@ -428,8 +438,10 @@ def reference_backward_deltas(net, preacts) -> list:
 def reference_train_full_batch(net, x: np.ndarray, y: np.ndarray, cfg,
                                snapshot_steps=(), on_snapshot=None, buffers=None):
     """train_full_batch with an out-of-place forward pass, derivative and
-    update; it allocates its own arrays and ignores buffers."""
-    from ntklab.finite_net import TrainingDivergenceError, TrainLog
+    update; it allocates its own arrays and ignores buffers.  Its snapshots
+    are taken by a closure that remembers which steps it has served, so the
+    library's call sequence is checked against a second formulation."""
+    from ntklab.finite_net import TrainLog
 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -452,9 +464,11 @@ def reference_train_full_batch(net, x: np.ndarray, y: np.ndarray, cfg,
     step = 0
     for step in range(1, cfg.max_steps + 1):
         out, acts, pres = reference_forward_batch(net, x)
-        loss = float(np.mean((out - y) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = float(np.mean((out - y) ** 2))
         if not np.isfinite(loss):
-            raise TrainingDivergenceError(step, losses[:step - 1].copy())
+            return TrainLog(losses=losses[:step - 1].copy(), stop_reason="diverged",
+                            steps_run=step)
         losses[step - 1] = loss
 
         with np.errstate(over="ignore", invalid="ignore"):

@@ -17,11 +17,12 @@ from ntklab.empirical_ntk import (
     training_drift,
     variance_ratio_stat,
 )
-from ntklab.finite_net import TrainConfig, TrainingDivergenceError, Workspace, backward_deltas, \
-    forward_batch, init, layer_widths, mse_loss, train_full_batch
+from ntklab.finite_net import TrainConfig, Workspace, forward_batch, init, layer_widths, \
+    mse_loss, train_full_batch
 from ntklab.meanfield import InitHyper
-from oracles import full_init_theta0, naive_kernel, reference_backward_deltas, \
-    reference_forward_batch, reference_trace, replicate_seeds, self_kernel, streaming_kernel
+from oracles import backward_deltas, full_init_theta0, naive_kernel, \
+    reference_backward_deltas, reference_forward_batch, reference_trace, replicate_seeds, \
+    self_kernel, streaming_kernel
 
 RELU = ActivationKind.RELU
 ERF = ActivationKind.ERF
@@ -84,6 +85,15 @@ class TestInitVarianceRatio:
         stat = variance_ratio_stat(np.full(50, 7.5))
         assert stat.ratio == pytest.approx(1.0, abs=1e-14)
         assert stat.standard_error == pytest.approx(0.0, abs=1e-14)
+
+    def test_no_standard_error_from_two_values(self):
+        # each leave-one-out sample of two values holds one, whose ratio is 1:
+        # the jackknife would report a zero error bar
+        stat = variance_ratio_stat([1.0, 3.0])
+        assert stat.ratio == 1.25 and stat.n_seeds == 2
+        assert np.isnan(stat.standard_error)
+        three = variance_ratio_stat([1.0, 3.0, 2.0])
+        assert np.isfinite(three.standard_error) and three.standard_error > 0.0
 
     def test_ratio_at_least_one_within_noise(self):
         probe = default_probe(16, 3)
@@ -280,13 +290,14 @@ class TestTrainingDrift:
     def test_initial_loss_when_step_one_diverges(self):
         y = self.y.copy()
         y[0] = np.inf  # the kernel is finite, the first loss is not
-        with pytest.raises(TrainingDivergenceError) as err:
-            training_drift(self.widths, self.hyper, self.x, y,
-                           TrainConfig(learning_rate=1e-2, max_steps=10),
-                           snapshot_steps=(0,), seed=5)
-        assert err.value.step == 1
-        assert err.value.partial.initial_loss == np.inf
-        assert list(err.value.partial.rel_change) == [0.0]
+        stat = training_drift(self.widths, self.hyper, self.x, y,
+                              TrainConfig(learning_rate=1e-2, max_steps=10),
+                              snapshot_steps=(0,), seed=5)
+        assert stat.diverged and stat.stop_reason == "diverged"
+        assert stat.steps_run == 1
+        assert stat.initial_loss == np.inf
+        assert np.isnan(stat.final_loss)  # no step recorded a finite loss
+        assert list(stat.steps) == [0] and list(stat.rel_change) == [0.0]
 
     def test_drift_bits_do_not_depend_on_blas_threads(self):
         # a 128 x 128 kernel is past the size at which OpenBLAS splits a dot
@@ -397,12 +408,9 @@ def test_snapshot_kernels_in_the_workspace_do_not_perturb_training(kind, sigma_w
             except FloatingPointError:
                 kernels.append(None)
 
-        try:
-            log = train_full_batch(net, x, y, cfg, snapshot_steps=range(cfg.max_steps),
-                                   on_snapshot=on_snapshot if snapshots else None, buffers=ws)
-            outcome = (log.losses.tobytes(), log.stop_reason, log.steps_run)
-        except TrainingDivergenceError as err:
-            outcome = ("diverged", err.step, err.losses.tobytes())
+        log = train_full_batch(net, x, y, cfg, snapshot_steps=range(cfg.max_steps),
+                               on_snapshot=on_snapshot if snapshots else None, buffers=ws)
+        outcome = (log.losses.tobytes(), log.stop_reason, log.steps_run)
         params = [p.tobytes() for p in net.weights + net.biases]
         return outcome, params, len(kernels)
 
@@ -420,8 +428,6 @@ class TestGradientVarianceScaling:
         probe = default_probe(M, 77) * np.sqrt(M * trace["q_hat"][0])
         total = 0.0
         n_seeds = 60
-        from ntklab.finite_net import backward_deltas
-
         for seed in range(n_seeds):
             net = init(layer_widths(M, M, L), hyper, 9000 + seed)
             _, cache = forward_batch(net, probe[None, :])

@@ -7,8 +7,8 @@ from ntklab.activations import ActivationKind
 from ntklab.finite_net import (
     Mlp,
     TrainConfig,
-    TrainingDivergenceError,
-    backward_deltas,
+    Workspace,
+    _forward_into,
     forward_batch,
     init,
     layer_widths,
@@ -16,9 +16,9 @@ from ntklab.finite_net import (
     train_full_batch,
 )
 from ntklab.meanfield import InitHyper, edge_of_chaos_sigma_w_sq
-from oracles import finite_difference_gradient, flat_params, forward, gradient, param_count, \
-    reference_backward_deltas, reference_dphi, reference_forward_batch, \
-    reference_train_full_batch
+from oracles import backward_deltas, finite_difference_gradient, flat_params, forward, \
+    gradient, param_count, reference_backward_deltas, reference_dphi, \
+    reference_forward_batch, reference_train_full_batch
 
 RELU = ActivationKind.RELU
 ERF = ActivationKind.ERF
@@ -186,14 +186,16 @@ class TestTraining:
         train_full_batch(net, x, y, TrainConfig(learning_rate=0.0, max_steps=120))
         assert np.array_equal(flat_params(net), before)
 
-    def test_divergence_raises_with_step(self):
+    def test_divergence_is_returned_with_step(self):
         net = small_net(RELU, seed=5, widths=(3, 8, 8, 1), sw=3.0, sb=1.0)
         x = np.random.default_rng(4).standard_normal((5, 3)) * 10
         y = np.zeros(5)
-        with pytest.raises(TrainingDivergenceError) as err:
-            train_full_batch(net, x, y, TrainConfig(learning_rate=1e6, max_steps=500))
-        assert err.value.step >= 1
-        assert np.all(np.isfinite(err.value.losses))
+        log = train_full_batch(net, x, y, TrainConfig(learning_rate=1e6, max_steps=500))
+        assert log.stop_reason == "diverged"
+        assert 1 <= log.steps_run < 500
+        # the log holds the finite losses before the step whose loss was not
+        assert len(log.losses) == log.steps_run - 1
+        assert np.all(np.isfinite(log.losses))
 
     def test_training_log_deterministic(self):
         def run():
@@ -238,19 +240,17 @@ def _param_bits(net) -> list:
 
 
 def _train_both(make_net, x, y, cfg, snapshot_steps=(0, 5, 17)):
-    """(outcome, final parameters, parameters at each snapshot) of the library
-    step and of the allocating reference, each on a fresh copy of the net."""
+    """(log, final parameters, parameters at each snapshot) of the library
+    step and of the allocating reference, each on a fresh copy of the net;
+    the log as (loss bits, stop reason, steps run)."""
     runs = []
     for train in (train_full_batch, reference_train_full_batch):
         net = make_net()
         seen = []
-        try:
-            log = train(net, x, y, cfg, snapshot_steps=snapshot_steps,
-                        on_snapshot=lambda step, live: seen.append((step, _param_bits(live))))
-            outcome = ("finished", _bits(log.losses), log.stop_reason, log.steps_run)
-        except TrainingDivergenceError as err:
-            outcome = ("diverged", err.step, _bits(err.losses))
-        runs.append((outcome, _param_bits(net), seen))
+        log = train(net, x, y, cfg, snapshot_steps=snapshot_steps,
+                    on_snapshot=lambda step, live: seen.append((step, _param_bits(live))))
+        runs.append(((_bits(log.losses), log.stop_reason, log.steps_run), _param_bits(net),
+                     seen))
     return runs
 
 
@@ -275,7 +275,7 @@ class TestBufferedStepMatchesAllocatingStep:
         lib, ref = _train_both(
             lambda: init((6, 16, 16, 16, 16, 1), InitHyper(sw, self.SIGMA_B_SQ, kind), 3),
             x, y, cfg)
-        assert lib[0][0] == "finished" and lib[0][2] == "max_steps"
+        assert lib[0][1] == "max_steps"
         assert [step for step, _ in lib[2]] == [0, 5, 17, 40]
         assert lib == ref
 
@@ -299,29 +299,44 @@ class TestBufferedStepMatchesAllocatingStep:
         cfg = TrainConfig(learning_rate=1e-2, max_steps=500, early_stop_delta=1e-2,
                           early_stop_patience=5)
         lib, ref = _train_both(lambda: small_net(ERF, seed=5, widths=(6, 8, 8, 1)), x, y, cfg)
-        assert lib[0][2] == "early_stop" and lib[0][3] < 500
+        assert lib[0][1] == "early_stop" and lib[0][2] < 500
         assert lib == ref
 
     def test_rising_loss_run(self):
         x, y = self._data(seed=4)
         cfg = TrainConfig(learning_rate=1.0, max_steps=30)
         lib, ref = _train_both(lambda: small_net(RELU, seed=5, widths=(6, 8, 8, 1)), x, y, cfg)
-        assert lib[0][2] == "loss_rose"
+        assert lib[0][1] == "loss_rose"
         assert lib == ref
 
     def test_zero_steps(self):
         x, y = self._data(seed=3)
         lib, ref = _train_both(lambda: small_net(TANH, seed=6, widths=(6, 8, 1)), x, y,
                                TrainConfig(learning_rate=1.0, max_steps=0))
-        assert lib[0][3] == 0 and [step for step, _ in lib[2]] == [0]
+        assert lib[0][2] == 0 and [step for step, _ in lib[2]] == [0]
         assert lib == ref
 
-    def test_diverging_run(self):
+    def _diverging(self, snapshot_steps):
         x, y = self._data(seed=4)
         cfg = TrainConfig(learning_rate=1e6, max_steps=500)
-        lib, ref = _train_both(lambda: small_net(RELU, seed=5, widths=(6, 8, 8, 1), sw=3.0,
-                                                 sb=1.0), 10.0 * x, np.zeros(len(y)), cfg)
-        assert lib[0][0] == "diverged" and lib[0][1] >= 2
+        return _train_both(lambda: small_net(RELU, seed=5, widths=(6, 8, 8, 1), sw=3.0,
+                                             sb=1.0), 10.0 * x, np.zeros(len(y)), cfg,
+                           snapshot_steps)
+
+    def test_diverging_run(self):
+        lib, ref = self._diverging((0, 5, 17))
+        (loss_bits, reason, steps), _, seen = lib
+        assert reason == "diverged" and steps >= 2
+        assert loss_bits[1] == (steps - 1,)
+        assert [step for step, _ in seen] == [t for t in (0, 5, 17) if t < steps]
+        assert lib == ref
+
+    def test_diverged_run_takes_no_final_snapshot(self):
+        # a run that ends unrequested is snapshotted at its last step, unless
+        # that step's loss was not finite: the log is the oracle's, bit for bit
+        lib, ref = self._diverging((0,))
+        assert lib[0][1] == "diverged"
+        assert [step for step, _ in lib[2]] == [0]
         assert lib == ref
 
     @pytest.mark.parametrize("kind", [RELU, ERF, TANH])
@@ -337,6 +352,16 @@ class TestBufferedStepMatchesAllocatingStep:
         assert [_bits(a) for a in cache.activations] == [_bits(a) for a in ref_acts]
         assert [_bits(np.multiply(1.0, m)) for m in cache.slopes] == \
             [_bits(reference_dphi(kind, h)) for h in ref_pres[:-1]]
+        # forward_batch's workspace is the one training runs in: a workspace
+        # refilled after other use gives the same bits
+        assert isinstance(cache, Workspace)
+        ws = Workspace.allocate(net, x)
+        for buf in ws.activations[1:] + ws.slopes + [ws.output]:
+            buf[...] = np.nan if buf.dtype.kind == "f" else True
+        _forward_into(net, ws)
+        assert _bits(ws.output) == _bits(cache.output)
+        assert [_bits(a) for a in ws.activations] == [_bits(a) for a in cache.activations]
+        assert [_bits(m) for m in ws.slopes] == [_bits(m) for m in cache.slopes]
         assert [_bits(d) for d in backward_deltas(net, cache)] == \
             [_bits(d) for d in reference_backward_deltas(net, ref_pres)]
 

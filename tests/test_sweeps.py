@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from ntklab import finite_net, sweeps
 from ntklab.activations import ActivationKind
 from ntklab.cli import build_parser, load_config, main
 from ntklab.data_io import RecordStore, code_identity
+from ntklab.empirical_ntk import training_drift
 from ntklab.meanfield import InitHyper
 from ntklab.ntk_theory import predict_variance, trained_output_variance
 from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid
@@ -61,6 +63,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             cfg.validate()
 
+    def test_init_variance_needs_three_seeds_for_an_error_bar(self, tmp_path, capsys):
+        # two replicates ran and reported a ratio with a rounding-level error bar
+        out = tmp_path / "out"
+        argv = ["init-variance", "--set", "depths=[2]", "--set", "sigma_w_sq=[2.0]",
+                "--set", "widths=[4]", "--set", "n_seeds=2", "--set", "input_dim=3"]
+        assert _run(argv, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "n_seeds" in err
+        assert not out.exists()
+        SweepConfig(experiment="init-variance", n_seeds=3).validate()
+        # train-drift replicates need no error bar
+        SweepConfig(experiment="train-drift", n_seeds=2).validate()
+
     def test_snapshot_steps_outside_training_rejected(self, tmp_path):
         cfg = SweepConfig(experiment="train-drift", train_steps=20,
                           snapshot_steps=[0, 10, 100])
@@ -81,6 +96,9 @@ class TestValidation:
         cfg = SweepConfig(experiment="train-drift")
         cfg.validate()
         assert cfg.snapshots() == [0, 10, 100, 1000, 2000]
+        # one default, training_drift's, serves the sweep
+        default = inspect.signature(training_drift).parameters["snapshot_steps"].default
+        assert sweeps.DEFAULT_SNAPSHOT_STEPS is default == (0, 10, 100, 1000)
 
     def test_default_snapshot_steps_are_cut_to_short_training(self, tmp_path):
         cfg = SweepConfig(experiment="train-drift", train_steps=20)
@@ -446,8 +464,26 @@ def test_cells_recorded_before_a_later_cell_fails(tmp_path, monkeypatch):
     argv = ["init-variance", "--set", "sigma_w_sq=[1.0,2.0,3.0]", "--set", "depths=[2]",
             "--set", "widths=[8]", "--set", "n_seeds=10"]
     assert _run(argv, out) == 2
-    (rec,) = RecordStore(out / "records.jsonl")
-    assert rec.params["sigma_w_sq"] == 1.0
+    # the cell that finished, then the one that raised; none after it
+    ok, failed = RecordStore(out / "records.jsonl")
+    assert ok.params["sigma_w_sq"] == 1.0 and ok.stats["status"] == "ok"
+    assert failed.params == dict(activation="relu", sigma_w_sq=2.0, depth=2, width=8)
+    assert failed.stats == dict(status="error", error_class="RuntimeError")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overflowing_cell_is_recorded(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    argv = ["kappa-curves", "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,3000]",
+            "--threads", threads]
+    assert _run(argv, out) == 2
+    assert "mean-field recursion overflowed (layer 1733)" in capsys.readouterr().err
+    ok, overflow = RecordStore(out / "records.jsonl")
+    assert ok.params["sigma_w_sq"] == 1.0 and ok.stats["status"] == "ok"
+    assert overflow.params == dict(activation="relu", sigma_w_sq=3.0, sigma_b_sq=1.0)
+    assert overflow.stats == dict(status="overflow", error_class="SignalOverflowError",
+                                  layer=1733)
+    assert not (out / "kappa_curves.csv").exists()
 
 
 @pytest.mark.parametrize("argv, csv_names", [
