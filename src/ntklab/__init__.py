@@ -20,10 +20,10 @@ from .ntk_theory import (
     ThetaStar,
     TrainedVariance,
     VariancePrediction,
-    build_theta_star,
     condition_ratio,
     nngp_matrix,
     predict_variance,
+    sample_kernels,
     spd_solve,
     theta_star_matrix,
     trained_output_variance,

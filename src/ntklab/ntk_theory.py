@@ -45,22 +45,33 @@ gives the Gaussian (B^T u)^T z with variance |B^T u|^2 = u^T K u: the same
 law, from one normal per sample instead of S + 1, with no eigendecomposition
 of K and no matrix product.  The dense sampler remains as a test oracle.
 
-Kernel matrices come from one array-valued mean-field pass: theta_star_matrix
-sends every distinct off-diagonal layer-0 covariance of the sample, plus the
-reference covariance, through one meanfield.depth_sums call, whose kappa sums
-run forward with the layers, and nngp_matrix runs only the forward
-recursions over the distinct covariances (no phi' expectation).  For tanh the
-per-layer pair expectations of more than 34 covariances come from a
-Chebyshev interpolant in c, fitted at up to 129 correlations per layer and
-function (quadrature.normal_pair_expectation), so the cost of Theta*(X) and
-K(X) grows with the number of distinct covariances only through evaluating
-that interpolant; they agree with the per-covariance rule to ~1e-15 of
-max|entry|.  A fit depends on the layer variance q^l, not on the sample, and
-quadrature keeps it across calls: nngp_matrix evaluates the fits that
-theta_star_matrix has just made, and another sample at the same (sigma_w^2,
-sigma_b^2, q0) refits nothing where its arrays can use the kept fits, with
-the same bits as a fresh fit.  ReLU and erf use closed forms, bit for bit
-as before.
+Theta*(X) and K(X) have one entry point, sample_kernels.  It takes the
+distinct layer-0 covariances of a sample, a symmetric integer index of each
+pair's covariance in them and the position of the reference covariance,
+runs one meanfield.depth_sums call over the covariances, whose kappa sums
+run forward with the layers, and gathers both matrices through the index,
+the diagonal from the variance channel, so both come out exactly symmetric.
+theta_star_matrix indexes a layer-0 covariance matrix (np.unique, with the
+reference covariance appended) and calls it; predict-variance calls it on
+its joint sample of S + 1 points, every pair at the one reference
+covariance, and reads Theta*(X), theta_x, K and the reference kappas from
+that one result.  nngp_matrix keeps a pass of its own that runs only the
+forward recursions (no phi' expectation) over the same index: taking K from
+a depth_sums pass instead would cost the benchmark's Theta* + K pair, which
+calls theta_star_matrix and nngp_matrix apart, +21 % (ReLU, S = 64, L = 16:
+1.69 -> 2.05 ms on a 2-core machine) and +33 % (tanh, S = 24: 4.2 -> 5.6 ms).
+
+For tanh the per-layer pair expectations of more than 34 covariances come
+from a Chebyshev interpolant in c, fitted at up to 129 correlations per
+layer and function (quadrature.normal_pair_expectation), so the cost of
+Theta*(X) and K(X) grows with the number of distinct covariances only
+through evaluating that interpolant; they agree with the per-covariance
+rule to ~1e-15 of max|entry|.  A fit depends on the layer variance q^l, not
+on the sample, and quadrature keeps it across calls: nngp_matrix evaluates
+the fits that theta_star_matrix has just made, and another sample at the
+same (sigma_w^2, sigma_b^2, q0) refits nothing where its arrays can use the
+kept fits, with the same bits as a fresh fit.  ReLU and erf use closed
+forms, bit for bit as before.
 """
 from __future__ import annotations
 
@@ -70,7 +81,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -87,6 +97,10 @@ JITTER_GROWTH = 10.0
 
 PSD_WARN_TOL = 1e-8
 
+# Relative shortfall of kbar1 below kbar2, or of qbar^L below qbar_sr^L,
+# that predict_variance takes for rounding and treats as equality.
+ORDER_RTOL = 1e-12
+
 
 class IllConditionedError(Exception):
     """An SPD solve failed even at the maximum jitter level."""
@@ -98,42 +112,25 @@ class IllConditionedError(Exception):
 
 @dataclass(frozen=True)
 class KappaPair:
-    """Depth-summed NTK coefficients for one input pair.
-
-    kappa1/kappa2 are the diagonal/off-diagonal coefficients; p_sum_diag and
-    p_sum_cross carry the exact bias-parameter sums (the O(1/M) term).  Read
-    off meanfield.depth_sums at the reference covariance, they are the
-    data-independent kbar1/kbar2.
-    """
+    """The depth-summed NTK coefficients kappa1/kappa2 of one input pair:
+    kbar1/kbar2 when the pair is at the reference covariance."""
 
     kappa1: float
     kappa2: float
-    p_sum_diag: float
-    p_sum_cross: float
-
-    @property
-    def ratio(self) -> float:
-        return condition_ratio(self)
 
 
-def condition_ratio(kappas: KappaPair, n_points: int | None = None) -> float:
-    """kappa1 / kappa2, which is kbar1 / kbar2 for a pair traced at the
-    reference covariance; +inf when kappa2 = 0.
+def condition_ratio(kappas: KappaPair) -> float:
+    """kappa1 / kappa2, which is kbar1 / kbar2 for a pair at the reference
+    covariance; +inf when kappa2 = 0.
 
     A ratio near 1 means the data-independent kernel mean is close to the
     rank-one matrix kbar1 * 11^T; for a sample of size n its condition
-    number is (kbar1 + (n-1) kbar2) / (kbar1 - kbar2), reported at debug
-    level when n_points is given.
+    number is (kbar1 + (n-1) kbar2) / (kbar1 - kbar2).
     """
     if kappas.kappa2 == 0.0:
         logger.warning("kappa2 is zero; returning inf condition ratio")
         return math.inf
-    ratio = kappas.kappa1 / kappas.kappa2
-    if n_points is not None and ratio > 1.0:
-        cond = (kappas.kappa1 + (n_points - 1) * kappas.kappa2) / (
-            kappas.kappa1 - kappas.kappa2)
-        logger.debug("mean-kernel condition number at S=%d: %.3e", n_points, cond)
-    return ratio
+    return kappas.kappa1 / kappas.kappa2
 
 
 # ---------------------------------------------------------------------------
@@ -198,55 +195,57 @@ def mean_theta_inverse(kappa1_bar: float, kappa2_bar: float, n: int,
     return lead * (np.eye(n) - shrink * np.ones((n, n)))
 
 
-def build_theta_star(kappa1: Sequence[float], kappa2: np.ndarray,
-                     m_width: float, alpha: float,
-                     kappa1_bar: float, kappa2_bar: float,
-                     p_sum_diag: Sequence[float] | None = None,
-                     p_sum_cross: np.ndarray | None = None) -> ThetaStar:
-    """Assemble the deterministic NTK matrix from per-point kappa1 and
-    pairwise kappa2 values, scaled by alpha * M, plus the exact
-    bias-parameter sums when given."""
-    kappa1 = np.asarray(kappa1, dtype=float)
-    n = len(kappa1)
-    kappa2 = np.asarray(kappa2, dtype=float)
-    if kappa2.shape != (n, n):
-        raise ValueError(f"kappa2 must be ({n}, {n}), got {kappa2.shape}")
-    if (p_sum_diag is None) != (p_sum_cross is None):
-        raise ValueError("pass both bias-parameter sums or neither")
-    scale = alpha * m_width
-    # entry by entry scale * kappa (+ p_sum), the diagonal taken from kappa1
-    # (and p_sum_diag); the diagonals of kappa2 and p_sum_cross are unused
-    matrix = scale * kappa2
-    diag = scale * kappa1
-    if p_sum_cross is not None:
-        matrix += np.asarray(p_sum_cross, dtype=float)
-        diag += np.asarray(p_sum_diag, dtype=float)
-    np.fill_diagonal(matrix, diag)
-    sym = matrix + matrix.T
-    sym *= 0.5
-    return ThetaStar(matrix=sym, scale=scale, alpha=alpha,
-                     mean_kappa1=kappa1_bar, mean_kappa2=kappa2_bar)
+def _distinct_covariances(cov0, q0: float, *extra: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct off-diagonal covariances of the layer-0
+    covariance matrix cov0, together with the extra covariances, and the
+    inverse of np.unique: the position of each upper-triangle pair (in
+    np.triu_indices order), then of each extra covariance.
 
-
-def _upper_triangle(cov0, q0: float) -> tuple[np.ndarray, tuple]:
-    """The validated layer-0 covariance matrix (symmetric, with diagonal q0)
-    and its strict upper-triangle indices."""
+    cov0 must be symmetric with diagonal q0, both to 1e-12 of q0.
+    """
     cov0 = np.asarray(cov0, dtype=float)
+    tol = 1e-12 * abs(q0)
     if (cov0.ndim != 2 or cov0.shape[0] != cov0.shape[1]
-            or not np.allclose(cov0, cov0.T, atol=1e-12)):
+            or not np.allclose(cov0, cov0.T, rtol=0.0, atol=tol)):
         raise ValueError("cov0 must be a symmetric matrix of layer-0 covariances")
-    if not np.allclose(np.diag(cov0), q0, rtol=1e-12):
+    if not np.allclose(np.diag(cov0), q0, rtol=0.0, atol=tol):
         raise ValueError("diagonal of cov0 must equal q0")
-    return cov0, np.triu_indices(cov0.shape[0], 1)
+    return np.unique(np.concatenate((cov0[np.triu_indices(len(cov0), 1)], extra)),
+                     return_inverse=True)
 
 
-def _symmetric(n: int, diag, iu: tuple, upper: np.ndarray) -> np.ndarray:
-    """The symmetric n x n matrix with the given diagonal and upper triangle."""
-    m = np.empty((n, n))
-    m[iu] = upper
-    m.T[iu] = upper
-    np.fill_diagonal(m, diag)
-    return m
+def _pair_index(n: int, inverse: np.ndarray, slot: int) -> np.ndarray:
+    """The symmetric n x n index of sample_kernels from the positions of
+    the upper-triangle pairs, with the variance slot on the diagonal."""
+    iu = np.triu_indices(n, 1)
+    upper = inverse[:len(iu[0])]
+    index = np.full((n, n), slot, dtype=np.intp)
+    index[iu] = upper
+    index.T[iu] = upper
+    return index
+
+
+def sample_kernels(hyper: InitHyper, depth: int, covs, index: np.ndarray, m_width: float,
+                   ref: int, q0: float = 1.0) -> tuple[ThetaStar, NngpMatrix]:
+    """Theta*(X), with the exact bias-parameter sums, and the NNGP matrix
+    K(X) of a sample, from one depth_sums call over its distinct layer-0
+    covariances covs.
+
+    index is a symmetric integer matrix: entry (s, r) off the diagonal is
+    the position in covs of the covariance of points s and r, and every
+    diagonal entry is len(covs), the slot of the variance channel.  The
+    data-independent kbar1/kbar2 are the kappas of the reference covariance
+    covs[ref].  Both matrices are gathered through index, so they come out
+    exactly symmetric.
+    """
+    (sums,) = depth_sums(hyper, [depth], q0, covs)
+    alpha = float(max(depth - 1, 1))
+    scale = alpha * m_width
+    theta = np.append(scale * sums.kappa2 + sums.p_sum_cross,
+                      scale * sums.kappa1 + sums.p_sum_diag)
+    return (ThetaStar(matrix=theta[index], scale=scale, alpha=alpha,
+                      mean_kappa1=sums.kappa1, mean_kappa2=float(sums.kappa2[ref])),
+            NngpMatrix(matrix=np.append(sums.q_sr, sums.q)[index]))
 
 
 def nngp_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
@@ -257,12 +256,12 @@ def nngp_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
     Only the forward recursions run, with no phi' expectation: the distinct
     off-diagonal covariances go through the layers together in one pass.
     """
-    cov0, iu = _upper_triangle(cov0, q0)
-    covs, inverse = np.unique(cov0[iu], return_inverse=True)
+    covs, inverse = _distinct_covariances(cov0, q0)
     with np.errstate(over="ignore", invalid="ignore"):
         for q, q_sr, *_ in forward_layers(hyper, depth, q0, covs):
             pass
-    return NngpMatrix(matrix=_symmetric(len(cov0), q, iu, q_sr[inverse]))
+    index = _pair_index(len(cov0), inverse, len(covs))
+    return NngpMatrix(matrix=np.append(q_sr, q)[index])
 
 
 def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
@@ -270,24 +269,13 @@ def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
                       reference_cov: float = DEFAULT_REFERENCE_COV) -> ThetaStar:
     """Deterministic NTK for a sample described by its layer-0 covariance
     matrix (diagonal entries must equal q0), including the exact
-    bias-parameter sums.
-
-    The distinct off-diagonal covariances and the reference covariance
-    (for the data-independent kbar1/kbar2) go through one depth_sums call;
-    the diagonal comes from its variance channel.
+    bias-parameter sums: sample_kernels of its distinct off-diagonal
+    covariances and the reference covariance reference_cov * q0.
     """
-    cov0, iu = _upper_triangle(cov0, q0)
-    n = len(cov0)
-    covs, inverse = np.unique(np.append(cov0[iu], reference_cov * q0),
-                              return_inverse=True)
-    (sums,) = depth_sums(hyper, [depth], q0, covs)
-    kappa2 = sums.kappa2[inverse]
-    p_sum_cross = sums.p_sum_cross[inverse]
-    alpha = float(max(depth - 1, 1))
-    return build_theta_star(np.full(n, sums.kappa1), _symmetric(n, 0.0, iu, kappa2[:-1]),
-                            m_width, alpha, sums.kappa1, float(kappa2[-1]),
-                            p_sum_diag=np.full(n, sums.p_sum_diag),
-                            p_sum_cross=_symmetric(n, 0.0, iu, p_sum_cross[:-1]))
+    covs, inverse = _distinct_covariances(cov0, q0, reference_cov * q0)
+    index = _pair_index(len(cov0), inverse, len(covs))
+    theta, _ = sample_kernels(hyper, depth, covs, index, m_width, inverse[-1], q0)
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +391,18 @@ def predict_variance(kappas: KappaPair, q_bar_L: float, q_bar_sr_L: float,
 
         Var = (1 + A^2/S)(qbar^L - qbar_sr^L) + (A - 1)^2 qbar_sr^L,
         A = S / (kbar1/kbar2 + (S - 1)).
+
+    Deep in the ordered phase kbar2 and qbar_sr^L round to a few ulps above
+    kbar1 and qbar^L; a shortfall within ORDER_RTOL counts as equality.
     """
     ratio = condition_ratio(kappas)
-    if ratio < 1.0:
+    if ratio < 1.0 - ORDER_RTOL:
         raise ValueError(f"kappa ratio must be >= 1, got {ratio!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not (q_bar_L >= q_bar_sr_L >= 0.0):
+    if not (q_bar_L >= q_bar_sr_L * (1.0 - ORDER_RTOL) and q_bar_sr_L >= 0.0):
         raise ValueError("require q_bar_L >= q_bar_sr_L >= 0")
+    ratio, q_bar_sr_L = max(ratio, 1.0), min(q_bar_sr_L, q_bar_L)
     s = float(n_samples)
     a = 0.0 if math.isinf(ratio) else s / (ratio + (s - 1.0))
     variance = (1.0 + a * a / s) * (q_bar_L - q_bar_sr_L) + (a - 1.0) ** 2 * q_bar_sr_L

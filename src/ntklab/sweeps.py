@@ -35,15 +35,14 @@ import numpy as np
 import yaml
 
 from .activations import ActivationKind
-from .meanfield import InitHyper, SignalOverflowError, classify_phase, depth_sums
-from .ntk_theory import KappaPair, NngpMatrix, ThetaStar, build_theta_star, predict_variance, \
-    trained_output_variance
+from .meanfield import InitHyper, SignalOverflowError, avg_phi_prod, avg_phi_sq, classify_phase, \
+    depth_sums
+from .ntk_theory import KappaPair, predict_variance, sample_kernels, trained_output_variance
 from .finite_net import TrainConfig, init, layer_widths, train_full_batch, forward_batch
 from .empirical_ntk import DEFAULT_SNAPSHOT_STEPS, default_probe, init_variance_ratio, \
     training_drift
 from .data_io import RecordStore, RunRecord, code_identity, synthetic_dataset, \
     write_csv, gram_anchored_inputs
-from .meanfield import avg_phi_prod, avg_phi_sq
 
 class ConfigError(Exception):
     """Invalid sweep configuration (reported as exit code 1 by the CLI)."""
@@ -486,52 +485,27 @@ def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
     return stats
 
 
-def _reference_sums(hyper: InitHyper, depth: int, c0: float) -> tuple[KappaPair, float, float]:
-    """kbar1/kbar2 with their bias sums, qbar^L and qbar_sr^L: depth_sums of
-    the one layer-0 covariance c0 (with q^0 = 1)."""
-    (ref,) = depth_sums(hyper, [depth], 1.0, np.array([c0]))
-    kbars = KappaPair(ref.kappa1, float(ref.kappa2[0]), ref.p_sum_diag,
-                      float(ref.p_sum_cross[0]))
-    return kbars, ref.q, float(ref.q_sr[0])
-
-
-def _equicorrelated_kernels(kbars: KappaPair, depth: int, q_bar: float, q_bar_sr: float,
-                            m_width: int, s: int) -> tuple[ThetaStar, np.ndarray, NngpMatrix]:
-    """Theta*(X), the test row theta_x = Theta*(x, X) and the joint NNGP
-    matrix of [x] + X, for S = s training points and a test point x whose
-    pairs all share one layer-0 covariance, from _reference_sums of that
-    covariance.
-
-    Bit for bit what theta_star_matrix and nngp_matrix give on the
-    equicorrelated layer-0 covariance matrices, which run the same
-    one-covariance recursion again.
-    """
-    theta = build_theta_star(np.full(s, kbars.kappa1), np.full((s, s), kbars.kappa2),
-                             m_width, float(max(depth - 1, 1)), kbars.kappa1, kbars.kappa2,
-                             p_sum_diag=np.full(s, kbars.p_sum_diag),
-                             p_sum_cross=np.full((s, s), kbars.p_sum_cross))
-    theta_x = np.full(s, theta.scale * kbars.kappa2 + kbars.p_sum_cross)
-    joint = np.full((s + 1, s + 1), q_bar_sr)
-    np.fill_diagonal(joint, q_bar)
-    return theta, theta_x, NngpMatrix(matrix=joint)
-
-
 def _predict_variance(cfg: SweepConfig) -> CellFn:
     sb = float(cfg.sigma_b_sq[0])
     M = int(cfg.widths[0])
     s = int(cfg.sample_count)
     c0 = float(cfg.reference_cov)
+    # the joint sample [x] + X: every pair, the test point's included, at
+    # the reference covariance covs[0], and the diagonal at the variance
+    # slot 1 of sample_kernels
+    covs, index = np.array([c0]), np.eye(s + 1, dtype=np.intp)
 
     def run(cell, seed):
         sw, L = cell
         hyper = cfg.hyper(sw, sb)
-        # every pair, the test point included, shares the reference
-        # covariance, so one recursion gives kbar1/kbar2, qbar^L and
-        # qbar_sr^L, and with them Theta*(X), theta_x and the joint NNGP matrix K
-        kbars, q_bar, q_bar_sr = _reference_sums(hyper, L, c0)
-        pred = predict_variance(kbars, q_bar, q_bar_sr, s)
-        theta, theta_x, joint = _equicorrelated_kernels(kbars, L, q_bar, q_bar_sr, M, s)
-        var = trained_output_variance(theta, joint, theta_x, cfg.mc_samples, seed=seed)
+        # one depth_sums pass of the one covariance gives the joint Theta*,
+        # whose corner is Theta*(X) and whose first row is theta_x, the
+        # joint NNGP matrix K, kbar1/kbar2, qbar^L and qbar_sr^L
+        theta, joint = sample_kernels(hyper, L, covs, index, M, 0)
+        kbars = KappaPair(theta.mean_kappa1, theta.mean_kappa2)
+        pred = predict_variance(kbars, joint.matrix[0, 0], joint.matrix[0, 1], s)
+        var = trained_output_variance(theta.matrix[1:, 1:], joint, theta.matrix[0, 1:],
+                                      cfg.mc_samples, seed=seed)
         stats = dict(A=pred.A, predicted=pred.variance, exact=var.exact,
                      mc=var.mc_variance, mc_se=var.mc_standard_error,
                      rel_gap=abs(pred.variance - var.exact) / var.exact,

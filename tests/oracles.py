@@ -272,13 +272,12 @@ def pairwise_theta_star(hyper, depth: int, cov0: np.ndarray, m_width: float,
 
 def data_independent_kappas(hyper, depth: int, reference_cov: float = 0.5,
                             q0: float = 1.0):
-    """kbar1/kbar2 and their bias sums from the reference trace started at
-    q^0 = q0 and the reference covariance."""
+    """kbar1/kbar2 from the reference trace started at q^0 = q0 and the
+    reference covariance."""
     from ntklab.ntk_theory import KappaPair
 
     sums = reference_sums(hyper, depth, q0, reference_cov * q0)
-    return KappaPair(float(sums["kappa1"]), float(sums["kappa2"]),
-                     float(sums["p_sum_diag"]), float(sums["p_sum_cross"]))
+    return KappaPair(float(sums["kappa1"]), float(sums["kappa2"]))
 
 
 def trained_output(theta, theta_x: np.ndarray, f0_x: float,

@@ -6,18 +6,18 @@ import pytest
 from scipy.stats import ks_2samp
 
 from oracles import data_independent_kappas, pairwise_nngp, pairwise_theta_star, \
-    psd_sampler, reference_trace, trained_output, variance_oracle_mc
+    psd_sampler, reference_sums, reference_trace, trained_output, variance_oracle_mc
 from ntklab.activations import ActivationKind
 from ntklab.data_io import synthetic_dataset
-from ntklab.meanfield import InitHyper, edge_of_chaos_sigma_w_sq
+from ntklab.meanfield import InitHyper, depth_sums, edge_of_chaos_sigma_w_sq
 from ntklab.ntk_theory import (
     IllConditionedError,
     KappaPair,
-    build_theta_star,
     condition_ratio,
     mean_theta_inverse,
     nngp_matrix,
     predict_variance,
+    sample_kernels,
     spd_solve,
     theta_star_matrix,
     trained_output_variance,
@@ -57,11 +57,11 @@ class TestDataIndependentKappas:
 
 class TestConditionRatio:
     def test_equal_kappas_give_one(self):
-        pair = KappaPair(2.0, 2.0, 1.0, 1.0)
+        pair = KappaPair(2.0, 2.0)
         assert condition_ratio(pair) == 1.0
 
     def test_zero_kappa2_gives_inf(self):
-        pair = KappaPair(2.0, 0.0, 1.0, 1.0)
+        pair = KappaPair(2.0, 0.0)
         assert math.isinf(condition_ratio(pair))
 
     def test_chaotic_ratio_grows_with_depth(self):
@@ -72,17 +72,24 @@ class TestConditionRatio:
 
 class TestThetaStar:
     def test_single_point(self):
-        theta = build_theta_star([2.5], np.zeros((1, 1)), m_width=100.0, alpha=3.0,
-                                 kappa1_bar=2.5, kappa2_bar=1.0)
-        assert theta.matrix.shape == (1, 1)
-        assert theta.matrix[0, 0] == pytest.approx(300.0 * 2.5)
-        assert theta.epsilon[0, 0] == pytest.approx(0.0, abs=1e-12)
+        hyper = InitHyper(3.0, 1.0, ERF)
+        theta = theta_star_matrix(hyper, 4, [[1.0]], m_width=100.0)
+        ref = reference_sums(hyper, 4, 1.0, None)
+        assert theta.matrix.shape == (1, 1) and theta.scale == 300.0
+        assert theta.matrix[0, 0] == pytest.approx(300.0 * ref["kappa1"] + ref["p_sum_diag"],
+                                                   rel=1e-14)
+        # the bias sums are all of the perturbation of a single point
+        assert theta.epsilon[0, 0] == pytest.approx(
+            ref["p_sum_diag"] / (300.0 * theta.mean_kappa1), rel=1e-12)
 
     def test_identical_inputs_rank_one(self):
+        # every covariance at q0, the reference too: ReLU's kappa2 at c = 1
+        # is its kappa1 bit for bit
         n = 4
-        theta = build_theta_star([3.0] * n, np.full((n, n), 3.0), m_width=50.0,
-                                 alpha=2.0, kappa1_bar=3.0, kappa2_bar=3.0)
-        assert np.allclose(theta.matrix, 100.0 * 3.0)
+        theta = theta_star_matrix(InitHyper(2.0, 1.0, RELU), 3, np.ones((n, n)), 50.0,
+                                  reference_cov=1.0)
+        assert theta.mean_kappa1 == theta.mean_kappa2
+        assert np.all(theta.matrix == theta.matrix[0, 0])
         assert np.linalg.matrix_rank(theta.matrix) == 1
         assert theta.epsilon is None  # mean matrix singular, perturbation undefined
 
@@ -99,6 +106,19 @@ class TestThetaStar:
                 build()
             build(q0=4.0)
 
+    def test_layer0_check_is_relative_to_q0(self):
+        # at q0 = 1e-9 an absolute tolerance of 1e-8 would take the
+        # covariances of q0 = 3e-9 for those of q0 = 1e-9
+        hyper, cov0 = InitHyper(2.0, 0.0, RELU), [[3e-9, 1e-9], [1e-9, 3e-9]]
+        for build in (lambda: nngp_matrix(hyper, 4, cov0, q0=1e-9),
+                      lambda: theta_star_matrix(hyper, 4, cov0, 64.0, q0=1e-9)):
+            with pytest.raises(ValueError, match="diagonal of cov0 must equal q0"):
+                build()
+        asym = [[1e-9, 1e-9], [1.001e-9, 1e-9]]
+        with pytest.raises(ValueError, match="symmetric"):
+            nngp_matrix(hyper, 4, asym, q0=1e-9)
+        nngp_matrix(hyper, 4, [[3e-9, 1e-9], [1e-9, 3e-9]], q0=3e-9)
+
     def test_peak_memory_does_not_grow_with_depth(self):
         # 19 900 distinct covariances: one layer's array of them is 159 kB,
         # and the depth sums keep none per layer
@@ -114,29 +134,36 @@ class TestThetaStar:
         assert peaks[1] <= peaks[0] + 16_000, peaks
 
     def test_assembly_keeps_the_bits_of_the_copying_assembly(self):
-        # build_theta_star against the assembly that copied kappa2 and
-        # p_sum_cross to set their diagonals: the diagonals of the inputs
-        # are unused, and the inputs need not be symmetric
-        def copying(kappa1, kappa2, m_width, alpha, p_sum_diag=None, p_sum_cross=None):
-            lam = np.array(kappa2, dtype=float)
-            np.fill_diagonal(lam, kappa1)
-            matrix = (alpha * m_width) * lam
-            if p_sum_diag is not None:
-                corr = np.array(p_sum_cross, dtype=float)
-                np.fill_diagonal(corr, p_sum_diag)
-                matrix = matrix + corr
+        # sample_kernels against the assembly that copied kappa2 and
+        # p_sum_cross into matrices, set their diagonals and symmetrized:
+        # the gather through a symmetric index gives the same bits with no
+        # symmetrizing pass
+        def copying(sums, off, m_width, alpha):
+            lam = sums.kappa2[off]
+            np.fill_diagonal(lam, sums.kappa1)
+            corr = sums.p_sum_cross[off]
+            np.fill_diagonal(corr, sums.p_sum_diag)
+            matrix = (alpha * m_width) * lam + corr
             return 0.5 * (matrix + matrix.T)
 
         rng = np.random.default_rng(7)
-        for n in (1, 2, 5, 33):
-            kappa1, p_sum_diag = rng.uniform(0.5, 2.0, n), rng.uniform(1.0, 9.0, n)
-            kappa2, p_sum_cross = rng.uniform(-1.0, 1.0, (2, n, n))
-            for sums in ({}, dict(p_sum_diag=p_sum_diag, p_sum_cross=p_sum_cross)):
-                got = build_theta_star(kappa1, kappa2, 64.0, 3.0, 2.0, 1.0, **sums).matrix
-                want = copying(kappa1, kappa2, 64.0, 3.0, **sums)
-                assert got.tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="both"):
-            build_theta_star(kappa1, kappa2, 64.0, 3.0, 2.0, 1.0, p_sum_diag=p_sum_diag)
+        for kind in (RELU, ERF, TANH):
+            hyper = InitHyper(2.0, 0.5, kind)
+            for n, n_covs in ((1, 1), (2, 1), (5, 3), (33, 40)):
+                covs = np.sort(rng.uniform(-1.0, 1.0, n_covs))
+                off = np.triu(rng.integers(0, n_covs, (n, n)), 1)
+                off += off.T  # diagonal 0, which copying overwrites
+                index = off.copy()
+                np.fill_diagonal(index, n_covs)  # the variance slot
+                ref = int(rng.integers(0, n_covs))
+                theta, k = sample_kernels(hyper, 6, covs, index, 64.0, ref)
+                (sums,) = depth_sums(hyper, [6], 1.0, covs)
+                assert theta.matrix.tobytes() == copying(sums, off, 64.0, 5.0).tobytes()
+                want_k = sums.q_sr[off]
+                np.fill_diagonal(want_k, sums.q)
+                assert k.matrix.tobytes() == want_k.tobytes()
+                assert (theta.scale, theta.alpha, theta.mean_kappa1, theta.mean_kappa2) == \
+                    (320.0, 5.0, sums.kappa1, sums.kappa2[ref])
 
     def test_mean_plus_perturbation_reconstructs(self):
         theta = theta_star_matrix(InitHyper(3.0, 1.0, ERF), 10, THETA3_COV0, 1000.0)
@@ -277,19 +304,19 @@ class TestTrainedOutput:
 
 class TestPredictVariance:
     def test_ratio_one_limit(self):
-        pair = KappaPair(2.0, 2.0, 1.0, 1.0)
+        pair = KappaPair(2.0, 2.0)
         pred = predict_variance(pair, q_bar_L=3.0, q_bar_sr_L=1.0, n_samples=8)
         assert pred.A == 1.0
         assert pred.variance == pytest.approx((1.0 + 1.0 / 8.0) * 2.0)
 
     def test_infinite_ratio_limit(self):
-        pair = KappaPair(2.0, 0.0, 1.0, 1.0)
+        pair = KappaPair(2.0, 0.0)
         pred = predict_variance(pair, q_bar_L=3.0, q_bar_sr_L=1.0, n_samples=8)
         assert pred.A == 0.0
         assert pred.variance == 3.0  # exactly q_bar_L
 
     def test_fixture_values(self):
-        pair = KappaPair(5.0, 1.0, 1.0, 1.0)
+        pair = KappaPair(5.0, 1.0)
         q_bar, q_bar_sr = 2.9605538852200315, 2.7404219726585892
         pred = predict_variance(pair, q_bar, q_bar_sr, n_samples=128)
         assert pred.A == pytest.approx(128.0 / 132.0, rel=1e-15)
@@ -300,9 +327,20 @@ class TestPredictVariance:
         assert pred.variance == pytest.approx(expanded, rel=1e-12)
 
     def test_rejects_ratio_below_one(self):
-        pair = KappaPair(1.0, 2.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
+        pair = KappaPair(1.0, 2.0)
+        with pytest.raises(ValueError, match="kappa ratio"):
             predict_variance(pair, 1.0, 0.5, 4)
+
+    def test_rounding_shortfall_counts_as_equality(self):
+        # deep in the ordered phase kbar2 and qbar_sr^L round an ulp above
+        # kbar1 and qbar^L; beyond 1e-12 of them the order still fails
+        above = np.nextafter(2.0, 3.0)
+        pred = predict_variance(KappaPair(2.0, above), 2.0, above, 8)
+        assert (pred.A, pred.variance, pred.q_bar_sr_L) == (1.0, 0.0, 2.0)
+        with pytest.raises(ValueError, match="kappa ratio"):
+            predict_variance(KappaPair(2.0, 2.0 * (1.0 + 1e-11)), 2.0, 1.0, 8)
+        with pytest.raises(ValueError, match="q_bar_L"):
+            predict_variance(KappaPair(2.0, 1.0), 2.0, 2.0 * (1.0 + 1e-11), 8)
 
 
 class TestVarianceOracleMc:
@@ -462,6 +500,32 @@ class TestTrainedOutputVariance:
             trained_output_variance(theta, np.diag([1.0, 1.0, -1e-3]), np.zeros(2), 100)
         with pytest.raises(ValueError, match="strongly indefinite"):
             psd_sampler(np.diag([1.0, 1.0, -1e-3]))
+
+
+@pytest.mark.parametrize("kind,sw,sb,n", [(RELU, 2.0, 1.0, 12), (ERF, 3.0, 0.5, 12),
+                                          (TANH, 1.5, 0.1, 24)])
+def test_sample_kernels_of_a_spread_joint_sample(kind, sw, sb, n):
+    # a test point and n - 1 training points, every pair at its own
+    # covariance (tanh: 276, above the 34 of the Chebyshev-fit threshold):
+    # Theta* and K of one pass, bit for bit those of theta_star_matrix and
+    # nngp_matrix, and exactly symmetric
+    cov0 = _unit_norm_cov0(n, 64)
+    hyper = InitHyper(sw, sb, kind)
+    iu = np.triu_indices(n, 1)
+    covs, inverse = np.unique(np.append(cov0[iu], 0.5), return_inverse=True)
+    assert len(covs) == n * (n - 1) // 2 + 1
+    index = np.full((n, n), len(covs))
+    index[iu] = index.T[iu] = inverse[:-1]
+    theta, k = sample_kernels(hyper, 16, covs, index, 64.0, inverse[-1])
+    want = theta_star_matrix(hyper, 16, cov0, 64.0)
+    np.testing.assert_array_equal(theta.matrix, want.matrix)
+    assert (theta.scale, theta.alpha, theta.mean_kappa1, theta.mean_kappa2) == \
+        (want.scale, want.alpha, want.mean_kappa1, want.mean_kappa2)
+    np.testing.assert_array_equal(k.matrix, nngp_matrix(hyper, 16, cov0).matrix)
+    # theta_x, the test point's row, is its column too
+    np.testing.assert_array_equal(theta.matrix[0, 1:], want.matrix[1:, 0])
+    for m in (theta.matrix, k.matrix):
+        assert np.array_equal(m, m.T)
 
 
 class TestOnePassAgainstPerPairAssembly:

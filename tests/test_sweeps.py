@@ -16,7 +16,7 @@ from ntklab.cli import build_parser, load_config, main
 from ntklab.data_io import RecordStore, code_identity
 from ntklab.empirical_ntk import training_drift
 from ntklab.meanfield import InitHyper
-from ntklab.ntk_theory import predict_variance, trained_output_variance
+from ntklab.ntk_theory import predict_variance, sample_kernels, trained_output_variance
 from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid
 from oracles import data_independent_kappas, equicorrelated_trained_variance, \
     reference_sums, reference_train_full_batch
@@ -307,29 +307,55 @@ def test_predict_variance_prediction_from_the_reference_sums(tmp_path):
     assert se > 0.0
 
 
+def _joint_kernels(hyper, depth, s, c0=0.5, m_width=64):
+    """sample_kernels as a predict-variance cell calls it: the joint sample
+    [x] + X of s + 1 points, every pair at c0."""
+    return sample_kernels(hyper, depth, np.array([c0]), np.eye(s + 1, dtype=np.intp),
+                          m_width, 0)
+
+
+def test_predict_variance_cell_builds_its_kernels_in_one_call(monkeypatch):
+    calls = []
+    real = sweeps.sample_kernels
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sweeps, "sample_kernels", spy)
+    cfg = SweepConfig(experiment="predict-variance", sample_count=6, mc_samples=100)
+    run = sweeps.SWEEPS["predict-variance"].setup(cfg)
+    for cell in ((1.5, 3), (2.0, 8)):
+        run(cell, 0)
+    assert len(calls) == 2
+    for (hyper, depth, covs, index, m_width, ref), (sw, L) in zip(calls, ((1.5, 3), (2.0, 8))):
+        assert (hyper.sigma_w_sq, depth, m_width, ref) == (sw, L, 64, 0)
+        np.testing.assert_array_equal(covs, [0.5])
+        np.testing.assert_array_equal(index, np.eye(7))
+
+
 @pytest.mark.parametrize("kind", list(ActivationKind))
 def test_predict_variance_kernels_are_the_equicorrelated_theory_kernels(kind):
-    # the cell builds Theta*(X), theta_x and K from its one-covariance
-    # recursion; they are bit for bit the kernels of the equicorrelated
-    # layer-0 matrices
+    # the cell's one sample_kernels call gives Theta*(X), theta_x and K bit
+    # for bit as theta_star_matrix and nngp_matrix give them on the
+    # equicorrelated layer-0 matrices
     from ntklab.ntk_theory import nngp_matrix, theta_star_matrix
 
     c0, m_width = 0.5, 64
     for L in (1, 4, 32):
         hyper = InitHyper(2.0, 0.5, kind)
-        kbars, q_bar, q_bar_sr = sweeps._reference_sums(hyper, L, c0)
         for s in (2, 128):
-            theta, theta_x, joint = sweeps._equicorrelated_kernels(
-                kbars, L, q_bar, q_bar_sr, m_width, s)
+            theta, joint = _joint_kernels(hyper, L, s, c0, m_width)
             cov0 = np.full((s + 1, s + 1), c0)
             np.fill_diagonal(cov0, 1.0)
             want = theta_star_matrix(hyper, L, cov0[1:, 1:], m_width, reference_cov=c0)
-            np.testing.assert_array_equal(theta.matrix, want.matrix)
+            np.testing.assert_array_equal(theta.matrix[1:, 1:], want.matrix)
             assert (theta.scale, theta.mean_kappa1, theta.mean_kappa2) == \
                 (want.scale, want.mean_kappa1, want.mean_kappa2)
             # the test point's row of Theta* over the joint sample
             np.testing.assert_array_equal(
-                theta_x, theta_star_matrix(hyper, L, cov0, m_width, reference_cov=c0).matrix[0, 1:])
+                theta.matrix[0, 1:],
+                theta_star_matrix(hyper, L, cov0, m_width, reference_cov=c0).matrix[0, 1:])
             np.testing.assert_array_equal(joint.matrix, nngp_matrix(hyper, L, cov0).matrix)
 
 
@@ -338,19 +364,30 @@ def test_predict_variance_exact_is_the_rational_u_k_u(kind):
     # u^T K u of the cell's kernels against the same quantity in exact
     # rational arithmetic: the solve and the products lose only rounding on
     # the scale of K[0,0], also where u^T K u cancels to ~1e-13 of it
-    m_width = 64
     for sb in (0.1, 1.0):
         for sw in (1.0, 2.0, 3.0):
             for L in (1, 4, 32):
-                kbars, q_bar, q_bar_sr = sweeps._reference_sums(InitHyper(sw, sb, kind), L, 0.5)
                 for s in (2, 128):
-                    theta, theta_x, joint = sweeps._equicorrelated_kernels(
-                        kbars, L, q_bar, q_bar_sr, m_width, s)
-                    var = trained_output_variance(theta, joint, theta_x, 100)
-                    true = equicorrelated_trained_variance(theta, theta_x, joint)
+                    theta, joint = _joint_kernels(InitHyper(sw, sb, kind), L, s)
+                    theta_x = theta.matrix[0, 1:]
+                    var = trained_output_variance(theta.matrix[1:, 1:], joint, theta_x, 100)
+                    true = equicorrelated_trained_variance(theta.matrix[1:, 1:], theta_x, joint)
                     assert var.jitter == 0.0
                     assert abs(Fraction(var.exact) - true) <= \
                         Fraction(1e-13) * Fraction(joint.matrix[0, 0]), (sw, sb, L, s)
+
+
+@pytest.mark.parametrize("activation,sw,depth", [("erf", 0.5, 32), ("tanh", 0.5, 32),
+                                                 ("relu", 1.5, 128)])
+def test_deep_ordered_predict_variance_cells_finish(tmp_path, activation, sw, depth):
+    # kbar2 and qbar_sr^L round one ulp above kbar1 and qbar^L in these cells
+    out = tmp_path / "out"
+    argv = ["predict-variance", "--set", f"activation={activation}",
+            "--set", f"sigma_w_sq=[{sw}]", "--set", f"depths=[{depth}]",
+            "--set", "mc_samples=1000"]
+    assert _run(argv, out) == 0
+    (rec,) = RecordStore(out / "records.jsonl")
+    assert rec.stats["status"] == "ok" and rec.stats["predicted"] >= 0.0
 
 
 def test_predict_variance_leaves_scipy_unloaded():
