@@ -15,7 +15,6 @@ from .meanfield import (
     variance_fixed_point,
 )
 from .ntk_theory import (
-    KappaPair,
     NngpMatrix,
     ThetaStar,
     TrainedVariance,

@@ -110,16 +110,7 @@ class IllConditionedError(Exception):
         super().__init__(f"{message} (final jitter {jitter:.3e})")
 
 
-@dataclass(frozen=True)
-class KappaPair:
-    """The depth-summed NTK coefficients kappa1/kappa2 of one input pair:
-    kbar1/kbar2 when the pair is at the reference covariance."""
-
-    kappa1: float
-    kappa2: float
-
-
-def condition_ratio(kappas: KappaPair) -> float:
+def condition_ratio(kappa1: float, kappa2: float) -> float:
     """kappa1 / kappa2, which is kbar1 / kbar2 for a pair at the reference
     covariance; +inf when kappa2 = 0.
 
@@ -127,10 +118,10 @@ def condition_ratio(kappas: KappaPair) -> float:
     rank-one matrix kbar1 * 11^T; for a sample of size n its condition
     number is (kbar1 + (n-1) kbar2) / (kbar1 - kbar2).
     """
-    if kappas.kappa2 == 0.0:
+    if kappa2 == 0.0:
         logger.warning("kappa2 is zero; returning inf condition ratio")
         return math.inf
-    return kappas.kappa1 / kappas.kappa2
+    return kappa1 / kappa2
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +376,7 @@ class VariancePrediction:
     q_bar_sr_L: float
 
 
-def predict_variance(kappas: KappaPair, q_bar_L: float, q_bar_sr_L: float,
+def predict_variance(kbar1: float, kbar2: float, q_bar_L: float, q_bar_sr_L: float,
                      n_samples: int) -> VariancePrediction:
     """Data-independent variance of the fully trained output,
 
@@ -395,7 +386,7 @@ def predict_variance(kappas: KappaPair, q_bar_L: float, q_bar_sr_L: float,
     Deep in the ordered phase kbar2 and qbar_sr^L round to a few ulps above
     kbar1 and qbar^L; a shortfall within ORDER_RTOL counts as equality.
     """
-    ratio = condition_ratio(kappas)
+    ratio = condition_ratio(kbar1, kbar2)
     if ratio < 1.0 - ORDER_RTOL:
         raise ValueError(f"kappa ratio must be >= 1, got {ratio!r}")
     if n_samples < 1:
@@ -431,7 +422,8 @@ def _check_psd(cov: np.ndarray) -> None:
 class TrainedVariance:
     """Var(f_inf(x)) = u^T K u and its rank-one Monte-Carlo estimate.
 
-    jitter is the diagonal jitter of the SPD solve that gave u.
+    exact is 0 where u^T K u rounds to at most eps * K[0, 0], the test
+    point's NNGP variance.  jitter is the diagonal jitter of the SPD solve that gave u.
     """
 
     exact: float
@@ -468,9 +460,13 @@ def trained_output_variance(theta_star, nngp_joint, theta_x_row: np.ndarray,
         v, jitter = spd_solve(theta, theta_x_row)
         u = np.concatenate(([1.0], -v))
         exact = float(u @ (joint @ u))
+    # u^T K u >= 0 for a PSD K, but deep in the ordered phase it cancels to
+    # within an ulp of K's scale, or below zero where K is PSD only to the
+    # warn tolerance: that is rounding, and counts as 0
+    if exact <= np.finfo(float).eps * joint[0, 0]:
+        exact = 0.0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    # u^T K u can round below zero when K is PSD only to the warn tolerance
-    draws = math.sqrt(max(exact, 0.0)) * rng.standard_normal(n_samples)
+    draws = math.sqrt(exact) * rng.standard_normal(n_samples)
     var = float(np.var(draws, ddof=1))
     # standard error of a variance estimate for Gaussian samples
     se = var * math.sqrt(2.0 / (n_samples - 1))

@@ -37,7 +37,7 @@ import yaml
 from .activations import ActivationKind
 from .meanfield import InitHyper, SignalOverflowError, avg_phi_prod, avg_phi_sq, classify_phase, \
     depth_sums
-from .ntk_theory import KappaPair, predict_variance, sample_kernels, trained_output_variance
+from .ntk_theory import predict_variance, sample_kernels, trained_output_variance
 from .finite_net import TrainConfig, init, layer_widths, train_full_batch, forward_batch
 from .empirical_ntk import DEFAULT_SNAPSHOT_STEPS, default_probe, init_variance_ratio, \
     training_drift
@@ -502,13 +502,14 @@ def _predict_variance(cfg: SweepConfig) -> CellFn:
         # whose corner is Theta*(X) and whose first row is theta_x, the
         # joint NNGP matrix K, kbar1/kbar2, qbar^L and qbar_sr^L
         theta, joint = sample_kernels(hyper, L, covs, index, M, 0)
-        kbars = KappaPair(theta.mean_kappa1, theta.mean_kappa2)
-        pred = predict_variance(kbars, joint.matrix[0, 0], joint.matrix[0, 1], s)
+        pred = predict_variance(theta.mean_kappa1, theta.mean_kappa2, joint.matrix[0, 0],
+                                joint.matrix[0, 1], s)
         var = trained_output_variance(theta.matrix[1:, 1:], joint, theta.matrix[0, 1:],
                                       cfg.mc_samples, seed=seed)
         stats = dict(A=pred.A, predicted=pred.variance, exact=var.exact,
                      mc=var.mc_variance, mc_se=var.mc_standard_error,
-                     rel_gap=abs(pred.variance - var.exact) / var.exact,
+                     rel_gap=(abs(pred.variance - var.exact) / var.exact if var.exact > 0.0
+                              else math.nan),
                      spd_jitter=var.jitter)
         trained = trained_se = ""
         if cfg.train_seeds > 0:

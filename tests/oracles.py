@@ -265,19 +265,17 @@ def pairwise_theta_star(hyper, depth: int, cov0: np.ndarray, m_width: float,
             matrix[s, r] = matrix[r, s] = scale * sums["kappa2"] + sums["p_sum_cross"]
     sums = reference_sums(hyper, depth, q0, None)  # the variance channel
     np.fill_diagonal(matrix, scale * sums["kappa1"] + sums["p_sum_diag"])
-    kbars = data_independent_kappas(hyper, depth, reference_cov, q0)
+    kbar1, kbar2 = data_independent_kappas(hyper, depth, reference_cov, q0)
     return ThetaStar(matrix=matrix, scale=scale, alpha=alpha,
-                     mean_kappa1=kbars.kappa1, mean_kappa2=kbars.kappa2)
+                     mean_kappa1=kbar1, mean_kappa2=kbar2)
 
 
 def data_independent_kappas(hyper, depth: int, reference_cov: float = 0.5,
                             q0: float = 1.0):
-    """kbar1/kbar2 from the reference trace started at q^0 = q0 and the
+    """(kbar1, kbar2) from the reference trace started at q^0 = q0 and the
     reference covariance."""
-    from ntklab.ntk_theory import KappaPair
-
     sums = reference_sums(hyper, depth, q0, reference_cov * q0)
-    return KappaPair(float(sums["kappa1"]), float(sums["kappa2"]))
+    return float(sums["kappa1"]), float(sums["kappa2"])
 
 
 def trained_output(theta, theta_x: np.ndarray, f0_x: float,

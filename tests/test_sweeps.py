@@ -298,7 +298,7 @@ def test_predict_variance_prediction_from_the_reference_sums(tmp_path):
     (row,) = _rows(out / "predict_variance.csv")
     hyper = InitHyper(1.5, 1.0, ActivationKind.RELU)
     ref = reference_sums(hyper, 3, 1.0, 0.5)
-    pred = predict_variance(data_independent_kappas(hyper, 3, reference_cov=0.5),
+    pred = predict_variance(*data_independent_kappas(hyper, 3, reference_cov=0.5),
                             float(ref["q"]), float(ref["q_sr"]), 6)
     assert float(row["A"]) == pytest.approx(pred.A, rel=1e-14)
     assert float(row["predicted_variance"]) == pytest.approx(pred.variance, rel=1e-14)
@@ -380,7 +380,9 @@ def test_predict_variance_exact_is_the_rational_u_k_u(kind):
 @pytest.mark.parametrize("activation,sw,depth", [("erf", 0.5, 32), ("tanh", 0.5, 32),
                                                  ("relu", 1.5, 128)])
 def test_deep_ordered_predict_variance_cells_finish(tmp_path, activation, sw, depth):
-    # kbar2 and qbar_sr^L round one ulp above kbar1 and qbar^L in these cells
+    # kbar2 and qbar_sr^L round one ulp above kbar1 and qbar^L in these
+    # cells, and u^T K u rounds to within an ulp of K[0, 0] (ReLU: below
+    # zero), which counts as an exact variance of 0 with no relative gap
     out = tmp_path / "out"
     argv = ["predict-variance", "--set", f"activation={activation}",
             "--set", f"sigma_w_sq=[{sw}]", "--set", f"depths=[{depth}]",
@@ -388,6 +390,10 @@ def test_deep_ordered_predict_variance_cells_finish(tmp_path, activation, sw, de
     assert _run(argv, out) == 0
     (rec,) = RecordStore(out / "records.jsonl")
     assert rec.stats["status"] == "ok" and rec.stats["predicted"] >= 0.0
+    assert (rec.stats["exact"], rec.stats["mc"], rec.stats["mc_se"]) == (0.0, 0.0, 0.0)
+    assert math.isnan(rec.stats["rel_gap"])
+    (row,) = _rows(out / "predict_variance.csv")
+    assert float(row["exact_variance"]) == 0.0
 
 
 def test_predict_variance_leaves_scipy_unloaded():
