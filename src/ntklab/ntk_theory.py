@@ -423,7 +423,8 @@ class TrainedVariance:
     """Var(f_inf(x)) = u^T K u and its rank-one Monte-Carlo estimate.
 
     exact is 0 where u^T K u rounds to at most eps * K[0, 0], the test
-    point's NNGP variance.  jitter is the diagonal jitter of the SPD solve that gave u.
+    point's NNGP variance.  jitter is the diagonal jitter of the SPD solve
+    that gave u.
     """
 
     exact: float
