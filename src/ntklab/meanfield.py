@@ -25,9 +25,9 @@ phase), and chi1 = 1 is the edge of chaos (EOC).
 ReLU and erf use closed-form expectations (NumPy ufuncs); anything else
 falls back to Gauss-Hermite quadrature, whose pair rule fits a large array
 of correlations by one Chebyshev interpolant in c, kept across calls (see
-quadrature: q_s = q_r = q^l is shared by every pair of a layer, so the pair
-expectation is a function of c alone, and the fit of a layer variance serves
-every sample).  The expectations are elementwise over arrays.
+quadrature: both members of every pair of a layer have variance q^l, so the
+pair expectation is a function of c alone, and the fit of a layer variance
+serves every sample).  The expectations are elementwise over arrays.
 
 forward_layers is the one place the layer recursion runs.  It advances a
 1-D array of layer-0 covariances through the layers in one pass, one layer
@@ -196,7 +196,7 @@ def _phi_prod(kind: ActivationKind, q, c):
     if kind is ActivationKind.ERF:
         arg = 2.0 * (c * q) / (1.0 + 2.0 * q)
         return 2.0 / math.pi * np.arcsin(np.minimum(np.maximum(arg, -1.0), 1.0))
-    return quadrature.normal_pair_expectation(_PAIR_INTEGRANDS[kind][0], q, q, c)
+    return quadrature.normal_pair_expectation(_PAIR_INTEGRANDS[kind][0], q, c)
 
 
 def _dphi_prod(kind: ActivationKind, q, c):
@@ -207,7 +207,7 @@ def _dphi_prod(kind: ActivationKind, q, c):
         cov = c * q
         scale = 1.0 + 2.0 * q
         return 4.0 / math.pi / np.sqrt(scale * scale - 4.0 * cov * cov)
-    return quadrature.normal_pair_expectation(_PAIR_INTEGRANDS[kind][1], q, q, c)
+    return quadrature.normal_pair_expectation(_PAIR_INTEGRANDS[kind][1], q, c)
 
 
 # ---------------------------------------------------------------------------

@@ -61,17 +61,17 @@ a depth_sums pass instead would cost the benchmark's Theta* + K pair, which
 calls theta_star_matrix and nngp_matrix apart, +21 % (ReLU, S = 64, L = 16:
 1.69 -> 2.05 ms on a 2-core machine) and +33 % (tanh, S = 24: 4.2 -> 5.6 ms).
 
-For tanh the per-layer pair expectations of more than 34 covariances come
-from a Chebyshev interpolant in c, fitted at up to 129 correlations per
-layer and function (quadrature.normal_pair_expectation), so the cost of
-Theta*(X) and K(X) grows with the number of distinct covariances only
-through evaluating that interpolant; they agree with the per-covariance
-rule to ~1e-15 of max|entry|.  A fit depends on the layer variance q^l, not
-on the sample, and quadrature keeps it across calls: nngp_matrix evaluates
-the fits that theta_star_matrix has just made, and another sample at the
-same (sigma_w^2, sigma_b^2, q0) refits nothing where its arrays can use the
-kept fits, with the same bits as a fresh fit.  ReLU and erf use closed
-forms, bit for bit as before.
+For tanh the per-layer pair expectations of more than 2 (D + 1)
+covariances come from a Chebyshev interpolant in c of degree D (16 to 256),
+fitted once per layer variance and function from the rule at D/2 + 1
+correlations (quadrature.normal_pair_expectation), so the cost of Theta*(X)
+and K(X) grows with the number of distinct covariances only through
+evaluating that interpolant; they agree with the per-covariance rule to
+~1e-15 of max|entry|.  A fit depends on the layer variance q^l, not on the
+sample, and quadrature keeps its last FIT_CACHE_SIZE fits: nngp_matrix
+evaluates the fits that theta_star_matrix has just made, and another sample
+at the same (sigma_w^2, sigma_b^2, q0) refits nothing, with the same bits as
+a fresh fit.  ReLU and erf use closed forms, bit for bit as before.
 """
 from __future__ import annotations
 

@@ -5,7 +5,7 @@ i.e. the probabilists' weight exp(-z^2/2)/sqrt(2*pi).  The two-dimensional
 rule integrates over a correlated Gaussian pair built from two independent
 standard normals:
 
-    u1 = sqrt(q_s) * z1,   u2 = sqrt(q_r) * (c * z1 + sqrt(1 - c^2) * z2).
+    u1 = sqrt(q) * z1,   u2 = sqrt(q) * (c * z1 + sqrt(1 - c^2) * z2).
 
 Both rules are array-valued: normal_expectation takes an array of scales and
 normal_pair_expectation an array of correlations, returning one expectation
@@ -18,7 +18,7 @@ u1 and u2 negated bit for bit.  For an odd or an even f the product
 f(u1) f(u2) is the same at both points, and the rule evaluates only the
 rows i < n/2, each counted twice; for odd n the middle row (x = 0) is its
 own mirror and is counted once.  For any other f the fold is wrong, so
-normal_pair_expectation raises ValueError unless f(sqrt(q_s) x) is exactly
+normal_pair_expectation raises ValueError unless f(sqrt(q) x) is exactly
 odd or exactly even on the nodes.
 
 normal_pair_expectation has two paths over an array of correlations.
@@ -31,36 +31,32 @@ normal_pair_expectation has two paths over an array of correlations.
                 129, 257 of them, each set containing the last), doubling n
                 until the last CHEB_TAIL Chebyshev coefficients are within
                 CHEB_TOL of the largest, and evaluated at every entry.  It
-                agrees with the direct path to ~1e-14 of the scale
-                sqrt(E f(u1)^2 E f(u2)^2).
+                agrees with the direct path to ~1e-14 of E f(u1)^2.
 
 The interpolated path uses the parity of the rule in c.  Reflecting the
 rows (x_i -> -x_i) turns the rule at c into the rule at -c with f(u1)
 replaced by f(-u1) = +-f(u1), so the rule is odd in c for an odd f and even
-for an even f.  The fit runs the rule only at the
-nodes with c >= 0 (k <= n/2, 129 calls up to n = 256) and gives the others
-the exact +-mirror; the coefficients of the other parity are then rounding
-noise and are dropped.  With T_2j(c) = T_j(x) and T_2j+1(c) = c V_j(x) in
+for an even f.  The fit runs the rule only at the nodes with c >= 0
+(k <= n/2, 129 calls up to n = 256) and gives the others the exact
++-mirror; the coefficients of the other parity are then rounding noise and
+are dropped.  With T_2j(c) = T_j(x) and T_2j+1(c) = c V_j(x) in
 x = 2 c^2 - 1 (V_j the third-kind polynomials), the interpolant is a series
 of half the degree in x, summed by a Clenshaw loop over preallocated
 buffers of the array's size.  x rounds the same for c and -c, so the
 interpolant is exactly even or odd.
 
-A fit depends only on (f, q_s, q_r, n_nodes), not on the correlations, so
-it is kept across calls.  A call of more than 34 correlations, all in
-[-1, 1], looks its fit up by that key.  On a miss it fits only up to the
-largest degree D with 2 (D + 1) < its size, where fitting saves work, as a
-fit for that call alone would; the fit is kept if it converged, or if it
-ran to the last degree (then as None: not converged at 257 nodes, or
-coefficients that are not finite, as from a NaN variance).  A fit that
-stopped short is dropped, so a larger array refits.  The last FIT_CACHE_SIZE
-fits are kept, each as its coefficients of one parity, its parity and its
-degree D, never the rule and its block buffer.  The key holds the integrand
-object itself, so a caller that builds a new f per call never hits;
-meanfield passes one object per activation and function.  A call takes the
-interpolated path where its fit is not None and it has more than 2 (D + 1)
-entries; scalars, smaller arrays and all other calls take the direct path.
-A result therefore does not depend on what the cache holds, bit for bit.
+A fit depends only on (f, q, n_nodes), not on the correlations, so _fit
+keeps the last FIT_CACHE_SIZE fits (functools.lru_cache), each as its
+coefficients of one parity, its parity and its degree D, or as None where
+the fit did not converge at 257 nodes or its coefficients are not finite
+(as from a NaN variance).  A call of more than 34 correlations, all in
+[-1, 1], looks its fit up; on a miss the fit runs to convergence, whatever
+the call's size.  The key holds the integrand object itself, so a caller
+that builds a new f per call never hits; meanfield passes one object per
+activation and function.  A call takes the interpolated path where its fit
+is not None and it has more than 2 (D + 1) entries; scalars, smaller arrays
+and all other calls take the direct path.  A result therefore does not
+depend on what the cache holds, bit for bit.
 
 The fit is smooth in c: the rule's inner sum over the nodes x_j is even in
 s = sqrt(1 - c^2), because the nodes are mirror-symmetric, so it is a
@@ -71,15 +67,13 @@ Approximation Practice), more slowly for larger q: at the 64-node rule,
 tanh and tanh' converge by n = 256 up to q = 16.
 
 The rule fills the u2 half-grid of each block of correlations into one
-buffer allocated per call and hands that buffer to f, which may overwrite
-and return it; callers pass in-place integrands such as
+buffer allocated per call of the rule and hands that buffer to f, which
+may overwrite and return it; callers pass in-place integrands such as
 lambda u: phi(kind, u, out=u), so the rule allocates no grid-sized
 temporary per block.
 """
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -96,7 +90,7 @@ CHEB_DEGREES = (16, 32, 64, 128, 256)
 CHEB_TAIL = 4
 CHEB_TOL = 1e-14
 
-# Fits kept by _FITS, the least recently used dropped first; an entry holds
+# Fits kept by _fit, the least recently used dropped first; an entry holds
 # at most 129 coefficients, so a full cache is ~0.4 MB.
 FIT_CACHE_SIZE = 256
 
@@ -118,102 +112,57 @@ def normal_expectation(f, scale=1.0, n_nodes: int = DEFAULT_NODES):
     return f(np.multiply.outer(scale, x)) @ w
 
 
-def normal_pair_expectation(f, q_s: float, q_r: float, c,
-                            n_nodes: int = DEFAULT_NODES):
-    """E[f(u1) * f(u2)] over the correlated pair with variances q_s, q_r
-    (scalars) and correlation c (a scalar or an array, one expectation per
-    entry), for an odd or an even f.
+def normal_pair_expectation(f, q: float, c, n_nodes: int = DEFAULT_NODES):
+    """E[f(u1) * f(u2)] over the correlated pair with variance q (a scalar)
+    and correlation c (a scalar or an array, one expectation per entry), for
+    an odd or an even f.
 
     A large array of correlations in [-1, 1] goes through a Chebyshev
-    interpolant of the rule in c, fitted once per (f, q_s, q_r, n_nodes)
-    and kept for later calls, which agrees with the direct rule to
-    ~1e-14 of sqrt(E f(u1)^2 E f(u2)^2); a scalar or a smaller array is
-    evaluated directly, each entry equal to the result for that correlation
-    alone (see the module docstring).
+    interpolant of the rule in c, fitted once per (f, q, n_nodes) and kept
+    for later calls, which agrees with the direct rule to ~1e-14 of
+    E f(u1)^2; a scalar or a smaller array is evaluated directly, each entry
+    equal to the result for that correlation alone (see the module
+    docstring).
 
-    f may overwrite its argument (the per-call block buffer) and return it;
+    f may overwrite its argument (the rule's block buffer) and return it;
     it must return an array of its argument's shape.  Raises ValueError
-    unless f(sqrt(q_s) x) is exactly odd or exactly even on the nodes.
+    unless f(sqrt(q) x) is exactly odd or exactly even on the nodes.
     """
     c = np.asarray(c, dtype=float)
     flat = c.reshape(-1)
-    fit = rule = None
+    fit = None
     # np.all is also false for a NaN correlation
     if flat.size > 2 * (CHEB_DEGREES[0] + 1) and np.all(np.abs(flat) <= 1.0):
-        # as numpy scalars, so that 0-d array variances are hashable keys
-        fit, rule = _FITS.fit(f, np.asarray(q_s)[()], np.asarray(q_r)[()], n_nodes, flat.size)
+        # as a numpy scalar, so that a 0-d array variance is a hashable key
+        fit = _fit(f, np.asarray(q)[()], n_nodes)
     if fit is not None and flat.size > 2 * (fit[2] + 1):
         coeffs, odd, _ = fit
         out = _evaluate_in_x(coeffs, flat, odd)
     else:
-        if rule is None:
-            rule = _half_grid_rule(f, q_s, q_r, n_nodes, flat.size)
-        out = rule(flat)
+        out = _half_grid_rule(f, q, n_nodes)(flat)
     return out.reshape(c.shape)[()]
 
 
-class _FitCache:
-    """The last maxsize kept Chebyshev fits of the half-grid rule, keyed by
-    (f, q_s, q_r, n_nodes), the least recently used dropped first; safe to
-    call from concurrent threads (two of them may make the same fit).
-    hits and misses count the lookups since the last clear().
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.hits = self.misses = 0
-        self._fits = OrderedDict()
-        self._lock = threading.Lock()
-
-    def fit(self, f, q_s, q_r, n_nodes: int, size: int):
-        """(fit, rule).  fit is (coeffs, odd, degree) of the fit for (f, q_s,
-        q_r, n_nodes), or None where it did not converge or its coefficients
-        are not finite.  On a miss the fit stops at the largest degree D that
-        an array of size correlations can use, 2 (D + 1) < size (size > 34),
-        and rule is the direct rule it ran, for calls of up to size
-        correlations; on a hit rule is None.
-        """
-        # typed, so that a float32 variance, whose square root rounds
-        # differently, does not share the fit of the equal float64
-        key = (f, type(q_s), q_s, type(q_r), q_r, n_nodes)
-        with self._lock:
-            if key in self._fits:
-                self.hits += 1
-                self._fits.move_to_end(key)
-                return self._fits[key], None
-            self.misses += 1
-        max_degree = max(d for d in CHEB_DEGREES if size > 2 * (d + 1))
-        rule = _half_grid_rule(f, q_s, q_r, n_nodes, size)
-        fit = _chebyshev_fit(rule, max_degree)
-        if fit is not None:
-            coeffs, degree = fit
-            coeffs.flags.writeable = False  # shared by every call that hits the entry
-            fit = coeffs, rule.odd, degree
-        if fit is not None or max_degree == CHEB_DEGREES[-1]:
-            with self._lock:
-                self._fits[key] = fit
-                self._fits.move_to_end(key)
-                while len(self._fits) > self.maxsize:
-                    self._fits.popitem(last=False)
-        return fit, rule
-
-    def clear(self):
-        with self._lock:
-            self._fits.clear()
-            self.hits = self.misses = 0
-
-    def __len__(self):
-        with self._lock:
-            return len(self._fits)
+# typed, so that a float32 variance, whose square root rounds differently,
+# does not share the fit of the equal float64
+@lru_cache(maxsize=FIT_CACHE_SIZE, typed=True)
+def _fit(f, q, n_nodes: int):
+    """(coeffs, odd, degree) of the Chebyshev fit of the half-grid rule for
+    (f, q, n_nodes), the coefficients read-only, or None where it does not
+    converge or its coefficients are not finite (see _chebyshev_fit)."""
+    rule = _half_grid_rule(f, q, n_nodes)
+    fit = _chebyshev_fit(rule)
+    if fit is None:
+        return None
+    coeffs, degree = fit
+    coeffs.flags.writeable = False  # shared by every call that hits the entry
+    return coeffs, rule.odd, degree
 
 
-_FITS = _FitCache(FIT_CACHE_SIZE)
-
-
-def _half_grid_rule(f, q_s: float, q_r: float, n_nodes: int, size: int):
-    """The direct half-grid rule for (f, q_s, q_r): a function of a 1-D array
-    of correlations returning one expectation per entry, with one block
-    buffer for calls of up to size correlations at a time.
+def _half_grid_rule(f, q: float, n_nodes: int):
+    """The direct half-grid rule for (f, q): a function of a 1-D array of
+    correlations returning one expectation per entry, which allocates one
+    block buffer of up to PAIR_CHUNK correlations per call.
 
     The half-grid sum is contracted as (f(u2) @ w) . (fold * w * f(u1)),
     over the rows i < n/2 (and the middle row of odd n), with fold 2 for a
@@ -226,29 +175,29 @@ def _half_grid_rule(f, q_s: float, q_r: float, n_nodes: int, size: int):
     summed in the other order).
     """
     x, w = gauss_hermite_rule(n_nodes)
-    f_u1 = f(np.sqrt(q_s) * x)
+    scale = np.sqrt(q)
+    f_u1 = f(scale * x)
     mirrored = f_u1[::-1]
     # NaN (from a NaN variance) passes, to come out as a NaN expectation
     odd = not np.array_equal(mirrored, f_u1, equal_nan=True)
     if odd and not np.array_equal(mirrored, -f_u1, equal_nan=True):
         raise ValueError("normal_pair_expectation needs an odd or an even integrand: "
-                         "f(sqrt(q_s) x) is neither on the Gauss-Hermite nodes")
+                         "f(sqrt(q) x) is neither on the Gauss-Hermite nodes")
     rows = (n_nodes + 1) // 2
     fold = np.full(rows, 2.0)
     fold[n_nodes // 2:] = 1.0  # the middle row of odd n is its own mirror
     weighted_u1 = fold * (w * f_u1)[:rows]
     x_rows = x[:rows, None]
-    scale_r = np.sqrt(q_r)
-    buf = np.empty((min(PAIR_CHUNK, size), rows, n_nodes))
 
     def rule(c: np.ndarray) -> np.ndarray:
         out = np.empty(c.shape)
+        buf = np.empty((min(PAIR_CHUNK, c.size), rows, n_nodes))
         for start in range(0, c.size, PAIR_CHUNK):
             ck = c[start:start + PAIR_CHUNK, None, None]
             sk = np.sqrt(np.maximum(1.0 - ck * ck, 0.0))
             u2 = buf[:len(ck)]
-            # (scale_r ck) x_i + (scale_r sk) x_j: negating x_i and x_j negates u2 exactly
-            np.add((scale_r * ck) * x_rows, (scale_r * sk) * x, out=u2)
+            # (scale ck) x_i + (scale sk) x_j: negating x_i and x_j negates u2 exactly
+            np.add((scale * ck) * x_rows, (scale * sk) * x, out=u2)
             # a row-wise sum, not a matrix-vector product, so that each entry's
             # rounding does not depend on the block it falls in
             out[start:start + PAIR_CHUNK] = ((f(u2) @ w) * weighted_u1).sum(axis=-1)
@@ -258,11 +207,11 @@ def _half_grid_rule(f, q_s: float, q_r: float, n_nodes: int, size: int):
     return rule
 
 
-def _chebyshev_fit(rule, max_degree: int = CHEB_DEGREES[-1]) -> tuple[np.ndarray, int] | None:
+def _chebyshev_fit(rule) -> tuple[np.ndarray, int] | None:
     """(coeffs, degree): the Chebyshev coefficients on [-1, 1] of rule,
     sampled at nested Chebyshev-Lobatto nodes cos(pi k / n), n = degree = 16,
-    32, ..., max_degree, at the first degree whose coefficient tail has
-    converged; None where none converges or the coefficients are not finite.
+    32, ..., 256, at the first degree whose coefficient tail has converged;
+    None where none converges or the coefficients are not finite.
 
     The rule is run only at the nodes k <= n/2 (c >= 0); a node k > n/2
     takes the value at node n - k, negated for an odd rule.  Of the
@@ -273,8 +222,6 @@ def _chebyshev_fit(rule, max_degree: int = CHEB_DEGREES[-1]) -> tuple[np.ndarray
     sign = -1.0 if rule.odd else 1.0
     half = None
     for degree in CHEB_DEGREES:
-        if degree > max_degree:
-            break
         nodes = np.cos(np.pi / degree * np.arange(degree // 2 + 1))
         if half is None:
             half = rule(nodes)

@@ -87,6 +87,8 @@ class SweepConfig:
                 raw = yaml.safe_load(fh) or {}
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read {path}: {err}") from None
         except yaml.YAMLError as err:
             raise ConfigError(f"cannot parse {path}: {err}") from None
         return cls.from_mapping(raw, base)
@@ -174,6 +176,8 @@ class SweepConfig:
             raise ConfigError(f"input_dim must be >= 1 or null, got {self.input_dim}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.experiment == "train-drift" and self.snapshot_steps is not None:
             fractional = [t for t in self.snapshot_steps if not float(t).is_integer()]
             if fractional:

@@ -27,7 +27,9 @@ It times these things, each on its own inputs:
 Apart from the depth_sums timings, which are skipped where it does not
 exist, every benchmark uses only names that have existed since the one-loop
 trace (theta_star_matrix, nngp_matrix, sweeps.SWEEPS), and the fit cache is
-looked up with getattr, so the same file times earlier commits too.
+cleared through quadrature._fit.cache_clear, or quadrature._FITS.clear on
+trees that kept their fits in a _FitCache, so the same file times earlier
+commits too.
 """
 import itertools
 import subprocess
@@ -134,11 +136,13 @@ def test_tanh_kernels_of_fresh_samples(benchmark, cell, fits):
     sw, sb, size = FRESH_CELLS[cell]
     hyper = InitHyper(sw, sb, ActivationKind.TANH)
     seeds = itertools.count(1)
-    fit_cache = getattr(quadrature, "_FITS", None)
+    # None on a tree that keeps no fits
+    clear_fits = (getattr(getattr(quadrature, "_fit", None), "cache_clear", None)
+                  or getattr(getattr(quadrature, "_FITS", None), "clear", None))
 
     def fresh_sample():
-        if fits == "cold" and fit_cache is not None:
-            fit_cache.clear()
+        if fits == "cold" and clear_fits is not None:
+            clear_fits()
         return (_sample_covariances(size, next(seeds)),), {}
 
     def kernels(cov0):

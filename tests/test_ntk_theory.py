@@ -575,7 +575,8 @@ def test_tanh_kernels_with_half_grid_rule_match_full_grid(monkeypatch, sw, sb):
     hyper = InitHyper(sw, sb, TANH)
     theta = theta_star_matrix(hyper, 16, cov0, 64.0).matrix
     k = nngp_matrix(hyper, 16, cov0).matrix
-    monkeypatch.setattr(quadrature, "normal_pair_expectation", reference_pair_expectation)
+    monkeypatch.setattr(quadrature, "normal_pair_expectation",
+                        lambda f, q, c, n_nodes=64: reference_pair_expectation(f, q, q, c, n_nodes))
     theta_ref = theta_star_matrix(hyper, 16, cov0, 64.0).matrix
     k_ref = nngp_matrix(hyper, 16, cov0).matrix
     for got, want in ((theta, theta_ref), (k, k_ref)):
@@ -587,7 +588,7 @@ def test_tanh_kernels_with_half_grid_rule_match_full_grid(monkeypatch, sw, sb):
 def test_tanh_kernels_are_the_same_with_a_warm_fit_cache():
     # the benchmark's tanh cell on fresh samples: every fit after the first
     # sample's comes from quadrature's cache, with the bits of a fresh fit
-    from ntklab.quadrature import _FITS
+    from ntklab.quadrature import _fit
 
     hyper = InitHyper(1.5, 0.1, TANH)
 
@@ -598,13 +599,13 @@ def test_tanh_kernels_are_the_same_with_a_warm_fit_cache():
 
     cold = []
     for seed in (0, 1):
-        _FITS.clear()
+        _fit.cache_clear()
         cold.append(kernels(seed))
-    _FITS.clear()
+    _fit.cache_clear()
     warm = [kernels(seed) for seed in (0, 1, 0)]
     # theta_star_matrix fits phi at layers 0..15 and phi' at layers 1..15;
     # nngp_matrix and the later samples find all of them
-    assert _FITS.misses == 16 + 15 and len(_FITS) == 31
+    assert _fit.cache_info().misses == 16 + 15 and _fit.cache_info().currsize == 31
     for got, want in zip(warm, cold + cold[:1]):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 

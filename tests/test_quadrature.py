@@ -3,7 +3,7 @@ import pytest
 
 from ntklab.activations import ActivationKind, dphi, phi
 from ntklab.quadrature import DEFAULT_NODES, CHEB_DEGREES, FIT_CACHE_SIZE, PAIR_CHUNK, \
-    _FITS, _FitCache, _chebyshev_fit, _evaluate_in_x, _half_grid_rule, gauss_hermite_rule, \
+    _chebyshev_fit, _evaluate_in_x, _fit, _half_grid_rule, gauss_hermite_rule, \
     normal_expectation, normal_pair_expectation
 
 TANH = ActivationKind.TANH
@@ -26,16 +26,16 @@ def test_normal_expectation_scaling():
 
 @pytest.mark.parametrize("c", [-0.8, 0.0, 0.5, 1.0])
 def test_pair_expectation_reproduces_gaussian_correlation(c):
-    # E[u1 u2] = c * sqrt(q_s q_r) for any correlation
-    val = normal_pair_expectation(lambda u: u, 2.0, 0.5, c)
-    assert np.isclose(val, c, rtol=1e-12, atol=1e-13)
+    # E[u1 u2] = q c for any correlation
+    val = normal_pair_expectation(lambda u: u, 2.0, c)
+    assert np.isclose(val, 2.0 * c, rtol=1e-12, atol=1e-13)
 
 
 def test_pair_expectation_smooth_function_matches_oracle():
     from oracles import avg_phi_prod_oracle
     from ntklab.activations import ActivationKind
 
-    val = normal_pair_expectation(np.tanh, 1.0, 1.0, 0.5)
+    val = normal_pair_expectation(np.tanh, 1.0, 0.5)
     ref = avg_phi_prod_oracle(ActivationKind.TANH, 1.0, 1.0, 0.5)
     assert np.isclose(val, ref, rtol=1e-8)
 
@@ -44,10 +44,10 @@ def test_pair_expectation_array_entries_equal_scalar_calls():
     # 37 correlations span three blocks of the direct rule; each entry must
     # not depend on its block
     c = np.linspace(-1.0, 1.0, 37)
-    vals = _half_grid_rule(np.tanh, 1.3, 0.7, DEFAULT_NODES, c.size)(c)
+    vals = _half_grid_rule(np.tanh, 1.3, DEFAULT_NODES)(c)
     assert vals.shape == c.shape
     for ck, v in zip(c, vals):
-        assert v == normal_pair_expectation(np.tanh, 1.3, 0.7, ck)
+        assert v == normal_pair_expectation(np.tanh, 1.3, ck)
 
 
 def test_normal_expectation_array_of_scales():
@@ -60,7 +60,7 @@ def test_normal_expectation_array_of_scales():
 def test_buffered_pair_rule_matches_full_grid(name):
     # The half-grid rule sums in another order than the full-grid block loop,
     # so they agree to rounding: within 1e-14 of the Cauchy-Schwarz scale
-    # sqrt(E f(u1)^2 E f(u2)^2), which bounds |E f(u1) f(u2)|.
+    # E f(u1)^2, which bounds |E f(u1) f(u2)|.
     from oracles import reference_pair_expectation
     from ntklab.activations import ActivationKind, dphi, phi
 
@@ -71,19 +71,19 @@ def test_buffered_pair_rule_matches_full_grid(name):
     # 40 correlations: the ends, zero, and two full blocks and a partial one
     c = np.concatenate([[-1.0, 0.0, 1.0], np.linspace(-1.0, 1.0, 37)])
     for n_nodes in (63, 64):
-        for q_s, q_r in [(1.3, 0.7), (0.2, 4.0), (9.0, 9.0)]:
-            scale = _cauchy_schwarz_scale(f, q_s, q_r, n_nodes)
-            got = normal_pair_expectation(f, q_s, q_r, c, n_nodes)
-            want = reference_pair_expectation(f, q_s, q_r, c, n_nodes)
+        for q in (0.01, 0.2, 0.7, 1.3, 4.0, 9.0, 16.0):
+            scale = _cauchy_schwarz_scale(f, q, n_nodes)
+            got = normal_pair_expectation(f, q, c, n_nodes)
+            want = reference_pair_expectation(f, q, q, c, n_nodes)
             assert np.max(np.abs(got - want)) <= 1e-14 * scale
-            assert abs(normal_pair_expectation(f, q_s, q_r, 0.3, n_nodes)
-                       - reference_pair_expectation(f, q_s, q_r, 0.3, n_nodes)) <= 1e-14 * scale
+            assert abs(normal_pair_expectation(f, q, 0.3, n_nodes)
+                       - reference_pair_expectation(f, q, q, 0.3, n_nodes)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("f", [np.exp, lambda u: u + 1.0], ids=["exp", "shifted-identity"])
 def test_pair_rule_rejects_an_integrand_neither_odd_nor_even(f):
     with pytest.raises(ValueError, match="odd or an even"):
-        normal_pair_expectation(f, 1.0, 1.0, 0.5)
+        normal_pair_expectation(f, 1.0, 0.5)
 
 
 def test_pair_rule_allocates_one_block_buffer():
@@ -97,7 +97,7 @@ def test_pair_rule_allocates_one_block_buffer():
     c = np.linspace(-0.9, 0.95, 276)
     avg_phi_prod(ActivationKind.TANH, 1.2, c)  # warm the cached Gauss-Hermite rule
     block = PAIR_CHUNK * DEFAULT_NODES * DEFAULT_NODES * 8
-    _FITS.clear()  # so that the measured call fits too
+    _fit.cache_clear()  # so that the measured call fits too
     tracemalloc.start()
     try:
         avg_phi_prod(ActivationKind.TANH, 1.2, c)
@@ -117,10 +117,10 @@ def test_pair_expectation_of_clamped_correlations_allocates_no_copy():
 
     c = np.linspace(-0.9, 0.95, 32640)
     peaks = []
-    for call in (lambda: normal_pair_expectation(IN_PLACE["tanh-in-place"], 1.2, 1.2, c),
+    for call in (lambda: normal_pair_expectation(IN_PLACE["tanh-in-place"], 1.2, c),
                  lambda: avg_phi_prod(TANH, 1.2, c)):
         call()  # warm the cached Gauss-Hermite rule
-        _FITS.clear()  # so that the measured call fits too
+        _fit.cache_clear()  # so that the measured call fits too
         tracemalloc.start()
         try:
             call()
@@ -142,21 +142,20 @@ def test_interpolated_pair_rule_allocates_a_few_arrays_of_the_input_size():
     block = PAIR_CHUNK * (DEFAULT_NODES // 2) * DEFAULT_NODES * 8
     for f in IN_PLACE.values():
         for q in (0.3, 4.0):  # fitted at degree 32, and 128 or 256
-            normal_pair_expectation(f, q, q, c)  # warm the cached Gauss-Hermite rule
-            _FITS.clear()  # so that the measured call fits too
+            normal_pair_expectation(f, q, c)  # warm the cached Gauss-Hermite rule
+            _fit.cache_clear()  # so that the measured call fits too
             tracemalloc.start()
             try:
-                normal_pair_expectation(f, q, q, c)
+                normal_pair_expectation(f, q, c)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < block + 4.5 * c.nbytes
 
 
-def _cauchy_schwarz_scale(f, q_s, q_r, n_nodes=DEFAULT_NODES):
-    """sqrt(E f(u1)^2 E f(u2)^2), which bounds |E f(u1) f(u2)|."""
-    return np.sqrt(normal_expectation(lambda u: f(u) ** 2, np.sqrt(q_s), n_nodes)
-                   * normal_expectation(lambda u: f(u) ** 2, np.sqrt(q_r), n_nodes))
+def _cauchy_schwarz_scale(f, q, n_nodes=DEFAULT_NODES):
+    """E f(u1)^2 = sqrt(E f(u1)^2 E f(u2)^2), which bounds |E f(u1) f(u2)|."""
+    return normal_expectation(lambda u: f(u) ** 2, np.sqrt(q), n_nodes)
 
 
 # the ends, zero, a cluster 1 - 10^-k at c -> 1, and enough correlations
@@ -166,18 +165,17 @@ LARGE_C = np.concatenate([[-1.0, 0.0, 1.0], 1.0 - 10.0 ** -np.arange(1.0, 17.0),
 
 
 @pytest.mark.parametrize("name", sorted(IN_PLACE))
-@pytest.mark.parametrize("q_s,q_r", [(q, q) for q in (0.01, 0.3, 1.0, 2.0, 4.0, 9.0, 16.0)]
-                         + [(0.7, 1.9)])
-def test_interpolated_pair_rule_matches_direct_rule(name, q_s, q_r):
+@pytest.mark.parametrize("q", [0.01, 0.3, 0.7, 1.0, 2.0, 4.0, 9.0, 16.0])
+def test_interpolated_pair_rule_matches_direct_rule(name, q):
     # the Chebyshev interpolant in c against the direct half-grid rule at
     # every correlation, within 1e-13 of the Cauchy-Schwarz scale; up to
     # q = 16 the tail converges within 257 nodes, so the interpolant is used
     f = IN_PLACE[name]
-    direct = _half_grid_rule(f, q_s, q_r, DEFAULT_NODES, LARGE_C.size)
+    direct = _half_grid_rule(f, q, DEFAULT_NODES)
     assert _chebyshev_fit(direct) is not None
-    got = normal_pair_expectation(f, q_s, q_r, LARGE_C)
+    got = normal_pair_expectation(f, q, LARGE_C)
     want = direct(LARGE_C)
-    assert np.max(np.abs(got - want)) <= 1e-13 * _cauchy_schwarz_scale(f, q_s, q_r)
+    assert np.max(np.abs(got - want)) <= 1e-13 * _cauchy_schwarz_scale(f, q)
 
 
 @pytest.mark.parametrize("name", sorted(IN_PLACE))
@@ -187,8 +185,8 @@ def test_interpolant_is_exactly_even_or_odd(name, q):
     f = IN_PLACE[name]
     c = np.concatenate([LARGE_C, np.random.default_rng(3).uniform(-1.0, 1.0, 4000)])
     c = np.concatenate([c, -c])
-    vals = normal_pair_expectation(f, q, q, c)
-    odd = _half_grid_rule(f, q, q, DEFAULT_NODES, 1).odd
+    vals = normal_pair_expectation(f, q, c)
+    odd = _half_grid_rule(f, q, DEFAULT_NODES).odd
     assert odd == (name == "tanh-in-place")
     assert np.array_equal(vals[c.size // 2:], -vals[:c.size // 2] if odd else vals[:c.size // 2])
 
@@ -210,14 +208,13 @@ def test_correlations_outside_the_unit_interval_take_the_direct_rule():
     # the interpolant lives on [-1, 1]; an array reaching outside is not fitted
     f = IN_PLACE["tanh-in-place"]
     c = np.append(LARGE_C, 1.5)
-    got = normal_pair_expectation(f, 0.3, 0.3, c)
-    assert np.array_equal(got, _half_grid_rule(f, 0.3, 0.3, DEFAULT_NODES, c.size)(c))
+    got = normal_pair_expectation(f, 0.3, c)
+    assert np.array_equal(got, _half_grid_rule(f, 0.3, DEFAULT_NODES)(c))
 
 
 def test_nan_variance_gives_nan_on_a_large_array():
     for f in IN_PLACE.values():
-        assert np.isnan(normal_pair_expectation(f, np.nan, np.nan, LARGE_C)).all()
-        assert np.isnan(normal_pair_expectation(f, 1.0, np.nan, LARGE_C)).all()
+        assert np.isnan(normal_pair_expectation(f, np.nan, LARGE_C)).all()
 
 
 def test_arrays_up_to_the_threshold_equal_scalar_calls():
@@ -226,10 +223,10 @@ def test_arrays_up_to_the_threshold_equal_scalar_calls():
     f = IN_PLACE["tanh-in-place"]
     threshold = 2 * (CHEB_DEGREES[0] + 1)
     c = np.linspace(-1.0, 1.0, threshold)
-    vals = normal_pair_expectation(f, 0.01, 0.01, c)
+    vals = normal_pair_expectation(f, 0.01, c)
     for ck, v in zip(c, vals):
-        assert v == normal_pair_expectation(f, 0.01, 0.01, ck)
-    _, degree = _chebyshev_fit(_half_grid_rule(f, 0.01, 0.01, DEFAULT_NODES, threshold + 1))
+        assert v == normal_pair_expectation(f, 0.01, ck)
+    _, degree = _chebyshev_fit(_half_grid_rule(f, 0.01, DEFAULT_NODES))
     assert degree == CHEB_DEGREES[0]
 
 
@@ -241,7 +238,7 @@ class TestFitCache:
     @pytest.mark.parametrize("q", [0.3, 4.0])
     def test_warm_calls_equal_cold_calls(self, name, q):
         f = IN_PLACE[name]
-        _, degree = _chebyshev_fit(_half_grid_rule(f, q, q, DEFAULT_NODES, PAIR_CHUNK))
+        _, degree = _chebyshev_fit(_half_grid_rule(f, q, DEFAULT_NODES))
         nodes = degree + 1
         above = np.linspace(-0.97, 0.99, 2 * nodes + 1)
         at = np.linspace(-0.97, 0.99, 2 * nodes)
@@ -251,31 +248,31 @@ class TestFitCache:
         calls = {"above": above, **direct}
         cold = {}
         for key, c in calls.items():
-            _FITS.clear()
-            cold[key] = normal_pair_expectation(f, q, q, c)
+            _fit.cache_clear()
+            cold[key] = normal_pair_expectation(f, q, c)
         # warm: the fit made by the call above
-        _FITS.clear()
-        normal_pair_expectation(f, q, q, above)
-        assert len(_FITS) == 1
+        _fit.cache_clear()
+        normal_pair_expectation(f, q, above)
+        assert _fit.cache_info().currsize == 1
         for key, c in calls.items():
-            assert np.array_equal(normal_pair_expectation(f, q, q, c), cold[key],
+            assert np.array_equal(normal_pair_expectation(f, q, c), cold[key],
                                   equal_nan=True), key
         # the arrays the fit does not serve take the direct rule
+        rule = _half_grid_rule(f, q, DEFAULT_NODES)
         for key, c in direct.items():
-            rule = _half_grid_rule(f, q, q, DEFAULT_NODES, c.size)
             assert np.array_equal(cold[key], rule(c), equal_nan=True), key
-        rule = _half_grid_rule(f, q, q, DEFAULT_NODES, above.size)
         coeffs, _ = _chebyshev_fit(rule)
         assert np.array_equal(cold["above"], _evaluate_in_x(coeffs, above, rule.odd))
         # the warm calls above and at looked the fit up; an array outside
         # [-1, 1] or holding a NaN never does
-        assert _FITS.hits == 2
+        assert _fit.cache_info().hits == 2
 
-    def test_a_miss_fits_only_as_far_as_the_array_can_use(self):
-        # an array of 67 correlations can use degree 32 at most: a cold call
-        # runs the rule at the 17 nodes up to degree 32 and at its own
-        # entries, as an uncached call would, and keeps a fit only if it
-        # converged by then
+    @pytest.mark.parametrize("q", [0.3, 4.0])
+    def test_a_miss_fits_once_to_convergence(self, q):
+        # a cold call of any size above 34 runs the rule at the D/2 + 1 nodes
+        # up to the converged degree D, and at its own entries where it has
+        # at most 2 (D + 1) of them; later calls of any size at that key run
+        # the rule only at their own entries, where they take the direct path
         blocks = []
 
         def f(u):
@@ -283,43 +280,59 @@ class TestFitCache:
                 blocks.append(len(u))
             return phi(TANH, u, out=u)
 
-        small = np.linspace(-0.97, 0.99, 2 * (32 + 1) + 1)
-        _FITS.clear()
-        cold = normal_pair_expectation(f, 4.0, 4.0, small)  # converges at 128 or 256
-        assert sum(blocks) == 32 // 2 + 1 + small.size
-        assert _FITS.misses == 1 and len(_FITS) == 0
-        normal_pair_expectation(f, 4.0, 4.0, LARGE_C)  # the fit to convergence, kept
-        assert _FITS.misses == 2 and len(_FITS) == 1
-        blocks.clear()
-        assert np.array_equal(normal_pair_expectation(f, 4.0, 4.0, small), cold)
-        assert sum(blocks) == small.size and _FITS.hits == 1
-        normal_pair_expectation(f, 0.3, 0.3, small)  # converges at degree 32, kept
-        assert _FITS.misses == 3 and len(_FITS) == 2
+        _, degree = _chebyshev_fit(_half_grid_rule(f, q, DEFAULT_NODES))
+        sizes = [2 * (CHEB_DEGREES[0] + 1) + 1, 2 * (32 + 1) + 1, 2 * (degree + 1),
+                 2 * (degree + 1) + 1, LARGE_C.size]
+
+        def direct_entries(size):
+            return size if size <= 2 * (degree + 1) else 0
+
+        for cold in sizes:
+            _fit.cache_clear()
+            blocks.clear()
+            normal_pair_expectation(f, q, np.linspace(-0.97, 0.99, cold))
+            assert sum(blocks) == degree // 2 + 1 + direct_entries(cold)
+            for size in sizes:
+                blocks.clear()
+                normal_pair_expectation(f, q, np.linspace(-0.97, 0.99, size))
+                assert sum(blocks) == direct_entries(size)
+            info = _fit.cache_info()
+            assert info.misses == 1 and info.hits == len(sizes) and info.currsize == 1
+
+    def test_a_float32_variance_has_its_own_fit(self):
+        # np.float32(0.5) == 0.5, but its square root rounds differently
+        f = IN_PLACE["tanh-in-place"]
+        q32 = np.float32(0.5)
+        _fit.cache_clear()
+        cold = normal_pair_expectation(f, q32, LARGE_C)
+        _fit.cache_clear()
+        wide = normal_pair_expectation(f, 0.5, LARGE_C)
+        assert np.array_equal(normal_pair_expectation(f, q32, LARGE_C), cold)
+        assert not np.array_equal(cold, wide)
+        assert _fit.cache_info().misses == 2 and _fit.cache_info().currsize == 2
 
     def test_concurrent_lookups_lose_no_update(self):
-        # more threads than cores, switching often, on a cache smaller than
-        # the variances they cycle through: every lookup is counted once, the
-        # cache never outgrows its bound, and each fit has the serial bits
+        # more threads than cores, switching often, through more variances
+        # than the cache holds: each fit has the serial bits, the cache never
+        # outgrows its bound, and every lookup is counted once
         import sys
         import threading
 
         f = IN_PLACE["tanh-in-place"]
-        qs = [0.05 * (k + 1) for k in range(8)]
-        want = {q: _chebyshev_fit(_half_grid_rule(f, q, q, DEFAULT_NODES, PAIR_CHUNK))
-                for q in qs}
-        cache = _FitCache(maxsize=3)
-        size = 2 * (CHEB_DEGREES[-1] + 1) + 1
+        qs = [0.05 + 0.001 * k for k in range(FIT_CACHE_SIZE + 8)]
+        want = {q: _chebyshev_fit(_half_grid_rule(f, q, DEFAULT_NODES)) for q in qs}
+        _fit.cache_clear()
         wrong, sizes = [], []
 
         def work(shift):
-            for k in range(40):
+            for k in range(len(qs)):
                 q = qs[(k + shift) % len(qs)]
-                (coeffs, _, degree), _ = cache.fit(f, q, q, DEFAULT_NODES, size)
+                coeffs, _, degree = _fit(f, q, DEFAULT_NODES)
                 if degree != want[q][1] or not np.array_equal(coeffs, want[q][0]):
                     wrong.append(q)
-                sizes.append(len(cache))
+                sizes.append(_fit.cache_info().currsize)
 
-        threads = [threading.Thread(target=work, args=(shift,)) for shift in range(4)]
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in (0, 5, 90, 180)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -330,16 +343,17 @@ class TestFitCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert not wrong and max(sizes) <= 3
-        assert cache.hits + cache.misses == 4 * 40
+        info = _fit.cache_info()
+        assert not wrong and max(sizes) <= info.maxsize == FIT_CACHE_SIZE
+        assert info.hits + info.misses == len(threads) * len(qs)
 
     def test_zero_dimensional_variances_share_the_fit_of_scalars(self):
         f = IN_PLACE["tanh-in-place"]
-        _FITS.clear()
-        want = normal_pair_expectation(f, 0.3, 0.3, LARGE_C)
-        got = normal_pair_expectation(f, np.array(0.3), np.array(0.3), LARGE_C)
+        _fit.cache_clear()
+        want = normal_pair_expectation(f, 0.3, LARGE_C)
+        got = normal_pair_expectation(f, np.array(0.3), LARGE_C)
         assert np.array_equal(got, want)
-        assert len(_FITS) == 1
+        assert _fit.cache_info().currsize == 1
 
     def test_the_cache_holds_only_coefficients(self):
         import gc
@@ -347,18 +361,18 @@ class TestFitCache:
 
         f = IN_PLACE["tanh-in-place"]
         c = np.linspace(-1.0, 1.0, 2 * (CHEB_DEGREES[-1] + 1) + 1)
-        normal_pair_expectation(f, 16.0, 16.0, c)  # warm the cached Gauss-Hermite rule
-        _FITS.clear()
+        normal_pair_expectation(f, 16.0, c)  # warm the cached Gauss-Hermite rule
+        _fit.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             # q up to 16 fits at degree 128 or 256: the largest entries
             for q in np.linspace(4.0, 16.0, FIT_CACHE_SIZE + 8):
-                normal_pair_expectation(f, q, q, c)
+                normal_pair_expectation(f, q, c)
             gc.collect()
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(_FITS) == FIT_CACHE_SIZE
+        assert _fit.cache_info().currsize == FIT_CACHE_SIZE
         assert after - before < FIT_CACHE_SIZE * 2048

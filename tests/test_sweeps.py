@@ -248,6 +248,27 @@ class TestConfigTypes:
             assert _run(["init-variance", "--config", str(path)], tmp_path / "out") == 1
             assert capsys.readouterr().err.startswith("config error: ")
 
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys):
+        # a directory raised IsADirectoryError, a non-UTF-8 file UnicodeDecodeError
+        latin1 = tmp_path / "latin1.yaml"
+        latin1.write_bytes("out_dir: caf\xe9\n".encode("latin-1"))
+        for path in (tmp_path, latin1):
+            assert _run(["init-variance", "--config", str(path)], tmp_path / "out") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: cannot read ") and str(path) in err
+        assert _run(["init-variance", "--config", str(tmp_path / "no.yaml")],
+                    tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith("config error: config file not found: ")
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--set", "seed=-1"]])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, argv):
+        # SeedSequence rejected it after the run began, with exit 2
+        out = tmp_path / "out"
+        assert _run(["phase-diagram"] + argv, out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and "seed" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_typed_values_accepted(self):
         cfg = SweepConfig().override(["input_dim=null", "sigma_w_sq=[1, 2.5, 3e-1]",
                                       "depths=[2,4]"])
