@@ -63,15 +63,16 @@ calls theta_star_matrix and nngp_matrix apart, +21 % (ReLU, S = 64, L = 16:
 
 For tanh the per-layer pair expectations of more than 2 (D + 1)
 covariances come from a Chebyshev interpolant in c of degree D (16 to 256),
-fitted once per layer variance and function from the rule at D/2 + 1
-correlations (quadrature.normal_pair_expectation), so the cost of Theta*(X)
-and K(X) grows with the number of distinct covariances only through
-evaluating that interpolant; they agree with the per-covariance rule to
-~1e-15 of max|entry|.  A fit depends on the layer variance q^l, not on the
-sample, and quadrature keeps its last FIT_CACHE_SIZE fits: nngp_matrix
-evaluates the fits that theta_star_matrix has just made, and another sample
-at the same (sigma_w^2, sigma_b^2, q0) refits nothing, with the same bits as
-a fresh fit.  ReLU and erf use closed forms, bit for bit as before.
+fitted from the rule at D/2 + 1 correlations
+(quadrature.normal_pair_expectation), so the cost of Theta*(X) and K(X)
+grows with the number of distinct covariances only through evaluating that
+interpolant; they agree with the per-covariance rule to ~1e-15 of
+max|entry|.  A fit depends on the layer variance q^l and the highest degree
+the array can use, not on the sample, and quadrature keeps its last
+FIT_CACHE_SIZE fits: nngp_matrix evaluates the fits that theta_star_matrix
+has just made, and another sample with as many distinct covariances at the
+same (sigma_w^2, sigma_b^2, q0) refits nothing, with the same bits as a
+fresh fit.  ReLU and erf use closed forms, bit for bit as before.
 """
 from __future__ import annotations
 

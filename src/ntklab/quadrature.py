@@ -45,18 +45,18 @@ of half the degree in x, summed by a Clenshaw loop over preallocated
 buffers of the array's size.  x rounds the same for c and -c, so the
 interpolant is exactly even or odd.
 
-A fit depends only on (f, q, n_nodes), not on the correlations, so _fit
-keeps the last FIT_CACHE_SIZE fits (functools.lru_cache), each as its
-coefficients of one parity, its parity and its degree D, or as None where
-the fit did not converge at 257 nodes or its coefficients are not finite
-(as from a NaN variance).  A call of more than 34 correlations, all in
-[-1, 1], looks its fit up; on a miss the fit runs to convergence, whatever
-the call's size.  The key holds the integrand object itself, so a caller
-that builds a new f per call never hits; meanfield passes one object per
-activation and function.  A call takes the interpolated path where its fit
-is not None and it has more than 2 (D + 1) entries; scalars, smaller arrays
-and all other calls take the direct path.  A result therefore does not
-depend on what the cache holds, bit for bit.
+A fit depends only on (f, q, n_nodes), not on the correlations.  A call of
+more than 34 correlations, all in [-1, 1], fits only up to the highest
+degree it can use, D_max with 2 (D_max + 1) below its size, and _fit keeps
+the last FIT_CACHE_SIZE fits by (f, q, n_nodes, D_max) (functools.lru_cache),
+each as its coefficients of one parity, its parity and its degree, or as
+None where the fit did not converge by D_max or its coefficients are not
+finite (as from a NaN variance).  The key holds the integrand object itself,
+so a caller that builds a new f per call never hits; meanfield passes one
+object per activation and function.  A call interpolates where its fit is
+not None; all other calls take the direct path.  A fit converged by D_max is
+the uncapped fit, and the array can use no higher degree, so a result does
+not depend on what the cache holds, bit for bit.
 
 The fit is smooth in c: the rule's inner sum over the nodes x_j is even in
 s = sqrt(1 - c^2), because the nodes are mirror-symmetric, so it is a
@@ -118,11 +118,11 @@ def normal_pair_expectation(f, q: float, c, n_nodes: int = DEFAULT_NODES):
     an odd or an even f.
 
     A large array of correlations in [-1, 1] goes through a Chebyshev
-    interpolant of the rule in c, fitted once per (f, q, n_nodes) and kept
-    for later calls, which agrees with the direct rule to ~1e-14 of
-    E f(u1)^2; a scalar or a smaller array is evaluated directly, each entry
-    equal to the result for that correlation alone (see the module
-    docstring).
+    interpolant of the rule in c, fitted once per (f, q, n_nodes) up to the
+    highest degree the array can use and kept for later calls, which agrees
+    with the direct rule to ~1e-14 of E f(u1)^2; a scalar or a smaller array
+    is evaluated directly, each entry equal to the result for that
+    correlation alone (see the module docstring).
 
     f may overwrite its argument (the rule's block buffer) and return it;
     it must return an array of its argument's shape.  Raises ValueError
@@ -133,9 +133,10 @@ def normal_pair_expectation(f, q: float, c, n_nodes: int = DEFAULT_NODES):
     fit = None
     # np.all is also false for a NaN correlation
     if flat.size > 2 * (CHEB_DEGREES[0] + 1) and np.all(np.abs(flat) <= 1.0):
+        max_degree = max(d for d in CHEB_DEGREES if flat.size > 2 * (d + 1))
         # as a numpy scalar, so that a 0-d array variance is a hashable key
-        fit = _fit(f, np.asarray(q)[()], n_nodes)
-    if fit is not None and flat.size > 2 * (fit[2] + 1):
+        fit = _fit(f, np.asarray(q)[()], n_nodes, max_degree)
+    if fit is not None:
         coeffs, odd, _ = fit
         out = _evaluate_in_x(coeffs, flat, odd)
     else:
@@ -146,12 +147,13 @@ def normal_pair_expectation(f, q: float, c, n_nodes: int = DEFAULT_NODES):
 # typed, so that a float32 variance, whose square root rounds differently,
 # does not share the fit of the equal float64
 @lru_cache(maxsize=FIT_CACHE_SIZE, typed=True)
-def _fit(f, q, n_nodes: int):
+def _fit(f, q, n_nodes: int, max_degree: int):
     """(coeffs, odd, degree) of the Chebyshev fit of the half-grid rule for
-    (f, q, n_nodes), the coefficients read-only, or None where it does not
-    converge or its coefficients are not finite (see _chebyshev_fit)."""
+    (f, q, n_nodes) up to max_degree, the coefficients read-only, or None
+    where it does not converge by then or its coefficients are not finite
+    (see _chebyshev_fit)."""
     rule = _half_grid_rule(f, q, n_nodes)
-    fit = _chebyshev_fit(rule)
+    fit = _chebyshev_fit(rule, max_degree)
     if fit is None:
         return None
     coeffs, degree = fit
@@ -207,11 +209,11 @@ def _half_grid_rule(f, q: float, n_nodes: int):
     return rule
 
 
-def _chebyshev_fit(rule) -> tuple[np.ndarray, int] | None:
+def _chebyshev_fit(rule, max_degree: int = CHEB_DEGREES[-1]) -> tuple[np.ndarray, int] | None:
     """(coeffs, degree): the Chebyshev coefficients on [-1, 1] of rule,
     sampled at nested Chebyshev-Lobatto nodes cos(pi k / n), n = degree = 16,
-    32, ..., 256, at the first degree whose coefficient tail has converged;
-    None where none converges or the coefficients are not finite.
+    32, ..., max_degree, at the first degree whose coefficient tail has
+    converged; None where none converges or the coefficients are not finite.
 
     The rule is run only at the nodes k <= n/2 (c >= 0); a node k > n/2
     takes the value at node n - k, negated for an odd rule.  Of the
@@ -222,6 +224,8 @@ def _chebyshev_fit(rule) -> tuple[np.ndarray, int] | None:
     sign = -1.0 if rule.odd else 1.0
     half = None
     for degree in CHEB_DEGREES:
+        if degree > max_degree:
+            break
         nodes = np.cos(np.pi / degree * np.arange(degree // 2 + 1))
         if half is None:
             half = rule(nodes)

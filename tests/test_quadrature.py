@@ -263,16 +263,18 @@ class TestFitCache:
             assert np.array_equal(cold[key], rule(c), equal_nan=True), key
         coeffs, _ = _chebyshev_fit(rule)
         assert np.array_equal(cold["above"], _evaluate_in_x(coeffs, above, rule.odd))
-        # the warm calls above and at looked the fit up; an array outside
-        # [-1, 1] or holding a NaN never does
-        assert _fit.cache_info().hits == 2
+        # the warm call above found the fit; at, too small to use it, looks up
+        # a fit of lower degree, and an array outside [-1, 1] or holding a
+        # NaN never looks one up
+        assert _fit.cache_info().hits == 1
 
     @pytest.mark.parametrize("q", [0.3, 4.0])
-    def test_a_miss_fits_once_to_convergence(self, q):
-        # a cold call of any size above 34 runs the rule at the D/2 + 1 nodes
-        # up to the converged degree D, and at its own entries where it has
-        # at most 2 (D + 1) of them; later calls of any size at that key run
-        # the rule only at their own entries, where they take the direct path
+    def test_a_miss_fits_only_as_far_as_the_array_can_use(self, q):
+        # a cold call runs the rule at the nodes up to the highest degree its
+        # array can use, or up to the converged degree D if that is lower,
+        # and at its own entries where it cannot use the fit, as an uncached
+        # call would; a warm call of the same size runs the rule only at its
+        # own entries, and then only where it cannot use the fit
         blocks = []
 
         def f(u):
@@ -281,23 +283,21 @@ class TestFitCache:
             return phi(TANH, u, out=u)
 
         _, degree = _chebyshev_fit(_half_grid_rule(f, q, DEFAULT_NODES))
-        sizes = [2 * (CHEB_DEGREES[0] + 1) + 1, 2 * (32 + 1) + 1, 2 * (degree + 1),
-                 2 * (degree + 1) + 1, LARGE_C.size]
-
-        def direct_entries(size):
-            return size if size <= 2 * (degree + 1) else 0
-
-        for cold in sizes:
+        usable = {2 * (16 + 1) + 1: 16, 2 * (32 + 1) + 1: 32,
+                  2 * (degree + 1): degree // 2, 2 * (degree + 1) + 1: degree,
+                  LARGE_C.size: 256}
+        for size, max_degree in usable.items():
+            direct = size if degree > max_degree else 0
+            c = np.linspace(-0.97, 0.99, size)
             _fit.cache_clear()
             blocks.clear()
-            normal_pair_expectation(f, q, np.linspace(-0.97, 0.99, cold))
-            assert sum(blocks) == degree // 2 + 1 + direct_entries(cold)
-            for size in sizes:
-                blocks.clear()
-                normal_pair_expectation(f, q, np.linspace(-0.97, 0.99, size))
-                assert sum(blocks) == direct_entries(size)
+            cold = normal_pair_expectation(f, q, c)
+            assert sum(blocks) == min(degree, max_degree) // 2 + 1 + direct
+            blocks.clear()
+            assert np.array_equal(normal_pair_expectation(f, q, c), cold)
+            assert sum(blocks) == direct
             info = _fit.cache_info()
-            assert info.misses == 1 and info.hits == len(sizes) and info.currsize == 1
+            assert info.misses == 1 and info.hits == 1 and info.currsize == 1
 
     def test_a_float32_variance_has_its_own_fit(self):
         # np.float32(0.5) == 0.5, but its square root rounds differently
@@ -327,7 +327,7 @@ class TestFitCache:
         def work(shift):
             for k in range(len(qs)):
                 q = qs[(k + shift) % len(qs)]
-                coeffs, _, degree = _fit(f, q, DEFAULT_NODES)
+                coeffs, _, degree = _fit(f, q, DEFAULT_NODES, CHEB_DEGREES[-1])
                 if degree != want[q][1] or not np.array_equal(coeffs, want[q][0]):
                     wrong.append(q)
                 sizes.append(_fit.cache_info().currsize)
