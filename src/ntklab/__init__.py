@@ -22,6 +22,7 @@ from .ntk_theory import (
     condition_ratio,
     nngp_matrix,
     predict_variance,
+    sample_index,
     sample_kernels,
     spd_solve,
     theta_star_matrix,

@@ -50,7 +50,6 @@ from .meanfield import InitHyper
 
 logger = logging.getLogger(__name__)
 
-SYMMETRY_TOL = 1e-12
 MAX_FAILED_SEED_FRACTION = 0.01
 # Replicates per PRNG stream and per row block of the variance-ratio sampler;
 # at M = 64, L = 32 a block keeps ~2 MB of per-layer arrays.

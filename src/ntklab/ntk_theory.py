@@ -45,17 +45,16 @@ gives the Gaussian (B^T u)^T z with variance |B^T u|^2 = u^T K u: the same
 law, from one normal per sample instead of S + 1, with no eigendecomposition
 of K and no matrix product.  The dense sampler remains as a test oracle.
 
-Theta*(X) and K(X) have one entry point, sample_kernels.  It takes the
-distinct layer-0 covariances of a sample, a symmetric integer index of each
-pair's covariance in them and the position of the reference covariance,
-runs one meanfield.depth_sums call over the covariances, whose kappa sums
-run forward with the layers, and gathers both matrices through the index,
-the diagonal from the variance channel, so both come out exactly symmetric.
-theta_star_matrix indexes a layer-0 covariance matrix (np.unique, with the
-reference covariance appended) and calls it; predict-variance calls it on
-its joint sample of S + 1 points, every pair at the one reference
-covariance, and reads Theta*(X), theta_x, K and the reference kappas from
-that one result.  nngp_matrix keeps a pass of its own that runs only the
+Theta*(X) and K(X) have one entry point, sample_kernels, and every sample
+reaches it through sample_index: one np.unique of the off-diagonal layer-0
+covariances and any extra ones, such as the reference, and a symmetric index
+of each pair's covariance in them with the variance slot on the diagonal.
+sample_kernels runs one meanfield.depth_sums call over the covariances and
+gathers both matrices through the index, so both come out exactly
+symmetric.  theta_star_matrix calls it on its sample; predict-variance
+indexes its joint sample of S + 1 points, every pair at the reference
+covariance, once per sweep, and reads Theta*(X), theta_x, K and the
+reference kappas from one result per cell.  nngp_matrix runs only the
 forward recursions (no phi' expectation) over the same index: taking K from
 a depth_sums pass instead would cost the benchmark's Theta* + K pair, which
 calls theta_star_matrix and nngp_matrix apart, +21 % (ReLU, S = 64, L = 16:
@@ -187,34 +186,34 @@ def mean_theta_inverse(kappa1_bar: float, kappa2_bar: float, n: int,
     return lead * (np.eye(n) - shrink * np.ones((n, n)))
 
 
-def _distinct_covariances(cov0, q0: float, *extra: float) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct off-diagonal covariances of the layer-0
-    covariance matrix cov0, together with the extra covariances, and the
-    inverse of np.unique: the position of each upper-triangle pair (in
-    np.triu_indices order), then of each extra covariance.
+def _upper_triangle(m: np.ndarray, tol: float, name: str) -> tuple[tuple, np.ndarray]:
+    """iu = np.triu_indices(n, 1) and m[iu]; ValueError unless m is square and
+    every |m[s, r] - m[r, s]| <= tol, which a NaN or an inf never is."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix")
+    iu = np.triu_indices(len(m), 1)
+    upper = m[iu]
+    if not np.abs(upper - m.T[iu]).max(initial=0.0) <= tol:
+        raise ValueError(f"{name} must be symmetric")
+    return iu, upper
 
-    cov0 must be symmetric with diagonal q0, both to 1e-12 of q0.
+
+def sample_index(cov0, q0: float = 1.0, *extra: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(covs, index, slots) of the sample with layer-0 covariance matrix cov0:
+    the sorted distinct off-diagonal covariances together with extra, the
+    symmetric index of sample_kernels and the position of each extra
+    covariance in covs.  cov0 must be square, symmetric and with diagonal
+    q0, both to 1e-12 of q0.
     """
     cov0 = np.asarray(cov0, dtype=float)
     tol = 1e-12 * abs(q0)
-    if (cov0.ndim != 2 or cov0.shape[0] != cov0.shape[1]
-            or not np.allclose(cov0, cov0.T, rtol=0.0, atol=tol)):
-        raise ValueError("cov0 must be a symmetric matrix of layer-0 covariances")
-    if not np.allclose(np.diag(cov0), q0, rtol=0.0, atol=tol):
+    iu, upper = _upper_triangle(cov0, tol, "cov0")
+    if not np.abs(np.diag(cov0) - q0).max(initial=0.0) <= tol:
         raise ValueError("diagonal of cov0 must equal q0")
-    return np.unique(np.concatenate((cov0[np.triu_indices(len(cov0), 1)], extra)),
-                     return_inverse=True)
-
-
-def _pair_index(n: int, inverse: np.ndarray, slot: int) -> np.ndarray:
-    """The symmetric n x n index of sample_kernels from the positions of
-    the upper-triangle pairs, with the variance slot on the diagonal."""
-    iu = np.triu_indices(n, 1)
-    upper = inverse[:len(iu[0])]
-    index = np.full((n, n), slot, dtype=np.intp)
-    index[iu] = upper
-    index.T[iu] = upper
-    return index
+    covs, inverse = np.unique(np.concatenate((upper, extra)), return_inverse=True)
+    index = np.full(cov0.shape, len(covs), dtype=np.intp)
+    index[iu] = index.T[iu] = inverse[:len(upper)]
+    return covs, index, tuple(int(i) for i in inverse[len(upper):])
 
 
 def sample_kernels(hyper: InitHyper, depth: int, covs, index: np.ndarray, m_width: float,
@@ -223,12 +222,12 @@ def sample_kernels(hyper: InitHyper, depth: int, covs, index: np.ndarray, m_widt
     K(X) of a sample, from one depth_sums call over its distinct layer-0
     covariances covs.
 
-    index is a symmetric integer matrix: entry (s, r) off the diagonal is
-    the position in covs of the covariance of points s and r, and every
-    diagonal entry is len(covs), the slot of the variance channel.  The
-    data-independent kbar1/kbar2 are the kappas of the reference covariance
-    covs[ref].  Both matrices are gathered through index, so they come out
-    exactly symmetric.
+    covs and index are those of sample_index: entry (s, r) of the symmetric
+    integer matrix index is the position in covs of the covariance of
+    points s and r off the diagonal, and len(covs), the slot of the
+    variance channel, on it.  The data-independent kbar1/kbar2 are the
+    kappas of the reference covariance covs[ref].  Both matrices are
+    gathered through index, so they come out exactly symmetric.
     """
     (sums,) = depth_sums(hyper, [depth], q0, covs)
     alpha = float(max(depth - 1, 1))
@@ -248,11 +247,10 @@ def nngp_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
     Only the forward recursions run, with no phi' expectation: the distinct
     off-diagonal covariances go through the layers together in one pass.
     """
-    covs, inverse = _distinct_covariances(cov0, q0)
+    covs, index, _ = sample_index(cov0, q0)
     with np.errstate(over="ignore", invalid="ignore"):
         for q, q_sr, *_ in forward_layers(hyper, depth, q0, covs):
             pass
-    index = _pair_index(len(cov0), inverse, len(covs))
     return NngpMatrix(matrix=np.append(q_sr, q)[index])
 
 
@@ -261,12 +259,11 @@ def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
                       reference_cov: float = DEFAULT_REFERENCE_COV) -> ThetaStar:
     """Deterministic NTK for a sample described by its layer-0 covariance
     matrix (diagonal entries must equal q0), including the exact
-    bias-parameter sums: sample_kernels of its distinct off-diagonal
-    covariances and the reference covariance reference_cov * q0.
+    bias-parameter sums: sample_kernels of the sample_index of cov0 with
+    the reference covariance reference_cov * q0 as its extra covariance.
     """
-    covs, inverse = _distinct_covariances(cov0, q0, reference_cov * q0)
-    index = _pair_index(len(cov0), inverse, len(covs))
-    theta, _ = sample_kernels(hyper, depth, covs, index, m_width, inverse[-1], q0)
+    covs, index, (ref,) = sample_index(cov0, q0, reference_cov * q0)
+    theta, _ = sample_kernels(hyper, depth, covs, index, m_width, ref, q0)
     return theta
 
 
@@ -409,8 +406,8 @@ def _check_psd(cov: np.ndarray) -> None:
     if the matrix is not close to symmetric PSD at all.
     """
     n = cov.shape[0]
-    if not np.allclose(cov, cov.T, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
-        raise ValueError("covariance must be symmetric")
+    # the tolerance is NaN, and the check fails, when cov holds a NaN
+    _upper_triangle(cov, 1e-10 * float(np.abs(cov).max(initial=1.0)), "covariance")
     lam_min = float(np.linalg.eigvalsh(cov)[0])
     tol = PSD_WARN_TOL * max(float(np.trace(cov)) / n, 0.0)
     if lam_min < -tol:

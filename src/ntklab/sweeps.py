@@ -37,7 +37,7 @@ import yaml
 from .activations import ActivationKind
 from .meanfield import InitHyper, SignalOverflowError, avg_phi_prod, avg_phi_sq, classify_phase, \
     depth_sums
-from .ntk_theory import predict_variance, sample_kernels, trained_output_variance
+from .ntk_theory import predict_variance, sample_index, sample_kernels, trained_output_variance
 from .finite_net import TrainConfig, init, layer_widths, train_full_batch, forward_batch
 from .empirical_ntk import DEFAULT_SNAPSHOT_STEPS, default_probe, init_variance_ratio, \
     training_drift
@@ -494,10 +494,11 @@ def _predict_variance(cfg: SweepConfig) -> CellFn:
     M = int(cfg.widths[0])
     s = int(cfg.sample_count)
     c0 = float(cfg.reference_cov)
-    # the joint sample [x] + X: every pair, the test point's included, at
-    # the reference covariance covs[0], and the diagonal at the variance
-    # slot 1 of sample_kernels
-    covs, index = np.array([c0]), np.eye(s + 1, dtype=np.intp)
+    # the joint sample [x] + X, indexed once per sweep: s + 1 points of
+    # variance 1, every pair at c0, which is also the reference slot ref
+    cov0 = np.full((s + 1, s + 1), c0)
+    np.fill_diagonal(cov0, 1.0)
+    covs, index, (ref,) = sample_index(cov0, 1.0, c0)
 
     def run(cell, seed):
         sw, L = cell
@@ -505,7 +506,7 @@ def _predict_variance(cfg: SweepConfig) -> CellFn:
         # one depth_sums pass of the one covariance gives the joint Theta*,
         # whose corner is Theta*(X) and whose first row is theta_x, the
         # joint NNGP matrix K, kbar1/kbar2, qbar^L and qbar_sr^L
-        theta, joint = sample_kernels(hyper, L, covs, index, M, 0)
+        theta, joint = sample_kernels(hyper, L, covs, index, M, ref)
         pred = predict_variance(theta.mean_kappa1, theta.mean_kappa2, joint.matrix[0, 0],
                                 joint.matrix[0, 1], s)
         var = trained_output_variance(theta.matrix[1:, 1:], joint, theta.matrix[0, 1:],

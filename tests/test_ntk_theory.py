@@ -16,6 +16,7 @@ from ntklab.ntk_theory import (
     mean_theta_inverse,
     nngp_matrix,
     predict_variance,
+    sample_index,
     sample_kernels,
     spd_solve,
     theta_star_matrix,
@@ -116,6 +117,50 @@ class TestThetaStar:
             nngp_matrix(hyper, 4, asym, q0=1e-9)
         nngp_matrix(hyper, 4, [[3e-9, 1e-9], [1e-9, 3e-9]], q0=3e-9)
 
+    @pytest.mark.parametrize("q0", [1.0, 4.0, 1e-9])
+    def test_symmetry_check_is_1e12_of_q0(self, q0):
+        # one pair whose two entries differ by 2e-12 q0 is rejected, and by
+        # 0.5e-12 q0 taken
+        for gap, ok in ((2e-12, False), (0.5e-12, True)):
+            cov0 = q0 * THETA3_COV0
+            cov0[0, 2] += gap * q0
+            for build in _kernel_builds(cov0, q0):
+                if ok:
+                    build()
+                else:
+                    with pytest.raises(ValueError, match="cov0 must be symmetric"):
+                        build()
+
+    def test_rejects_a_nan(self):
+        # a NaN pair fails the symmetry check even where both entries hold it,
+        # and a NaN variance the diagonal check
+        for where, message in ((([0, 2], [2, 0]), "cov0 must be symmetric"),
+                               (([1], [1]), "diagonal of cov0 must equal q0")):
+            cov0 = THETA3_COV0.copy()
+            cov0[where] = np.nan
+            for build in _kernel_builds(cov0):
+                with pytest.raises(ValueError, match=message):
+                    build()
+
+    def test_rejects_a_non_square_matrix(self):
+        for cov0 in (THETA3_COV0[:2], THETA3_COV0[0]):
+            for build in _kernel_builds(cov0):
+                with pytest.raises(ValueError, match="cov0 must be a square matrix"):
+                    build()
+
+    @pytest.mark.parametrize("kind", [RELU, ERF, TANH])
+    def test_one_point_sample_has_no_pairs(self, kind):
+        # no off-diagonal covariance: Theta* and K are the variance channel
+        # of the depth sums of the reference covariance alone, bit for bit
+        hyper = InitHyper(2.0, 0.5, kind)
+        theta = theta_star_matrix(hyper, 6, [[1.0]], 64.0)
+        k = nngp_matrix(hyper, 6, [[1.0]])
+        (sums,) = depth_sums(hyper, [6], 1.0, np.array([0.5]))
+        assert theta.matrix.tobytes() == np.array([[320.0 * sums.kappa1
+                                                    + sums.p_sum_diag]]).tobytes()
+        assert (theta.mean_kappa1, theta.mean_kappa2) == (sums.kappa1, sums.kappa2[0])
+        assert k.matrix.tobytes() == np.array([[sums.q]]).tobytes()
+
     def test_peak_memory_does_not_grow_with_depth(self):
         # 19 900 distinct covariances: one layer's array of them is 159 kB,
         # and the depth sums keep none per layer
@@ -173,6 +218,38 @@ class TestThetaStar:
         assert np.allclose(theta.matrix, theta.matrix.T, atol=1e-12)
         # off-diagonal entries are scale * kappa2 + bias sums, strictly below diagonal
         assert np.all(np.diag(theta.matrix) >= theta.matrix.max(axis=1) - 1e-12)
+
+
+def _kernel_builds(cov0, q0=1.0):
+    """theta_star_matrix and nngp_matrix of cov0, each a call of no arguments."""
+    hyper = InitHyper(3.0, 1.0, ERF)
+    return (lambda: theta_star_matrix(hyper, 10, cov0, 1000.0, q0=q0),
+            lambda: nngp_matrix(hyper, 10, cov0, q0=q0))
+
+
+class TestSampleIndex:
+    def test_index_gathers_each_pair_and_slots_the_extras(self):
+        cov0 = _unit_norm_cov0(12, 32)
+        covs, index, slots = sample_index(cov0, 1.0, 0.5, 0.0)
+        iu = np.triu_indices(12, 1)
+        assert np.all(np.diff(covs) > 0.0) and len(covs) == len(np.unique(cov0[iu])) + 2
+        assert index.dtype == np.intp and np.array_equal(index, index.T)
+        np.testing.assert_array_equal(covs[index[iu]], cov0[iu])
+        np.testing.assert_array_equal(np.diag(index), len(covs))
+        np.testing.assert_array_equal(covs[list(slots)], [0.5, 0.0])
+
+    @pytest.mark.parametrize("s", [1, 6, 128])
+    @pytest.mark.parametrize("c0", [0.0, 0.5, 1.0])
+    def test_equicorrelated_joint_sample(self, s, c0):
+        # predict-variance's joint sample: the one covariance c0, which is
+        # also the reference, and the variance slot 1 on the diagonal
+        cov0 = np.full((s + 1, s + 1), c0)
+        np.fill_diagonal(cov0, 1.0)
+        covs, index, slots = sample_index(cov0, 1.0, c0)
+        np.testing.assert_array_equal(covs, [c0])
+        assert slots == (0,)
+        assert index.dtype == np.intp
+        np.testing.assert_array_equal(index, np.eye(s + 1, dtype=np.intp))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -494,6 +571,24 @@ class TestTrainedOutputVariance:
         with pytest.raises(ValueError, match="symmetric"):
             trained_output_variance(np.eye(2), asym, np.ones(2), 1000)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_rejects_an_asymmetric_joint(self, scale):
+        # symmetric to 1e-10 of max(1, max|K|), entry by entry: one pair that
+        # differs by 2e-10 of it is rejected, by 0.5e-10 taken; a NaN fails
+        for gap, ok in ((2e-10, False), (0.5e-10, True)):
+            joint = scale * np.eye(3)
+            joint[0, 1] = gap * max(1.0, scale)
+            if ok:
+                trained_output_variance(np.eye(2), joint, np.ones(2), 100)
+            else:
+                with pytest.raises(ValueError, match="covariance must be symmetric"):
+                    trained_output_variance(np.eye(2), joint, np.ones(2), 100)
+        for where in ((1, 2), (1, 1)):
+            joint = scale * np.eye(3)
+            joint[where] = joint[where[::-1]] = np.nan
+            with pytest.raises(ValueError, match="covariance must be symmetric"):
+                trained_output_variance(np.eye(2), joint, np.ones(2), 100)
+
     def test_psd_thresholds(self, caplog):
         # the warn and raise thresholds of the oracle's sampler, on eigvalsh
         theta = np.eye(2)
@@ -516,12 +611,9 @@ def test_sample_kernels_of_a_spread_joint_sample(kind, sw, sb, n):
     # forward-only pass, and Theta* and K exactly symmetric
     cov0 = _unit_norm_cov0(n, 64)
     hyper = InitHyper(sw, sb, kind)
-    iu = np.triu_indices(n, 1)
-    covs, inverse = np.unique(np.append(cov0[iu], 0.5), return_inverse=True)
+    covs, index, (ref,) = sample_index(cov0, 1.0, 0.5)
     assert len(covs) == n * (n - 1) // 2 + 1
-    index = np.full((n, n), len(covs))
-    index[iu] = index.T[iu] = inverse[:-1]
-    theta, k = sample_kernels(hyper, 16, covs, index, 64.0, inverse[-1])
+    theta, k = sample_kernels(hyper, 16, covs, index, 64.0, ref)
     np.testing.assert_array_equal(k.matrix, nngp_matrix(hyper, 16, cov0).matrix)
     for m in (theta.matrix, k.matrix):
         assert np.array_equal(m, m.T)

@@ -16,7 +16,8 @@ from ntklab.cli import build_parser, load_config, main
 from ntklab.data_io import RecordStore, code_identity
 from ntklab.empirical_ntk import training_drift
 from ntklab.meanfield import InitHyper
-from ntklab.ntk_theory import predict_variance, sample_kernels, trained_output_variance
+from ntklab.ntk_theory import predict_variance, sample_index, sample_kernels, \
+    trained_output_variance
 from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid
 from oracles import data_independent_kappas, equicorrelated_trained_variance, \
     reference_sums, reference_train_full_batch
@@ -331,8 +332,10 @@ def test_predict_variance_prediction_from_the_reference_sums(tmp_path):
 def _joint_kernels(hyper, depth, s, c0=0.5, m_width=64):
     """sample_kernels as a predict-variance cell calls it: the joint sample
     [x] + X of s + 1 points, every pair at c0."""
-    return sample_kernels(hyper, depth, np.array([c0]), np.eye(s + 1, dtype=np.intp),
-                          m_width, 0)
+    cov0 = np.full((s + 1, s + 1), c0)
+    np.fill_diagonal(cov0, 1.0)
+    covs, index, (ref,) = sample_index(cov0, 1.0, c0)
+    return sample_kernels(hyper, depth, covs, index, m_width, ref)
 
 
 def test_predict_variance_cell_builds_its_kernels_in_one_call(monkeypatch):
