@@ -29,7 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML sweep configuration file")
         p.add_argument("--out-dir", help="output directory for records and CSVs")
         p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--threads", type=int, help="worker threads across grid cells")
+        p.add_argument("--threads", type=int,
+                       help="numpy BLAS threads for the run (default 1); the output "
+                            "bytes depend on it, not on the host")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override any config field (YAML-parsed value); "
@@ -41,7 +43,7 @@ def load_config(args) -> SweepConfig:
     """The config of a parsed command line.  Each source overrides the ones
     before it: the defaults, NTKLAB_DATA_DIR (out_dir only; empty counts as
     unset), the --config file, the --set overrides, then --out-dir, --seed
-    and --threads."""
+    and --threads, the number of numpy BLAS threads the sweep runs on."""
     cfg = SweepConfig()
     env_dir = os.environ.get(DATA_DIR_ENV)
     if env_dir:

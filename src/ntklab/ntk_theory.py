@@ -186,16 +186,10 @@ def mean_theta_inverse(kappa1_bar: float, kappa2_bar: float, n: int,
     return lead * (np.eye(n) - shrink * np.ones((n, n)))
 
 
-def _upper_triangle(m: np.ndarray, tol: float, name: str) -> tuple[tuple, np.ndarray]:
-    """iu = np.triu_indices(n, 1) and m[iu]; ValueError unless m is square and
-    every |m[s, r] - m[r, s]| <= tol, which a NaN or an inf never is."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    iu = np.triu_indices(len(m), 1)
-    upper = m[iu]
-    if not np.abs(upper - m.T[iu]).max(initial=0.0) <= tol:
-        raise ValueError(f"{name} must be symmetric")
-    return iu, upper
+def _symmetric(m: np.ndarray, tol: float) -> bool:
+    """Whether every |m[s, r] - m[r, s]| <= tol for the square matrix m,
+    which a NaN or an inf never is."""
+    return bool(np.abs(m - m.T).max(initial=0.0) <= tol)
 
 
 def sample_index(cov0, q0: float = 1.0, *extra: float) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -206,10 +200,15 @@ def sample_index(cov0, q0: float = 1.0, *extra: float) -> tuple[np.ndarray, np.n
     q0, both to 1e-12 of q0.
     """
     cov0 = np.asarray(cov0, dtype=float)
+    if cov0.ndim != 2 or cov0.shape[0] != cov0.shape[1]:
+        raise ValueError("cov0 must be a square matrix")
     tol = 1e-12 * abs(q0)
-    iu, upper = _upper_triangle(cov0, tol, "cov0")
     if not np.abs(np.diag(cov0) - q0).max(initial=0.0) <= tol:
         raise ValueError("diagonal of cov0 must equal q0")
+    if not _symmetric(cov0, tol):
+        raise ValueError("cov0 must be symmetric")
+    iu = np.triu_indices(len(cov0), 1)
+    upper = cov0[iu]
     covs, inverse = np.unique(np.concatenate((upper, extra)), return_inverse=True)
     index = np.full(cov0.shape, len(covs), dtype=np.intp)
     index[iu] = index.T[iu] = inverse[:len(upper)]
@@ -268,18 +267,21 @@ def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# One numpy BLAS thread for the small dense algebra.
+# numpy's BLAS thread count.
 #
-# On two cores, threaded LAPACK on a ~128 x 128 matrix spends more time
-# waking and waiting for OpenBLAS workers than computing: the eigvalsh of the
-# PSD check took ~5 ms threaded against 0.7 ms on one thread.
-# trained_output_variance therefore keeps numpy's pool on one thread for the
-# check, the solve and u^T K u.  spd_solve runs on numpy's LAPACK, so all of
-# that algebra runs inside the block and exact_variance does not depend on
-# the core count or on the thread count numpy's pool had on entry.  A
-# matrix-vector product rounds the same on one thread, so u^T K u keeps its
-# bits; a matrix product of S > 100 may not, which is one reason
-# ThetaStar.epsilon is computed only when read.
+# numpy's OpenBLAS is the only thread pool the lab's arithmetic uses, and a
+# BLAS product over enough entries rounds differently on one and on two
+# threads, so sweeps.run_experiment runs each sweep in a
+# _numpy_blas_threads(cfg.threads) block: its bytes do not depend on the
+# host.  On two cores, threaded LAPACK on a ~128 x 128 matrix also spends
+# more time waking and waiting for OpenBLAS workers than computing (the
+# eigvalsh of the PSD check took ~5 ms threaded against 0.7 ms on one
+# thread), so trained_output_variance runs the check, the solve (spd_solve
+# is numpy's LAPACK) and u^T K u in a one-thread block, and exact_variance
+# does not depend on the count it enters with.  A matrix-vector product
+# rounds the same on one thread, so u^T K u keeps its bits; a matrix product
+# of S > 100 may not, which is one reason ThetaStar.epsilon is computed
+# only when read.
 
 _BLAS_LOCK = threading.RLock()
 
@@ -305,10 +307,11 @@ def _numpy_openblas_threads():
 
 
 @contextmanager
-def _one_numpy_blas_thread():
-    """Run numpy's BLAS and LAPACK on one thread inside the block, restoring
+def _numpy_blas_threads(n: int):
+    """Run numpy's BLAS and LAPACK on n threads inside the block, restoring
     the thread count after; a no-op where numpy's OpenBLAS is not found.
-    Blocks in concurrent threads run one at a time."""
+    Blocks in concurrent threads run one at a time; a block nested in
+    another on the same thread runs inside it."""
     threads = _numpy_openblas_threads()
     if threads is None:
         yield
@@ -316,7 +319,7 @@ def _one_numpy_blas_thread():
     get, set_ = threads
     with _BLAS_LOCK:
         saved = get()
-        set_(1)
+        set_(n)
         try:
             yield
         finally:
@@ -406,8 +409,8 @@ def _check_psd(cov: np.ndarray) -> None:
     if the matrix is not close to symmetric PSD at all.
     """
     n = cov.shape[0]
-    # the tolerance is NaN, and the check fails, when cov holds a NaN
-    _upper_triangle(cov, 1e-10 * float(np.abs(cov).max(initial=1.0)), "covariance")
+    if not _symmetric(cov, 1e-10 * float(np.abs(cov).max(initial=1.0))):
+        raise ValueError("covariance must be symmetric")
     lam_min = float(np.linalg.eigvalsh(cov)[0])
     tol = PSD_WARN_TOL * max(float(np.trace(cov)) / n, 0.0)
     if lam_min < -tol:
@@ -441,7 +444,7 @@ def trained_output_variance(theta_star, nngp_joint, theta_x_row: np.ndarray,
     exact = u^T K u, and the Monte-Carlo estimate is the sample variance of
     n_samples draws sqrt(u^T K u) * g, g ~ N(0, 1) from the Philox stream of
     seed.  The PSD check, the solve and u^T K u run numpy's BLAS on one
-    thread (see _one_numpy_blas_thread).
+    thread (see _numpy_blas_threads).
     """
     theta = _as_matrix(theta_star)
     joint = _as_matrix(nngp_joint)
@@ -454,7 +457,7 @@ def trained_output_variance(theta_star, nngp_joint, theta_x_row: np.ndarray,
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
 
-    with _one_numpy_blas_thread():
+    with _numpy_blas_threads(1):
         _check_psd(joint)
         v, jitter = spd_solve(theta, theta_x_row)
         u = np.concatenate(([1.0], -v))

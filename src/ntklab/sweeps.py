@@ -9,27 +9,28 @@ them all.  An entry gives three things:
   csvs        the name and header of each long-format CSV it writes.
 
 run_experiment validates the config once, derives one PRNG seed per cell
-from the master seed (cell_seeds), times each cell (optionally fanning the
-cells out over a thread pool), and appends each cell's RunRecord as soon as
-that cell and every earlier one are done, before any CSV is written, so a
-sweep that fails part way leaves a queryable audit trail.  Every record's
-stats carry a status: "ok", or "diverged" when a trained network of the
-cell (a train-drift replicate, a predict-variance network) reached a
-non-finite loss.  Divergence is a result, not an error: training returns
-it like any other stop reason, and the cell still writes its rows.  A cell
-that raises is recorded too, by its grid coordinates (Sweep.coords), with
-status "overflow" or "error", before the exception ends the sweep.  Given
-(config, seed) the output bytes are identical across runs and thread counts.
+from the master seed (cell_seeds), runs and times the cells one after
+another, and appends each cell's RunRecord as soon as it is done, before
+any CSV is written, so a sweep that fails part way leaves a queryable audit
+trail.  The whole sweep runs numpy's BLAS on cfg.threads threads, the only
+thread pool its arithmetic uses.  Every record's stats carry a status:
+"ok", or "diverged" when a trained network of the cell (a train-drift
+replicate, a predict-variance network) reached a non-finite loss.
+Divergence is a result, not an error: training returns it like any other
+stop reason, and the cell still writes its rows.  A cell that raises is
+recorded too, by its grid coordinates (Sweep.coords), with status
+"overflow" or "error", before the exception ends the sweep.  Given
+(config, seed) the output bytes are identical across runs and hosts at a
+given threads.
 """
 from __future__ import annotations
 
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import yaml
@@ -37,7 +38,8 @@ import yaml
 from .activations import ActivationKind
 from .meanfield import InitHyper, SignalOverflowError, avg_phi_prod, avg_phi_sq, classify_phase, \
     depth_sums
-from .ntk_theory import predict_variance, sample_index, sample_kernels, trained_output_variance
+from .ntk_theory import _numpy_blas_threads, predict_variance, sample_index, sample_kernels, \
+    trained_output_variance
 from .finite_net import TrainConfig, init, layer_widths, train_full_batch, forward_batch
 from .empirical_ntk import DEFAULT_SNAPSHOT_STEPS, default_probe, init_variance_ratio, \
     training_drift
@@ -245,17 +247,6 @@ def cell_seeds(master_seed: int, n_cells: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(n_cells, dtype=np.uint64)
 
 
-def _run_cells(cells: list, worker: Callable, threads: int) -> Iterator:
-    """Yield worker results in input order, each as soon as it and every
-    earlier cell are done, so callers can record cells as they finish."""
-    if threads <= 1:
-        for c in cells:
-            yield worker(c)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(worker, cells)
-
-
 # A cell function maps (cell, cell seed) to the cell's record params, its
 # record stats and its rows for each of the sweep's CSVs.
 CellFn = Callable[[tuple, int], tuple[dict, dict, tuple[list, ...]]]
@@ -290,24 +281,14 @@ def _failure_stats(err: Exception) -> dict:
 
 
 def run_experiment(cfg: SweepConfig) -> SweepOutput:
-    """Run every cell of cfg's grid, append its RunRecord as it finishes,
-    then write the sweep's CSVs.  The first cell that raises is recorded
-    with _failure_stats, then its exception propagates."""
+    """Run every cell of cfg's grid in order, append its RunRecord as it
+    finishes, then write the sweep's CSVs, all on cfg.threads numpy BLAS
+    threads.  A cell that raises is recorded with _failure_stats, then its
+    exception propagates."""
     cfg.validate()
     sweep = SWEEPS[cfg.experiment]
-    cells = sweep.grid(cfg)
-    run_cell = sweep.setup(cfg)
     out_dir = Path(cfg.out_dir)
     store = RecordStore(out_dir / "records.jsonl")
-
-    def timed(job):
-        cell, seed = job
-        t0 = time.perf_counter()
-        try:
-            result = run_cell(cell, int(seed))
-        except Exception as err:  # noqa: BLE001 - recorded, then raised in cell order
-            result = err
-        return cell, result, time.perf_counter() - t0
 
     def record(params, stats, elapsed):
         rec = RunRecord(kind=cfg.experiment, params=params, stats=stats, seed=cfg.seed,
@@ -316,19 +297,23 @@ def run_experiment(cfg: SweepConfig) -> SweepOutput:
         return rec
 
     records, tables = [], [[] for _ in sweep.csvs]
-    jobs = list(zip(cells, cell_seeds(cfg.seed, len(cells))))
-    for cell, result, elapsed in _run_cells(jobs, timed, cfg.threads):
-        if isinstance(result, Exception):
-            record(dict(activation=cfg.activation, **dict(zip(sweep.coords, cell))),
-                   _failure_stats(result), elapsed)
-            raise result
-        params, stats, rows = result
-        records.append(record(params, {"status": "ok", **stats}, elapsed))
-        for table, cell_rows in zip(tables, rows):
-            table.extend(cell_rows)
     paths = [out_dir / name for name, _ in sweep.csvs]
-    for path, (_, header), table in zip(paths, sweep.csvs, tables):
-        write_csv(path, header, table)
+    with _numpy_blas_threads(cfg.threads):
+        cells = sweep.grid(cfg)
+        run_cell = sweep.setup(cfg)
+        for cell, seed in zip(cells, cell_seeds(cfg.seed, len(cells))):
+            t0 = time.perf_counter()
+            try:
+                params, stats, rows = run_cell(cell, int(seed))
+            except Exception as err:
+                record(dict(activation=cfg.activation, **dict(zip(sweep.coords, cell))),
+                       _failure_stats(err), time.perf_counter() - t0)
+                raise
+            records.append(record(params, {"status": "ok", **stats}, time.perf_counter() - t0))
+            for table, cell_rows in zip(tables, rows):
+                table.extend(cell_rows)
+        for path, (_, header), table in zip(paths, sweep.csvs, tables):
+            write_csv(path, header, table)
     return SweepOutput(records=records, csv_paths=paths)
 
 
@@ -452,9 +437,10 @@ def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
     networks, with its standard error and their training logs' summary.
 
     The training inputs and the test point all share the layer-0 covariance
-    c0, realized exactly through a Gram-anchored input construction.  A
-    network whose loss becomes non-finite is counted as diverged and left
-    out of the variance, which is NaN when fewer than two networks finished.
+    c0, realized exactly through a Gram-anchored input construction.  Every
+    network's stop reason is counted.  A network whose loss becomes
+    non-finite is counted as diverged and left out of the variance, which
+    is NaN when fewer than two networks finished.
     """
     kind = hyper.activation
     q_hat0 = avg_phi_sq(kind, 1.0)
@@ -466,22 +452,21 @@ def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
     x_test, x_train = points[0], points[1:]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x7a11))))
     y = rng.uniform(0.0, 1.0, size=s)
-    outs, logs, divergence_steps = [], [], []
+    outs, losses, divergence_steps, stop_reasons = [], [], [], Counter()
     for k in range(n_nets):
         net = init(layer_widths(dim, m_width, depth), hyper, seed + 1000 + k)
         log = train_full_batch(net, x_train, y, tc)
+        stop_reasons[log.stop_reason] += 1
         if log.stop_reason == "diverged":
             divergence_steps.append(log.steps_run)
             continue
-        logs.append(log)
+        losses.append(log.losses[-1])
         out, _ = forward_batch(net, x_test[None, :])
         outs.append(out[0])
     nan = float("nan")
     trained = float(np.var(outs, ddof=1)) if len(outs) > 1 else nan
     trained_se = trained * math.sqrt(2.0 / (len(outs) - 1)) if len(outs) > 1 else nan
-    losses = [log.losses[-1] for log in logs]
-    stats = dict(trained=trained, trained_se=trained_se,
-                 stop_reasons=dict(Counter(log.stop_reason for log in logs)),
+    stats = dict(trained=trained, trained_se=trained_se, stop_reasons=dict(stop_reasons),
                  median_final_loss=float(np.median(losses)) if losses else nan)
     if divergence_steps:
         stats.update(status="diverged", n_diverged=len(divergence_steps),

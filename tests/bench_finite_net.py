@@ -25,13 +25,15 @@ It measures four things:
     runs it in.
 
 All use only names that exist since the buffered training step and the
-one-numpy-thread block (init, train_full_batch, training_drift, spd_solve,
-_one_numpy_blas_thread), so the same file times earlier commits too.
+BLAS block took a thread count (init, train_full_batch, training_drift,
+spd_solve, _numpy_blas_threads), so the same file times every commit
+since; before that the block was _one_numpy_blas_thread().
 """
 import os
 import subprocess
 import sys
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -127,7 +129,7 @@ def test_training_drift_peak_rss(benchmark, samples, width):
 def test_spd_solve(benchmark, threads):
     x = synthetic_dataset(SAMPLES, WIDTH, seed=0).inputs
     theta = ntk_theory.theta_star_matrix(HYPER, 16, x @ x.T, WIDTH).matrix
-    block = ntk_theory._one_numpy_blas_thread if threads == "one" else nullcontext
+    block = partial(ntk_theory._numpy_blas_threads, 1) if threads == "one" else nullcontext
 
     def solve():
         with block():

@@ -745,22 +745,22 @@ class TestOneNumpyBlasThread:
         assert got[0] == got[1]
 
     def test_u_k_u_keeps_its_bits(self, threads):
-        from ntklab.ntk_theory import _one_numpy_blas_thread
+        from ntklab.ntk_theory import _numpy_blas_threads
 
         for n in (25, 129, 257):
             rng = np.random.default_rng(n)
             a, u = rng.standard_normal((n, n)), rng.standard_normal(n)
             outside = u @ (a @ u)
-            with _one_numpy_blas_thread():
+            with _numpy_blas_threads(1):
                 assert u @ (a @ u) == outside
 
     def test_thread_count_restored_after_an_error(self, threads):
-        from ntklab.ntk_theory import _one_numpy_blas_thread
+        from ntklab.ntk_theory import _numpy_blas_threads
 
         get, _ = threads
         before = get()
         with pytest.raises(RuntimeError):
-            with _one_numpy_blas_thread():
+            with _numpy_blas_threads(1):
                 raise RuntimeError("inside")
         assert get() == before
 
@@ -770,7 +770,7 @@ class TestOneNumpyBlasThread:
         import sys
         import threading
 
-        from ntklab.ntk_theory import _one_numpy_blas_thread
+        from ntklab.ntk_theory import _numpy_blas_threads
 
         get, _ = threads
         before = get()
@@ -778,7 +778,7 @@ class TestOneNumpyBlasThread:
 
         def worker():
             for _ in range(5000):
-                with _one_numpy_blas_thread():
+                with _numpy_blas_threads(1):
                     inside.append(get())
 
         interval = sys.getswitchinterval()

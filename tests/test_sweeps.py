@@ -16,8 +16,8 @@ from ntklab.cli import build_parser, load_config, main
 from ntklab.data_io import RecordStore, code_identity
 from ntklab.empirical_ntk import training_drift
 from ntklab.meanfield import InitHyper
-from ntklab.ntk_theory import predict_variance, sample_index, sample_kernels, \
-    trained_output_variance
+from ntklab.ntk_theory import _numpy_openblas_threads, predict_variance, sample_index, \
+    sample_kernels, trained_output_variance
 from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid
 from oracles import data_independent_kappas, equicorrelated_trained_variance, \
     reference_sums, reference_train_full_batch
@@ -538,11 +538,14 @@ def test_cells_recorded_before_a_later_cell_fails(tmp_path, monkeypatch):
     assert failed.stats == dict(status="error", error_class="RuntimeError")
 
 
+OVERFLOWING_KAPPA_CURVES = ["kappa-curves", "--set", "sigma_w_sq=[1.0,3.0]",
+                            "--set", "depths=[2,3000]"]
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_overflowing_cell_is_recorded(tmp_path, capsys, threads):
     out = tmp_path / "out"
-    argv = ["kappa-curves", "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,3000]",
-            "--threads", threads]
+    argv = OVERFLOWING_KAPPA_CURVES + ["--threads", threads]
     assert _run(argv, out) == 2
     assert "mean-field recursion overflowed (layer 1733)" in capsys.readouterr().err
     ok, overflow = RecordStore(out / "records.jsonl")
@@ -599,7 +602,7 @@ def test_diverging_trained_network_is_recorded(tmp_path):
     assert rec.stats["status"] == "diverged"
     assert rec.stats["n_diverged"] == 1 and rec.stats["divergence_steps"] == [3]
     # the network that finished blew up to a finite loss: not converged
-    assert rec.stats["stop_reasons"] == {"loss_rose": 1}
+    assert rec.stats["stop_reasons"] == {"loss_rose": 1, "diverged": 1}
     for cell in ((1.0, 3), (3.0, 3)):
         # median final losses ~4e3 and ~9e37
         assert by_cell[cell].stats["stop_reasons"] == {"loss_rose": 2}
@@ -649,3 +652,63 @@ def test_one_record_per_grid_cell_and_bytes_independent_of_threads(tmp_path, cap
     assert names and names == sorted(p.name for p in (tmp_path / "2").glob("*.csv"))
     for name in names:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, restored after the test."""
+    threads = _numpy_openblas_threads()
+    if threads is None:
+        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+    get, set_ = threads
+    before = get()
+    yield threads
+    set_(before)
+
+
+# the smallest sweeps found whose CSV bytes differed between runs entered
+# at one and at two BLAS threads when the run kept the count it found
+WIDE_SWEEPS = [
+    ["train-drift", "--set", "widths=[129]", "--set", "sigma_w_sq=[1.0]", "--set", "depths=[2]",
+     "--set", "n_seeds=2", "--set", "train_steps=5", "--seed", "3"],
+    ["predict-variance", "--set", "widths=[129]", "--set", "train_seeds=2",
+     "--set", "sigma_w_sq=[1.0]", "--set", "depths=[2]", "--set", "mc_samples=100",
+     "--set", "train_steps=5"],
+]
+
+
+@pytest.mark.parametrize("argv", WIDE_SWEEPS, ids=[a[0] for a in WIDE_SWEEPS])
+def test_bytes_do_not_depend_on_the_entry_blas_thread_count(tmp_path, blas_threads, argv):
+    get, set_ = blas_threads
+    for n in (1, 2):
+        set_(n)
+        assert _run(argv, tmp_path / str(n)) == 0
+        assert get() == n
+    names = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "2").glob("*.csv"))
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cells_run_on_the_configured_blas_threads(tmp_path, monkeypatch, blas_threads, threads):
+    get, set_ = blas_threads
+    entry = 3 - threads
+    set_(entry)
+    seen = []
+    real = sweeps.classify_phase
+    monkeypatch.setattr(sweeps, "classify_phase",
+                        lambda hyper: (seen.append(get()), real(hyper))[1])
+    argv = ["phase-diagram", "--set", "sigma_w_sq=[1.0,2.0]", "--threads", str(threads)]
+    assert _run(argv, tmp_path) == 0
+    assert seen == [threads, threads]
+    assert get() == entry
+
+
+def test_blas_thread_count_restored_after_a_raising_run(tmp_path, blas_threads):
+    get, set_ = blas_threads
+    for threads in (1, 2):
+        set_(3 - threads)
+        argv = OVERFLOWING_KAPPA_CURVES + ["--threads", str(threads)]
+        assert _run(argv, tmp_path / str(threads)) == 2
+        assert get() == 3 - threads
