@@ -222,8 +222,8 @@ class DriftStat:
 
     Entries are NaN for snapshots where the kernel had already left the
     representable range (diverging chaotic runs).  A diverged run's record
-    ends at its last step before the non-finite loss: diverged is set,
-    stop_reason is "diverged" and steps_run is the step of that loss.
+    ends at its last step before the non-finite loss: stop_reason is
+    "diverged" and steps_run is the step of that loss.
     """
 
     steps: np.ndarray
@@ -231,8 +231,11 @@ class DriftStat:
     final_loss: float
     initial_loss: float
     stop_reason: str
-    diverged: bool = False
     steps_run: int = 0
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason == "diverged"
 
     @property
     def final_drift(self) -> float:
@@ -281,7 +284,6 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
 
     log = finite_net.train_full_batch(net, inputs, targets, cfg, snapshot_steps=snapshot_steps,
                                       on_snapshot=on_snapshot, buffers=ws)
-    diverged = log.stop_reason == "diverged"
     if len(log.losses):
         # step 1 evaluates the initial network
         initial_loss, final_loss = float(log.losses[0]), float(log.losses[-1])
@@ -290,7 +292,7 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
         # which happens before any update): the network is the initial one
         finite_net._forward_into(net, ws)
         initial_loss = finite_net.mse_loss(ws.outputs, np.ravel(targets))
-        final_loss = float("nan") if diverged else initial_loss
+        final_loss = float("nan") if log.stop_reason == "diverged" else initial_loss
     return DriftStat(steps=np.asarray(steps_rec), rel_change=np.asarray(drift_rec),
                      final_loss=final_loss, initial_loss=initial_loss,
-                     stop_reason=log.stop_reason, diverged=diverged, steps_run=log.steps_run)
+                     stop_reason=log.stop_reason, steps_run=log.steps_run)

@@ -3,7 +3,8 @@
 Every experiment is one entry of SWEEPS, and one loop, run_experiment, runs
 them all.  An entry gives three things:
 
-  grid(cfg)   the cells of the hyperparameter grid, in a deterministic order;
+  coords      the grid axes, outermost first: the cells, grid(cfg), are the
+              Cartesian product of the configured lists of these axes;
   setup(cfg)  the per-sweep work (data, training settings), returning a cell
               function (cell, seed) -> (params, stats, rows for each CSV);
   csvs        the name and header of each long-format CSV it writes.
@@ -25,6 +26,7 @@ given threads.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import Counter
@@ -137,10 +139,6 @@ class SweepConfig:
             empty.append("covariances")
         if empty:
             raise ConfigError(f"{', '.join(empty)} must not be empty")
-        for key in SWEEPS[self.experiment].one_value:
-            if len(getattr(self, key)) > 1:
-                raise ConfigError(f"{self.experiment} runs one {key} value, "
-                                  f"got {getattr(self, key)}")
         try:
             for sw in self.sigma_w_sq:
                 for sb in self.sigma_b_sq:
@@ -189,12 +187,12 @@ class SweepConfig:
                 raise ConfigError(f"snapshot_steps {outside} lie outside "
                                   f"[0, train_steps={self.train_steps}]")
         if (self.experiment == "predict-variance" and self.train_seeds > 0
-                and int(self.widths[0]) < self.sample_count + 1):
+                and int(min(self.widths)) < self.sample_count + 1):
             # the trained-network inputs are S + 1 points with a prescribed
-            # Gram matrix in dimension widths[0]
+            # Gram matrix in dimension M, for every width M
             raise ConfigError(f"predict-variance with train_seeds > 0 needs "
-                              f"widths[0] >= sample_count + 1 = {self.sample_count + 1}, "
-                              f"got {self.widths[0]}")
+                              f"widths >= sample_count + 1 = {self.sample_count + 1}, "
+                              f"got {self.widths}")
 
     def hyper(self, sw: float, sb: float) -> InitHyper:
         return InitHyper(float(sw), float(sb), ActivationKind.from_name(self.activation))
@@ -254,11 +252,14 @@ CellFn = Callable[[tuple, int], tuple[dict, dict, tuple[list, ...]]]
 
 @dataclass(frozen=True)
 class Sweep:
-    grid: Callable[[SweepConfig], list]     # the cells, in record and CSV order
-    coords: tuple                           # record param name of each cell entry
+    coords: tuple                           # grid axes (record param names), outermost first
     setup: Callable[[SweepConfig], CellFn]  # per-sweep work, then the cell function
     csvs: tuple                             # (file name, header) per CSV
-    one_value: tuple = ()                   # grid fields of which only [0] is read
+
+
+# the config list and value type of each grid axis
+_AXES = {"sigma_w_sq": ("sigma_w_sq", float), "sigma_b_sq": ("sigma_b_sq", float),
+         "depth": ("depths", int), "width": ("widths", int)}
 
 
 @dataclass
@@ -268,7 +269,10 @@ class SweepOutput:
 
 
 def grid(cfg: SweepConfig) -> list:
-    return SWEEPS[cfg.experiment].grid(cfg)
+    """The cells of cfg's sweep, in record and CSV order: one value of each
+    axis of Sweep.coords, the last axis varying fastest."""
+    axes = (_AXES[name] for name in SWEEPS[cfg.experiment].coords)
+    return list(itertools.product(*([kind(v) for v in getattr(cfg, key)] for key, kind in axes)))
 
 
 def _failure_stats(err: Exception) -> dict:
@@ -278,6 +282,15 @@ def _failure_stats(err: Exception) -> dict:
     if getattr(err, "layer", None) is not None:
         stats["layer"] = err.layer
     return stats
+
+
+def _outcomes(runs) -> dict:
+    """Record stats of a cell's trained runs (TrainLogs or DriftStats): the
+    count of each stop reason and, when any run diverged, status "diverged",
+    the number that did and the step at which each stopped."""
+    steps = [r.steps_run for r in runs if r.stop_reason == "diverged"]
+    stats = dict(status="diverged", n_diverged=len(steps), divergence_steps=steps) if steps else {}
+    return dict(stats, stop_reasons=dict(Counter(r.stop_reason for r in runs)))
 
 
 def run_experiment(cfg: SweepConfig) -> SweepOutput:
@@ -299,7 +312,7 @@ def run_experiment(cfg: SweepConfig) -> SweepOutput:
     records, tables = [], [[] for _ in sweep.csvs]
     paths = [out_dir / name for name, _ in sweep.csvs]
     with _numpy_blas_threads(cfg.threads):
-        cells = sweep.grid(cfg)
+        cells = grid(cfg)
         run_cell = sweep.setup(cfg)
         for cell, seed in zip(cells, cell_seeds(cfg.seed, len(cells))):
             t0 = time.perf_counter()
@@ -323,7 +336,7 @@ def run_experiment(cfg: SweepConfig) -> SweepOutput:
 
 def _phase_diagram(cfg: SweepConfig) -> CellFn:
     def run(cell, _seed):
-        sw, sb = cell
+        sb, sw = cell
         label = classify_phase(cfg.hyper(sw, sb))
         params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb)
         stats = dict(chi1_fixed_point=label.chi1_fixed_point, phase=label.tag.value)
@@ -333,14 +346,12 @@ def _phase_diagram(cfg: SweepConfig) -> CellFn:
 
 
 # ---------------------------------------------------------------------------
-# init-variance: kernel variance ratio over (sigma_w^2, depth, width), written
-# as a heatmap and as depth-to-width curves.
+# init-variance: kernel variance ratio over (sigma_b^2, width, depth,
+# sigma_w^2), written as a heatmap and as depth-to-width curves.
 
 def _init_variance(cfg: SweepConfig) -> CellFn:
-    sb = float(cfg.sigma_b_sq[0])
-
     def run(cell, seed):
-        sw, L, M = cell
+        sb, M, L, sw = cell
         dim = cfg.input_dim or M
         probe = default_probe(dim, seed)
         stat = init_variance_ratio(layer_widths(dim, M, L), cfg.hyper(sw, sb),
@@ -356,8 +367,8 @@ def _init_variance(cfg: SweepConfig) -> CellFn:
 
 
 # ---------------------------------------------------------------------------
-# train-drift: final kernel drift and final loss over (sigma_w^2, depth),
-# plus per-step curves.
+# train-drift: final kernel drift and final loss over (sigma_b^2, width,
+# depth, sigma_w^2), plus per-step curves.
 #
 # A replicate whose loss becomes non-finite is kept: its curve runs up to the
 # divergence, and its cell's record has status "diverged", n_diverged and the
@@ -366,19 +377,16 @@ def _init_variance(cfg: SweepConfig) -> CellFn:
 # finished (NaN when none did).
 
 def _train_drift(cfg: SweepConfig) -> CellFn:
-    sb = float(cfg.sigma_b_sq[0])
-    M = int(cfg.widths[0])
-    dim = cfg.input_dim or M
-    data = synthetic_dataset(cfg.sample_count, dim, seed=cfg.seed)
     tc = cfg.train_config()
     snaps = cfg.snapshots()
 
     def run(cell, seed):
-        sw, L = cell
+        sb, M, L, sw = cell
+        dim = cfg.input_dim or M
+        data = synthetic_dataset(cfg.sample_count, dim, seed=cfg.seed)
         reps = [training_drift(layer_widths(dim, M, L), cfg.hyper(sw, sb), data.inputs,
                                data.targets, tc, snapshot_steps=snaps, seed=seed + k)
                 for k in range(cfg.n_seeds)]
-        divergence_steps = [r.steps_run for r in reps if r.diverged]
         finished = [r for r in reps if not r.diverged]
         drift, final_loss, initial_loss = (
             float(np.mean([getattr(r, name) for r in finished])) if finished else float("nan")
@@ -387,10 +395,8 @@ def _train_drift(cfg: SweepConfig) -> CellFn:
                       depth=L, width=M, sample_count=cfg.sample_count,
                       learning_rate=cfg.learning_rate, steps=cfg.train_steps,
                       n_seeds=cfg.n_seeds)
-        stats = dict(status="diverged" if divergence_steps else "ok",
-                     n_diverged=len(divergence_steps), divergence_steps=divergence_steps,
-                     stop_reasons=dict(Counter(r.stop_reason for r in reps)),
-                     final_drift=drift, final_loss=final_loss, initial_loss=initial_loss)
+        stats = dict(_outcomes(reps), final_drift=drift, final_loss=final_loss,
+                     initial_loss=initial_loss)
         curves = [[cfg.activation, sw, sb, L, M, rep_idx, int(step), float(rel)]
                   for rep_idx, rep in enumerate(reps)
                   for step, rel in zip(rep.steps, rep.rel_change)]
@@ -452,13 +458,12 @@ def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
     x_test, x_train = points[0], points[1:]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x7a11))))
     y = rng.uniform(0.0, 1.0, size=s)
-    outs, losses, divergence_steps, stop_reasons = [], [], [], Counter()
+    logs, outs, losses = [], [], []
     for k in range(n_nets):
         net = init(layer_widths(dim, m_width, depth), hyper, seed + 1000 + k)
         log = train_full_batch(net, x_train, y, tc)
-        stop_reasons[log.stop_reason] += 1
+        logs.append(log)
         if log.stop_reason == "diverged":
-            divergence_steps.append(log.steps_run)
             continue
         losses.append(log.losses[-1])
         out, _ = forward_batch(net, x_test[None, :])
@@ -466,17 +471,12 @@ def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
     nan = float("nan")
     trained = float(np.var(outs, ddof=1)) if len(outs) > 1 else nan
     trained_se = trained * math.sqrt(2.0 / (len(outs) - 1)) if len(outs) > 1 else nan
-    stats = dict(trained=trained, trained_se=trained_se, stop_reasons=dict(stop_reasons),
-                 median_final_loss=float(np.median(losses)) if losses else nan)
-    if divergence_steps:
-        stats.update(status="diverged", n_diverged=len(divergence_steps),
-                     divergence_steps=divergence_steps)
-    return stats
+    return dict(trained=trained, trained_se=trained_se,
+                median_final_loss=float(np.median(losses)) if losses else nan,
+                **_outcomes(logs))
 
 
 def _predict_variance(cfg: SweepConfig) -> CellFn:
-    sb = float(cfg.sigma_b_sq[0])
-    M = int(cfg.widths[0])
     s = int(cfg.sample_count)
     c0 = float(cfg.reference_cov)
     # the joint sample [x] + X, indexed once per sweep: s + 1 points of
@@ -486,7 +486,7 @@ def _predict_variance(cfg: SweepConfig) -> CellFn:
     covs, index, (ref,) = sample_index(cov0, 1.0, c0)
 
     def run(cell, seed):
-        sw, L = cell
+        sb, M, sw, L = cell
         hyper = cfg.hyper(sw, sb)
         # one depth_sums pass of the one covariance gives the joint Theta*,
         # whose corner is Theta*(X) and whose first row is theta_x, the
@@ -518,46 +518,35 @@ _COORDS = ("activation", "sigma_w_sq", "sigma_b_sq")
 
 SWEEPS = {
     "phase-diagram": Sweep(
-        grid=lambda cfg: [(float(sw), float(sb))
-                          for sb in cfg.sigma_b_sq for sw in cfg.sigma_w_sq],
-        coords=("sigma_w_sq", "sigma_b_sq"),
+        coords=("sigma_b_sq", "sigma_w_sq"),
         setup=_phase_diagram,
         csvs=(("phase_diagram.csv", _COORDS + ("chi1_fixed_point", "phase")),)),
     "init-variance": Sweep(
-        grid=lambda cfg: [(float(sw), int(L), int(M))
-                          for M in cfg.widths for L in cfg.depths for sw in cfg.sigma_w_sq],
-        coords=("sigma_w_sq", "depth", "width"),
+        coords=("sigma_b_sq", "width", "depth", "sigma_w_sq"),
         setup=_init_variance,
         csvs=(("init_variance_heatmap.csv",
                _COORDS + ("depth", "width", "ratio", "standard_error")),
               ("init_variance_lm_curves.csv",
-               _COORDS + ("width", "depth", "depth_over_width", "ratio"))),
-        one_value=("sigma_b_sq",)),
+               _COORDS + ("width", "depth", "depth_over_width", "ratio")))),
     "train-drift": Sweep(
-        grid=lambda cfg: [(float(sw), int(L)) for L in cfg.depths for sw in cfg.sigma_w_sq],
-        coords=("sigma_w_sq", "depth"),
+        coords=("sigma_b_sq", "width", "depth", "sigma_w_sq"),
         setup=_train_drift,
         csvs=(("train_drift_heatmap.csv",
                _COORDS + ("depth", "width", "final_drift", "final_loss", "initial_loss")),
               ("train_drift_curves.csv",
-               _COORDS + ("depth", "width", "replicate", "step", "rel_change"))),
-        one_value=("sigma_b_sq", "widths")),
+               _COORDS + ("depth", "width", "replicate", "step", "rel_change")))),
     "kappa-curves": Sweep(
-        grid=lambda cfg: [(float(sw), float(sb))
-                          for sw in cfg.sigma_w_sq for sb in cfg.sigma_b_sq],
         coords=("sigma_w_sq", "sigma_b_sq"),
         setup=_kappa_curves,
         csvs=(("kappa_curves.csv", _COORDS + ("covariance", "depth", "kappa1", "kappa2",
                                               "kappa_ratio")),)),
     "predict-variance": Sweep(
-        grid=lambda cfg: [(float(sw), int(L)) for sw in cfg.sigma_w_sq for L in cfg.depths],
-        coords=("sigma_w_sq", "depth"),
+        coords=("sigma_b_sq", "width", "sigma_w_sq", "depth"),
         setup=_predict_variance,
         csvs=(("predict_variance.csv",
                _COORDS + ("depth", "width", "sample_count", "A", "predicted_variance",
                           "exact_variance", "mc_variance", "mc_standard_error",
-                          "trained_variance", "trained_standard_error")),),
-        one_value=("sigma_b_sq", "widths")),
+                          "trained_variance", "trained_standard_error")),)),
 }
 
 EXPERIMENT_KINDS = tuple(SWEEPS)

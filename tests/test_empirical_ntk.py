@@ -442,6 +442,5 @@ class TestGradientVarianceScaling:
 def test_drift_stat_final_drift_skips_non_finite():
     stat = DriftStat(steps=np.array([0, 1, 2]),
                      rel_change=np.array([0.0, 3.5, np.nan]),
-                     final_loss=1.0, initial_loss=2.0, stop_reason="diverged",
-                     diverged=True)
-    assert stat.final_drift == 3.5
+                     final_loss=1.0, initial_loss=2.0, stop_reason="diverged")
+    assert stat.diverged and stat.final_drift == 3.5

@@ -145,16 +145,9 @@ class TestValidation:
         (["init-variance", "--set", "widths=[8,16.5]", "--set", "n_seeds=2"], "widths"),
         (["train-drift", "--set", "snapshot_steps=[0,2.7]", "--set", "train_steps=3",
           "--set", "n_seeds=2", "--set", "sample_count=8"], "snapshot_steps"),
-        # the fields an experiment reads only the first entry of
-        (["train-drift", "--set", "widths=[8,16]", "--set", "n_seeds=2",
-          "--set", "train_steps=3", "--set", "sample_count=8"], "widths"),
-        (["train-drift", "--set", "sigma_b_sq=[0.5,1.0]", "--set", "n_seeds=2",
-          "--set", "train_steps=3", "--set", "sample_count=8"], "sigma_b_sq"),
-        (["predict-variance", "--set", "widths=[9,16]", "--set", "sample_count=8"], "widths"),
-        (["predict-variance", "--set", "sigma_b_sq=[0.5,1.0]", "--set", "sample_count=8"],
-         "sigma_b_sq"),
-        (["init-variance", "--set", "sigma_b_sq=[0.5,1.0]", "--set", "n_seeds=2"],
-         "sigma_b_sq"),
+        # every width must hold the trained networks' sample_count + 1 points
+        (["predict-variance", "--set", "train_seeds=2", "--set", "widths=[9,4]",
+          "--set", "sample_count=8"], "widths"),
     ])
     def test_infeasible_grid_is_a_config_error(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"
@@ -162,6 +155,28 @@ class TestValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and key in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-drift", "--set", "widths=[8,16]", "--set", "n_seeds=2",
+         "--set", "train_steps=3", "--set", "sample_count=8"],
+        ["train-drift", "--set", "sigma_b_sq=[0.5,1.0]", "--set", "n_seeds=2",
+         "--set", "train_steps=3", "--set", "sample_count=8"],
+        ["predict-variance", "--set", "widths=[9,16]", "--set", "sample_count=8"],
+        ["predict-variance", "--set", "sigma_b_sq=[0.5,1.0]", "--set", "sample_count=8"],
+        ["init-variance", "--set", "sigma_b_sq=[0.5,1.0]", "--set", "n_seeds=3"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[2].partition('=')[0]}")
+    def test_every_value_of_a_multi_valued_axis_runs(self, tmp_path, argv):
+        cfg = load_config(build_parser().parse_args(argv))
+        coords = sweeps.SWEEPS[argv[0]].coords
+        out = tmp_path / "out"
+        assert _run(argv, out) == 0
+        records = list(RecordStore(out / "records.jsonl"))
+        assert [tuple(r.params[k] for k in coords) for r in records] == grid(cfg)
+        for name, _ in sweeps.SWEEPS[argv[0]].csvs:
+            rows = _rows(out / name)
+            assert {float(r["sigma_b_sq"]) for r in rows} == set(map(float, cfg.sigma_b_sq))
+            if "width" in coords:
+                assert {int(r["width"]) for r in rows} == set(map(int, cfg.widths))
 
     def test_feasible_edges_accepted(self):
         SweepConfig(sample_count=1, train_steps=0, learning_rate=0.0,
@@ -349,7 +364,7 @@ def test_predict_variance_cell_builds_its_kernels_in_one_call(monkeypatch):
     monkeypatch.setattr(sweeps, "sample_kernels", spy)
     cfg = SweepConfig(experiment="predict-variance", sample_count=6, mc_samples=100)
     run = sweeps.SWEEPS["predict-variance"].setup(cfg)
-    for cell in ((1.5, 3), (2.0, 8)):
+    for cell in ((1.0, 64, 1.5, 3), (1.0, 64, 2.0, 8)):
         run(cell, 0)
     assert len(calls) == 2
     for (hyper, depth, covs, index, m_width, ref), (sw, L) in zip(calls, ((1.5, 3), (2.0, 8))):
@@ -534,7 +549,8 @@ def test_cells_recorded_before_a_later_cell_fails(tmp_path, monkeypatch):
     # the cell that finished, then the one that raised; none after it
     ok, failed = RecordStore(out / "records.jsonl")
     assert ok.params["sigma_w_sq"] == 1.0 and ok.stats["status"] == "ok"
-    assert failed.params == dict(activation="relu", sigma_w_sq=2.0, depth=2, width=8)
+    assert failed.params == dict(activation="relu", sigma_w_sq=2.0, sigma_b_sq=1.0, depth=2,
+                                 width=8)
     assert failed.stats == dict(status="error", error_class="RuntimeError")
 
 
@@ -619,24 +635,38 @@ def test_diverging_trained_network_is_recorded(tmp_path):
     assert rec3.stats["trained"] == by_cell[1.0, 16].stats["trained"]
 
 
-# (argv, record params that name a grid cell); small grids of every experiment
-SWEEP_CASES = [
-    (["phase-diagram", "--set", "sigma_w_sq=[1.0,2.0,3.0]", "--set", "sigma_b_sq=[0.5,1.0]"],
-     ("sigma_w_sq", "sigma_b_sq")),
-    (["kappa-curves", "--set", "sigma_w_sq=[1.0,2.0]", "--set", "sigma_b_sq=[0.5,1.0]",
-      "--set", "depths=[2,5]"], ("sigma_w_sq", "sigma_b_sq")),
-    (["init-variance", "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,4]",
-      "--set", "widths=[8,16]", "--set", "n_seeds=10"], ("sigma_w_sq", "depth", "width")),
-    (["train-drift", "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,32]",
-      "--set", "n_seeds=2", "--set", "train_steps=20", "--set", "snapshot_steps=[0,5,20]"],
-     ("sigma_w_sq", "depth")),
-    (DIVERGING_PREDICT_VARIANCE + ["--set", "train_seeds=2"], ("sigma_w_sq", "depth")),
-]
+# small grids of every experiment, by test id
+SWEEP_CASES = {
+    "phase-diagram": ["phase-diagram", "--set", "sigma_w_sq=[1.0,2.0,3.0]",
+                      "--set", "sigma_b_sq=[0.5,1.0]"],
+    "kappa-curves": ["kappa-curves", "--set", "sigma_w_sq=[1.0,2.0]",
+                     "--set", "sigma_b_sq=[0.5,1.0]", "--set", "depths=[2,5]"],
+    "init-variance": ["init-variance", "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,4]",
+                      "--set", "widths=[8,16]", "--set", "n_seeds=10"],
+    "init-variance-sigma_b_sq": ["init-variance", "--set", "sigma_b_sq=[0.5,1.0]",
+                                 "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,4]",
+                                 "--set", "widths=[8]", "--set", "n_seeds=10"],
+    "train-drift": ["train-drift", "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,32]",
+                    "--set", "n_seeds=2", "--set", "train_steps=20",
+                    "--set", "snapshot_steps=[0,5,20]"],
+    "train-drift-widths": ["train-drift", "--set", "widths=[8,16]",
+                           "--set", "sigma_w_sq=[1.0,3.0]", "--set", "depths=[2,4]",
+                           "--set", "n_seeds=2", "--set", "train_steps=20",
+                           "--set", "snapshot_steps=[0,5,20]"],
+    "predict-variance": DIVERGING_PREDICT_VARIANCE + ["--set", "train_seeds=2"],
+}
 
 
-@pytest.mark.parametrize("argv, cell_keys", SWEEP_CASES, ids=[a[0] for a, _ in SWEEP_CASES])
-def test_one_record_per_grid_cell_and_bytes_independent_of_threads(tmp_path, capsys, argv,
-                                                                     cell_keys):
+def test_every_csv_names_every_grid_axis():
+    # rows that differ only in one axis stay apart when that axis has many values
+    for kind, sweep in sweeps.SWEEPS.items():
+        for name, header in sweep.csvs:
+            assert set(sweep.coords) <= set(header), (kind, name)
+
+
+@pytest.mark.parametrize("argv", SWEEP_CASES.values(), ids=list(SWEEP_CASES))
+def test_one_record_per_grid_cell_and_bytes_independent_of_threads(tmp_path, capsys, argv):
+    cell_keys = sweeps.SWEEPS[argv[0]].coords
     cells = grid(load_config(build_parser().parse_args(argv)))
     statuses = {}
     for threads in ("1", "2"):
