@@ -86,19 +86,17 @@ def digit_to_target(labels: np.ndarray) -> np.ndarray:
     return labels.astype(float) / 9.0
 
 
-def load_mnist_subset(path, count: int, seed: int = 0, normalize: bool = True,
-                      images_file=None, labels_file=None,
-                      encoder=digit_to_target) -> Dataset:
+def load_mnist_subset(path, count: int, seed: int = 0, normalize: bool = True) -> Dataset:
     """Deterministic seeded subset of an MNIST-format IDX directory.
 
     Images are flattened to 784-vectors scaled to [0, 1] and optionally
-    rescaled to unit L2 norm; labels go through `encoder`.
+    rescaled to unit L2 norm; labels go through digit_to_target.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
     directory = Path(path)
-    img_path = Path(images_file) if images_file else _locate(directory, MNIST_IMAGE_NAMES)
-    lbl_path = Path(labels_file) if labels_file else _locate(directory, MNIST_LABEL_NAMES)
+    img_path = _locate(directory, MNIST_IMAGE_NAMES)
+    lbl_path = _locate(directory, MNIST_LABEL_NAMES)
     images = _read_idx(img_path, IDX_MAGIC_IMAGES)
     labels = _read_idx(lbl_path, IDX_MAGIC_LABELS)
     if images.shape[0] != labels.shape[0]:
@@ -117,19 +115,18 @@ def load_mnist_subset(path, count: int, seed: int = 0, normalize: bool = True,
             logger.warning("%d all-zero images left unnormalized", int(zero.sum()))
             norms[zero] = 1.0
         x = x / norms
-    return Dataset(inputs=x, targets=encoder(labels[idx]), normalized=normalize)
+    return Dataset(inputs=x, targets=digit_to_target(labels[idx]), normalized=normalize)
 
 
-def synthetic_dataset(count: int, dim: int, seed: int = 0,
-                      normalize: bool = True) -> Dataset:
-    """Random dataset: rows drawn isotropically (unit-norm when normalize)
-    with targets uniform on [0, 1]."""
+def synthetic_dataset(count: int, dim: int, seed: int = 0) -> Dataset:
+    """Random dataset: unit-norm rows drawn isotropically, with targets
+    uniform on [0, 1]."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     x = rng.standard_normal((count, dim))
-    if normalize and count:
+    if count:
         x /= np.linalg.norm(x, axis=1, keepdims=True)
     y = rng.uniform(0.0, 1.0, size=count)
-    return Dataset(inputs=x, targets=y, normalized=normalize)
+    return Dataset(inputs=x, targets=y, normalized=True)
 
 
 def gram_anchored_inputs(gram: np.ndarray, dim: int, seed: int = 0) -> np.ndarray:

@@ -374,14 +374,13 @@ def variance_fixed_point(hyper: InitHyper, q0: float = 1.0) -> tuple[float, floa
     raise FixedPointDivergenceError("variance map did not converge", last_iterate=float(q))
 
 
-def classify_phase(hyper: InitHyper, q0: float = 1.0,
-                   tol: float = EOC_TOLERANCE) -> PhaseLabel:
+def classify_phase(hyper: InitHyper) -> PhaseLabel:
     """Classify (sigma_w^2, sigma_b^2) as ordered / chaotic / EOC via chi1 at
-    the variance fixed point."""
-    _, chi = variance_fixed_point(hyper, q0)
-    if chi < 1.0 - tol:
+    the variance fixed point (iterated from q0 = 1), within EOC_TOLERANCE of 1."""
+    _, chi = variance_fixed_point(hyper, 1.0)
+    if chi < 1.0 - EOC_TOLERANCE:
         tag = Phase.ORDERED
-    elif chi > 1.0 + tol:
+    elif chi > 1.0 + EOC_TOLERANCE:
         tag = Phase.CHAOTIC
     else:
         tag = Phase.EOC
@@ -389,9 +388,9 @@ def classify_phase(hyper: InitHyper, q0: float = 1.0,
 
 
 def edge_of_chaos_sigma_w_sq(activation: ActivationKind, sigma_b_sq: float,
-                             bracket: tuple[float, float] = (1e-3, 20.0),
-                             rtol: float = 1e-10) -> float:
-    """Locate the sigma_w^2 where chi1(q*) crosses 1 at fixed sigma_b^2, by bisection."""
+                             bracket: tuple[float, float] = (1e-3, 20.0)) -> float:
+    """Locate the sigma_w^2 where chi1(q*) crosses 1 at fixed sigma_b^2, by
+    bisection to a relative width of 1e-10."""
 
     def excess(sw_sq: float) -> float:
         _, chi = variance_fixed_point(InitHyper(sw_sq, sigma_b_sq, activation))
@@ -401,7 +400,7 @@ def edge_of_chaos_sigma_w_sq(activation: ActivationKind, sigma_b_sq: float,
     f_lo, f_hi = excess(lo), excess(hi)
     if f_lo > 0.0 or f_hi < 0.0:
         raise ValueError(f"bracket {bracket} does not straddle the phase border")
-    while hi - lo > rtol * hi:
+    while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if excess(mid) < 0.0:
             lo = mid

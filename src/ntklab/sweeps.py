@@ -1,28 +1,30 @@
 """Configurable experiment sweeps behind the command-line front end.
 
 Every experiment is one entry of SWEEPS, and one loop, run_experiment, runs
-them all.  An entry gives three things:
+them all.  An entry gives four things:
 
   coords      the grid axes, outermost first: the cells, grid(cfg), are the
               Cartesian product of the configured lists of these axes;
+  config      the config fields that every cell runs with;
   setup(cfg)  the per-sweep work (data, training settings), returning a cell
-              function (cell, seed) -> (params, stats, rows for each CSV);
+              function (cell, seed) -> (stats, rows for each CSV);
   csvs        the name and header of each long-format CSV it writes.
 
-run_experiment validates the config once, derives one PRNG seed per cell
-from the master seed (cell_seeds), runs and times the cells one after
-another, and appends each cell's RunRecord as soon as it is done, before
-any CSV is written, so a sweep that fails part way leaves a queryable audit
-trail.  The whole sweep runs numpy's BLAS on cfg.threads threads, the only
-thread pool its arithmetic uses.  Every record's stats carry a status:
-"ok", or "diverged" when a trained network of the cell (a train-drift
-replicate, a predict-variance network) reached a non-finite loss.
-Divergence is a result, not an error: training returns it like any other
-stop reason, and the cell still writes its rows.  A cell that raises is
-recorded too, by its grid coordinates (Sweep.coords), with status
-"overflow" or "error", before the exception ends the sweep.  Given
-(config, seed) the output bytes are identical across runs and hosts at a
-given threads.
+A cell's record params are the activation, its value of each axis and the
+config fields; each CSV row is the cell's row over those params, read off
+by header name.  run_experiment validates the config once, derives one
+PRNG seed per cell from the master seed (cell_seeds), runs and times the
+cells one after another, and appends each cell's RunRecord as soon as it
+is done, before any CSV is written, so a sweep that fails part way leaves
+a queryable audit trail.  The whole sweep runs numpy's BLAS on cfg.threads
+threads, the only thread pool its arithmetic uses.  Every record's stats
+carry a status: "ok", or "diverged" when a trained network of the cell (a
+train-drift replicate, a predict-variance network) reached a non-finite
+loss.  Divergence is a result, not an error: training returns it like any
+other stop reason, and the cell still writes its rows.  A cell that raises
+is recorded too, with the same params and status "overflow" or "error",
+before the exception ends the sweep.  Given (config, seed) the output
+bytes are identical across runs and hosts at a given threads.
 """
 from __future__ import annotations
 
@@ -245,14 +247,16 @@ def cell_seeds(master_seed: int, n_cells: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(n_cells, dtype=np.uint64)
 
 
-# A cell function maps (cell, cell seed) to the cell's record params, its
-# record stats and its rows for each of the sweep's CSVs.
-CellFn = Callable[[tuple, int], tuple[dict, dict, tuple[list, ...]]]
+# A cell function maps (cell, cell seed) to the cell's record stats and,
+# for each of the sweep's CSVs, its rows: mappings from column name to value
+# that need not repeat the record params.
+CellFn = Callable[[tuple, int], tuple[dict, tuple[list[dict], ...]]]
 
 
 @dataclass(frozen=True)
 class Sweep:
     coords: tuple                           # grid axes (record param names), outermost first
+    config: tuple                           # config fields recorded as params
     setup: Callable[[SweepConfig], CellFn]  # per-sweep work, then the cell function
     csvs: tuple                             # (file name, header) per CSV
 
@@ -297,7 +301,8 @@ def run_experiment(cfg: SweepConfig) -> SweepOutput:
     """Run every cell of cfg's grid in order, append its RunRecord as it
     finishes, then write the sweep's CSVs, all on cfg.threads numpy BLAS
     threads.  A cell that raises is recorded with _failure_stats, then its
-    exception propagates."""
+    exception propagates.  A CSV column that neither the params nor the
+    cell's row supplies raises KeyError."""
     cfg.validate()
     sweep = SWEEPS[cfg.experiment]
     out_dir = Path(cfg.out_dir)
@@ -314,17 +319,18 @@ def run_experiment(cfg: SweepConfig) -> SweepOutput:
     with _numpy_blas_threads(cfg.threads):
         cells = grid(cfg)
         run_cell = sweep.setup(cfg)
+        config = {name: getattr(cfg, name) for name in sweep.config}
         for cell, seed in zip(cells, cell_seeds(cfg.seed, len(cells))):
+            params = dict(activation=cfg.activation, **dict(zip(sweep.coords, cell)), **config)
             t0 = time.perf_counter()
             try:
-                params, stats, rows = run_cell(cell, int(seed))
+                stats, rows = run_cell(cell, int(seed))
             except Exception as err:
-                record(dict(activation=cfg.activation, **dict(zip(sweep.coords, cell))),
-                       _failure_stats(err), time.perf_counter() - t0)
+                record(params, _failure_stats(err), time.perf_counter() - t0)
                 raise
             records.append(record(params, {"status": "ok", **stats}, time.perf_counter() - t0))
-            for table, cell_rows in zip(tables, rows):
-                table.extend(cell_rows)
+            for table, (_, header), cell_rows in zip(tables, sweep.csvs, rows):
+                table.extend([{**params, **row}[name] for name in header] for row in cell_rows)
         for path, (_, header), table in zip(paths, sweep.csvs, tables):
             write_csv(path, header, table)
     return SweepOutput(records=records, csv_paths=paths)
@@ -338,10 +344,8 @@ def _phase_diagram(cfg: SweepConfig) -> CellFn:
     def run(cell, _seed):
         sb, sw = cell
         label = classify_phase(cfg.hyper(sw, sb))
-        params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb)
         stats = dict(chi1_fixed_point=label.chi1_fixed_point, phase=label.tag.value)
-        return params, stats, ([[cfg.activation, sw, sb, label.chi1_fixed_point,
-                                 label.tag.value]],)
+        return stats, ([stats],)
     return run
 
 
@@ -356,13 +360,9 @@ def _init_variance(cfg: SweepConfig) -> CellFn:
         probe = default_probe(dim, seed)
         stat = init_variance_ratio(layer_widths(dim, M, L), cfg.hyper(sw, sb),
                                    probe, cfg.n_seeds, seed=seed)
-        params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb,
-                      depth=L, width=M, n_seeds=cfg.n_seeds)
         stats = dict(ratio=stat.ratio, standard_error=stat.standard_error,
                      mean=stat.mean, n_failed=stat.n_failed)
-        return params, stats, ([[cfg.activation, sw, sb, L, M, stat.ratio,
-                                 stat.standard_error]],
-                               [[cfg.activation, sw, sb, M, L, L / M, stat.ratio]])
+        return stats, ([stats], [dict(stats, depth_over_width=L / M)])
     return run
 
 
@@ -391,17 +391,12 @@ def _train_drift(cfg: SweepConfig) -> CellFn:
         drift, final_loss, initial_loss = (
             float(np.mean([getattr(r, name) for r in finished])) if finished else float("nan")
             for name in ("final_drift", "final_loss", "initial_loss"))
-        params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb,
-                      depth=L, width=M, sample_count=cfg.sample_count,
-                      learning_rate=cfg.learning_rate, steps=cfg.train_steps,
-                      n_seeds=cfg.n_seeds)
         stats = dict(_outcomes(reps), final_drift=drift, final_loss=final_loss,
                      initial_loss=initial_loss)
-        curves = [[cfg.activation, sw, sb, L, M, rep_idx, int(step), float(rel)]
+        curves = [dict(replicate=rep_idx, step=int(step), rel_change=float(rel))
                   for rep_idx, rep in enumerate(reps)
                   for step, rel in zip(rep.steps, rep.rel_change)]
-        return params, stats, ([[cfg.activation, sw, sb, L, M, drift, final_loss,
-                                 initial_loss]], curves)
+        return stats, ([stats], curves)
     return run
 
 
@@ -423,12 +418,9 @@ def _kappa_curves(cfg: SweepConfig) -> CellFn:
             for L, pair in zip(depths, sums):
                 kappa2 = float(pair.kappa2[k])
                 ratio = pair.kappa1 / kappa2 if kappa2 else float("inf")
-                rows.append([cfg.activation, sw, sb, float(c0), L, pair.kappa1,
-                             kappa2, ratio])
-        params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb,
-                      covariances=list(cfg.covariances),
-                      depths=depths)
-        return params, dict(rows=len(rows)), (rows,)
+                rows.append(dict(covariance=float(c0), depth=L, kappa1=pair.kappa1,
+                                 kappa2=kappa2, kappa_ratio=ratio))
+        return dict(rows=len(rows)), (rows,)
     return run
 
 
@@ -439,8 +431,10 @@ def _kappa_curves(cfg: SweepConfig) -> CellFn:
 
 def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
                            c0: float, tc: TrainConfig, n_nets: int, seed: int) -> dict:
-    """Output variance on a held-out point over n_nets trained finite
-    networks, with its standard error and their training logs' summary.
+    """Record stats of n_nets trained finite networks: the output variance
+    on a held-out point (trained_variance), its standard error
+    (trained_standard_error), the median final loss and _outcomes of their
+    training logs.
 
     The training inputs and the test point all share the layer-0 covariance
     c0, realized exactly through a Gram-anchored input construction.  Every
@@ -471,7 +465,7 @@ def _trained_network_stats(hyper: InitHyper, depth: int, m_width: int, s: int,
     nan = float("nan")
     trained = float(np.var(outs, ddof=1)) if len(outs) > 1 else nan
     trained_se = trained * math.sqrt(2.0 / (len(outs) - 1)) if len(outs) > 1 else nan
-    return dict(trained=trained, trained_se=trained_se,
+    return dict(trained_variance=trained, trained_standard_error=trained_se,
                 median_final_loss=float(np.median(losses)) if losses else nan,
                 **_outcomes(logs))
 
@@ -496,21 +490,15 @@ def _predict_variance(cfg: SweepConfig) -> CellFn:
                                 joint.matrix[0, 1], s)
         var = trained_output_variance(theta.matrix[1:, 1:], joint, theta.matrix[0, 1:],
                                       cfg.mc_samples, seed=seed)
-        stats = dict(A=pred.A, predicted=pred.variance, exact=var.exact,
-                     mc=var.mc_variance, mc_se=var.mc_standard_error,
+        stats = dict(A=pred.A, predicted_variance=pred.variance, exact_variance=var.exact,
+                     mc_variance=var.mc_variance, mc_standard_error=var.mc_standard_error,
                      rel_gap=(abs(pred.variance - var.exact) / var.exact if var.exact > 0.0
                               else math.nan),
                      spd_jitter=var.jitter)
-        trained = trained_se = ""
         if cfg.train_seeds > 0:
             stats.update(_trained_network_stats(hyper, L, M, s, c0, cfg.train_config(),
                                                 cfg.train_seeds, cfg.seed))
-            trained, trained_se = stats["trained"], stats["trained_se"]
-        params = dict(activation=cfg.activation, sigma_w_sq=sw, sigma_b_sq=sb, depth=L,
-                      width=M, sample_count=s, reference_cov=c0, mc_samples=cfg.mc_samples)
-        return params, stats, ([[cfg.activation, sw, sb, L, M, s, pred.A, pred.variance,
-                                 var.exact, var.mc_variance, var.mc_standard_error,
-                                 trained, trained_se]],)
+        return stats, ([{"trained_variance": "", "trained_standard_error": "", **stats}],)
     return run
 
 
@@ -519,10 +507,12 @@ _COORDS = ("activation", "sigma_w_sq", "sigma_b_sq")
 SWEEPS = {
     "phase-diagram": Sweep(
         coords=("sigma_b_sq", "sigma_w_sq"),
+        config=(),
         setup=_phase_diagram,
         csvs=(("phase_diagram.csv", _COORDS + ("chi1_fixed_point", "phase")),)),
     "init-variance": Sweep(
         coords=("sigma_b_sq", "width", "depth", "sigma_w_sq"),
+        config=("n_seeds",),
         setup=_init_variance,
         csvs=(("init_variance_heatmap.csv",
                _COORDS + ("depth", "width", "ratio", "standard_error")),
@@ -530,6 +520,7 @@ SWEEPS = {
                _COORDS + ("width", "depth", "depth_over_width", "ratio")))),
     "train-drift": Sweep(
         coords=("sigma_b_sq", "width", "depth", "sigma_w_sq"),
+        config=("sample_count", "learning_rate", "train_steps", "n_seeds"),
         setup=_train_drift,
         csvs=(("train_drift_heatmap.csv",
                _COORDS + ("depth", "width", "final_drift", "final_loss", "initial_loss")),
@@ -537,11 +528,13 @@ SWEEPS = {
                _COORDS + ("depth", "width", "replicate", "step", "rel_change")))),
     "kappa-curves": Sweep(
         coords=("sigma_w_sq", "sigma_b_sq"),
+        config=("covariances", "depths"),
         setup=_kappa_curves,
         csvs=(("kappa_curves.csv", _COORDS + ("covariance", "depth", "kappa1", "kappa2",
                                               "kappa_ratio")),)),
     "predict-variance": Sweep(
         coords=("sigma_b_sq", "width", "sigma_w_sq", "depth"),
+        config=("sample_count", "reference_cov", "mc_samples"),
         setup=_predict_variance,
         csvs=(("predict_variance.csv",
                _COORDS + ("depth", "width", "sample_count", "A", "predicted_variance",

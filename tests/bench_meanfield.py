@@ -24,9 +24,10 @@ It times these things, each on its own inputs:
     cell (1.5, 0.1), and 12 points at (4, 1), whose fits need degree 128 or
     256, more than an array of a 12-point sample's covariances can use.
 
-Apart from the depth_sums timings, which are skipped where it does not
-exist, every benchmark uses only names that have existed since the one-loop
-trace (theta_star_matrix, nngp_matrix, sweeps.SWEEPS), and the fit cache is
+Apart from the depth_sums timings and the sweep cells, which are skipped
+where meanfield.depth_sums or sweeps.grid (the cells of a sweep's config)
+does not exist, every benchmark uses only names that have existed since
+the one-loop trace (theta_star_matrix, nngp_matrix), and the fit cache is
 cleared through quadrature._fit.cache_clear, or quadrature._FITS.clear on
 trees that kept their fits in a _FitCache, so the same file times earlier
 commits too.
@@ -38,12 +39,11 @@ import sys
 import numpy as np
 import pytest
 
-from ntklab import meanfield, quadrature
+from ntklab import meanfield, quadrature, sweeps
 from ntklab.activations import ActivationKind
 from ntklab.data_io import synthetic_dataset
 from ntklab.meanfield import InitHyper
 from ntklab.ntk_theory import nngp_matrix, theta_star_matrix
-from ntklab.sweeps import SWEEPS, SweepConfig
 
 TRACE_DEPTH = 32
 HYPER = {"relu": (2.0, 1.0), "tanh": (1.5, 0.1)}
@@ -76,11 +76,18 @@ def test_depth_sums(benchmark, activation, n_covs):
     benchmark(depth_sums, _hyper(activation), [TRACE_DEPTH], 1.0, q0_sr)
 
 
-@pytest.mark.parametrize("experiment,cell", [("kappa-curves", (2.0, 1.0)),
-                                             ("predict-variance", (2.0, 32))])
-def test_sweep_cell(benchmark, experiment, cell):
-    cfg = SweepConfig(experiment=experiment, sample_count=128, mc_samples=50_000)
-    run = SWEEPS[experiment].setup(cfg)
+@pytest.mark.parametrize("experiment,overrides", [("kappa-curves", {}),
+                                                  ("predict-variance", {"depths": [32]})],
+                         ids=["kappa-curves", "predict-variance"])
+def test_sweep_cell(benchmark, experiment, overrides):
+    grid = getattr(sweeps, "grid", None)
+    if grid is None:
+        pytest.skip("no sweeps.grid in this commit")
+    # the one cell of a one-cell grid, so it has the shape the sweep expects
+    cfg = sweeps.SweepConfig(experiment=experiment, sigma_w_sq=[2.0], sigma_b_sq=[1.0],
+                             sample_count=128, mc_samples=50_000, **overrides)
+    (cell,) = grid(cfg)
+    run = sweeps.SWEEPS[experiment].setup(cfg)
     benchmark(run, cell, 0)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from ntklab import finite_net, sweeps
 from ntklab.activations import ActivationKind
 from ntklab.cli import build_parser, load_config, main
-from ntklab.data_io import RecordStore, code_identity
+from ntklab.data_io import RecordStore, _csv_cell, code_identity
 from ntklab.empirical_ntk import training_drift
 from ntklab.meanfield import InitHyper
 from ntklab.ntk_theory import _numpy_openblas_threads, predict_variance, sample_index, \
@@ -428,8 +429,9 @@ def test_deep_ordered_predict_variance_cells_finish(tmp_path, activation, sw, de
             "--set", "mc_samples=1000"]
     assert _run(argv, out) == 0
     (rec,) = RecordStore(out / "records.jsonl")
-    assert rec.stats["status"] == "ok" and rec.stats["predicted"] >= 0.0
-    assert (rec.stats["exact"], rec.stats["mc"], rec.stats["mc_se"]) == (0.0, 0.0, 0.0)
+    assert rec.stats["status"] == "ok" and rec.stats["predicted_variance"] >= 0.0
+    assert (rec.stats["exact_variance"], rec.stats["mc_variance"],
+            rec.stats["mc_standard_error"]) == (0.0, 0.0, 0.0)
     assert math.isnan(rec.stats["rel_gap"])
     (row,) = _rows(out / "predict_variance.csv")
     assert float(row["exact_variance"]) == 0.0
@@ -473,7 +475,7 @@ def test_predict_variance_reports_exact_variance_and_per_cell_mc_seeds(tmp_path)
         exact, mc, se = (float(row[k]) for k in ("exact_variance", "mc_variance",
                                                   "mc_standard_error"))
         assert abs(mc - exact) <= 5.0 * se
-        assert rec.stats["exact"] == exact and rec.stats["spd_jitter"] == 0.0
+        assert rec.stats["exact_variance"] == exact and rec.stats["spd_jitter"] == 0.0
         pred = float(row["predicted_variance"])
         assert rec.stats["rel_gap"] == abs(pred - exact) / exact
         assert row["trained_variance"] == row["trained_standard_error"] == ""
@@ -492,7 +494,8 @@ def test_predict_variance_records_trained_network_convergence(tmp_path):
     (rec,) = RecordStore(tmp_path / "records.jsonl")
     trained, se = float(row["trained_variance"]), float(row["trained_standard_error"])
     assert se == pytest.approx(trained * math.sqrt(2.0 / 2), rel=1e-15)
-    assert rec.stats["trained"] == trained and rec.stats["trained_se"] == se
+    assert rec.stats["trained_variance"] == trained
+    assert rec.stats["trained_standard_error"] == se
     assert rec.stats["stop_reasons"] == {"max_steps": 3}
     assert math.isfinite(rec.stats["median_final_loss"]) and rec.stats["median_final_loss"] > 0
 
@@ -549,8 +552,10 @@ def test_cells_recorded_before_a_later_cell_fails(tmp_path, monkeypatch):
     # the cell that finished, then the one that raised; none after it
     ok, failed = RecordStore(out / "records.jsonl")
     assert ok.params["sigma_w_sq"] == 1.0 and ok.stats["status"] == "ok"
+    # the failed cell carries the config it ran with, as the ok cell does
     assert failed.params == dict(activation="relu", sigma_w_sq=2.0, sigma_b_sq=1.0, depth=2,
-                                 width=8)
+                                 width=8, n_seeds=10)
+    assert failed.params.keys() == ok.params.keys()
     assert failed.stats == dict(status="error", error_class="RuntimeError")
 
 
@@ -566,7 +571,8 @@ def test_overflowing_cell_is_recorded(tmp_path, capsys, threads):
     assert "mean-field recursion overflowed (layer 1733)" in capsys.readouterr().err
     ok, overflow = RecordStore(out / "records.jsonl")
     assert ok.params["sigma_w_sq"] == 1.0 and ok.stats["status"] == "ok"
-    assert overflow.params == dict(activation="relu", sigma_w_sq=3.0, sigma_b_sq=1.0)
+    assert overflow.params == dict(activation="relu", sigma_w_sq=3.0, sigma_b_sq=1.0,
+                                   covariances=[0.0, 0.5, 0.9], depths=[2, 3000])
     assert overflow.stats == dict(status="overflow", error_class="SignalOverflowError",
                                   layer=1733)
     assert not (out / "kappa_curves.csv").exists()
@@ -622,7 +628,8 @@ def test_diverging_trained_network_is_recorded(tmp_path):
     for cell in ((1.0, 3), (3.0, 3)):
         # median final losses ~4e3 and ~9e37
         assert by_cell[cell].stats["stop_reasons"] == {"loss_rose": 2}
-    assert math.isnan(rec.stats["trained"]) and math.isnan(rec.stats["trained_se"])
+    assert math.isnan(rec.stats["trained_variance"])
+    assert math.isnan(rec.stats["trained_standard_error"])
     assert (rows[3]["trained_variance"], rows[3]["trained_standard_error"]) == ("nan", "nan")
     assert by_cell[1.0, 16].stats["status"] == "ok"
     assert "n_diverged" not in by_cell[1.0, 16].stats
@@ -632,7 +639,7 @@ def test_diverging_trained_network_is_recorded(tmp_path):
     rec3 = {(r.params["sigma_w_sq"], r.params["depth"]): r
             for r in RecordStore(tmp_path / "three" / "records.jsonl")}[1.0, 16]
     assert rec3.stats["status"] == "diverged" and rec3.stats["n_diverged"] == 1
-    assert rec3.stats["trained"] == by_cell[1.0, 16].stats["trained"]
+    assert rec3.stats["trained_variance"] == by_cell[1.0, 16].stats["trained_variance"]
 
 
 # small grids of every experiment, by test id
@@ -662,6 +669,43 @@ def test_every_csv_names_every_grid_axis():
     for kind, sweep in sweeps.SWEEPS.items():
         for name, header in sweep.csvs:
             assert set(sweep.coords) <= set(header), (kind, name)
+
+
+@pytest.mark.parametrize("argv", SWEEP_CASES.values(), ids=list(SWEEP_CASES))
+def test_csv_columns_read_the_record_values(tmp_path, argv):
+    # a column that is a record param reads the cell's param; in a CSV of one
+    # row per cell, every other column but the derived L/M reads the stat of
+    # its name
+    sweep = sweeps.SWEEPS[argv[0]]
+    assert _run(argv, tmp_path) == 0
+    records = list(RecordStore(tmp_path / "records.jsonl"))
+    for name, header in sweep.csvs:
+        rows = _rows(tmp_path / name)
+        by_cell = {}
+        for row in rows:
+            by_cell.setdefault(tuple(row[k] for k in sweep.coords), []).append(row)
+        assert len(by_cell) == len(records), name
+        one_per_cell = len(rows) == len(records)
+        for rec in records:
+            params = [c for c in header if c in rec.params]
+            stats = [c for c in header if c in rec.stats and c not in rec.params]
+            if one_per_cell:
+                assert set(header) - set(params) - set(stats) <= {"depth_over_width"}, name
+            for row in by_cell[tuple(_csv_cell(rec.params[k]) for k in sweep.coords)]:
+                assert [row[c] for c in params] == [_csv_cell(rec.params[c]) for c in params]
+                if one_per_cell:
+                    assert [row[c] for c in stats] == [_csv_cell(rec.stats[c]) for c in stats]
+
+
+def test_a_column_no_row_supplies_is_a_key_error(tmp_path, monkeypatch):
+    # a row is read off by header name, so a column cannot go missing quietly
+    sweep = sweeps.SWEEPS["phase-diagram"]
+    monkeypatch.setitem(sweeps.SWEEPS, "phase-diagram", replace(
+        sweep, setup=lambda cfg: lambda cell, seed: ({}, ([{"chi1_fixed_point": 1.0}],))))
+    cfg = SweepConfig(sigma_w_sq=[1.0], out_dir=str(tmp_path))
+    with pytest.raises(KeyError, match="phase"):
+        sweeps.run_experiment(cfg)
+    assert not (tmp_path / "phase_diagram.csv").exists()
 
 
 @pytest.mark.parametrize("argv", SWEEP_CASES.values(), ids=list(SWEEP_CASES))
