@@ -10,7 +10,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid, run_experiment
+from .sweeps import EXPERIMENT_KINDS, SERIAL_BUDGET_S, ConfigError, SweepConfig, grid, \
+    run_experiment
 
 DATA_DIR_ENV = "NTKLAB_DATA_DIR"
 
@@ -30,8 +31,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", help="output directory for records and CSVs")
         p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--threads", type=int,
-                       help="numpy BLAS threads for the run (default 1); the output "
-                            "bytes depend on it, not on the host")
+                       help="numpy BLAS threads per process (default 1); the output "
+                            "bytes depend on it, not on the host.  Once a sweep's cells "
+                            f"have taken {SERIAL_BUDGET_S} s and those left would take "
+                            "as long again, the rest run on usable cores // THREADS "
+                            "worker processes when that is at least 2; limit the "
+                            "cores with taskset")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override any config field (YAML-parsed value); "
@@ -43,7 +48,11 @@ def load_config(args) -> SweepConfig:
     """The config of a parsed command line.  Each source overrides the ones
     before it: the defaults, NTKLAB_DATA_DIR (out_dir only; empty counts as
     unset), the --config file, the --set overrides, then --out-dir, --seed
-    and --threads, the number of numpy BLAS threads the sweep runs on."""
+    and --threads, the number of numpy BLAS threads in each process of the
+    sweep.  A sweep whose cells outlast sweeps.SERIAL_BUDGET_S, with as much
+    work left, runs the rest on one worker process per `threads` usable
+    cores (taskset limits the cores); the output bytes do not depend on how
+    many."""
     cfg = SweepConfig()
     env_dir = os.environ.get(DATA_DIR_ENV)
     if env_dir:

@@ -173,7 +173,7 @@ class RunRecord:
     params: dict
     stats: dict
     seed: int
-    wall_clock_s: float = 0.0
+    wall_clock_s: float = 0.0   # the cell's own run time, in whichever process ran it
     code_version: str = ""
 
     def to_json(self) -> str:

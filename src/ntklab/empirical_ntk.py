@@ -246,10 +246,11 @@ class DriftStat:
         return float(self.rel_change[finite][-1])
 
 
-def _frobenius(a: np.ndarray) -> float:
+def _frobenius(a: np.ndarray, out: np.ndarray | None = None) -> float:
     """||a||_F by numpy's pairwise sum; np.linalg.norm takes a BLAS dot,
-    whose rounding depends on how many threads split it."""
-    return float(np.sqrt(np.sum(np.square(a))))
+    whose rounding depends on how many threads split it.  The squares go to
+    out (a itself squares a in place), or to a new array when None."""
+    return float(np.sqrt(np.sum(np.square(a, out=out))))
 
 
 def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
@@ -275,10 +276,15 @@ def training_drift(widths: Sequence[int], hyper: InitHyper, inputs: np.ndarray,
 
     def on_snapshot(step: int, live_net: Mlp):
         steps_rec.append(step)
+        if step == 0:
+            # the initial network, whose kernel theta0 already is
+            drift_rec.append(0.0)
+            return
         try:
-            # step 0 is the initial network, whose kernel theta0 already is
-            theta_t = theta0 if step == 0 else empirical_kernel(live_net, inputs, buffers=ws)
-            drift_rec.append(_frobenius(theta_t - theta0) / norm0)
+            # Theta^t - Theta^0 squared in place: one S x S temporary, and
+            # no array is held through the next snapshot's kernel
+            diff = np.subtract(empirical_kernel(live_net, inputs, buffers=ws), theta0)
+            drift_rec.append(_frobenius(diff, out=diff) / norm0)
         except FloatingPointError:
             drift_rec.append(float("nan"))
 

@@ -86,8 +86,12 @@ class FixedPointDivergenceError(MeanFieldError):
     """The variance map did not converge; carries the last iterate."""
 
     def __init__(self, message: str, last_iterate: float):
+        # args hold both, so the error unpickles (from a sweep's worker process)
+        super().__init__(message, last_iterate)
         self.last_iterate = last_iterate
-        super().__init__(f"{message} (last iterate {last_iterate!r})")
+
+    def __str__(self):
+        return f"{self.args[0]} (last iterate {self.last_iterate!r})"
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,12 @@ class IllConditionedError(Exception):
     """An SPD solve failed even at the maximum jitter level."""
 
     def __init__(self, message: str, jitter: float):
+        # args hold both, so the error unpickles (from a sweep's worker process)
+        super().__init__(message, jitter)
         self.jitter = jitter
-        super().__init__(f"{message} (final jitter {jitter:.3e})")
+
+    def __str__(self):
+        return f"{self.args[0]} (final jitter {self.jitter:.3e})"
 
 
 def condition_ratio(kappa1: float, kappa2: float) -> float:
@@ -269,16 +273,18 @@ def theta_star_matrix(hyper: InitHyper, depth: int, cov0: np.ndarray,
 # ---------------------------------------------------------------------------
 # numpy's BLAS thread count.
 #
-# numpy's OpenBLAS is the only thread pool the lab's arithmetic uses, and a
-# BLAS product over enough entries rounds differently on one and on two
-# threads, so sweeps.run_experiment runs each sweep in a
-# _numpy_blas_threads(cfg.threads) block: its bytes do not depend on the
-# host.  On two cores, threaded LAPACK on a ~128 x 128 matrix also spends
-# more time waking and waiting for OpenBLAS workers than computing (the
-# eigvalsh of the PSD check took ~5 ms threaded against 0.7 ms on one
-# thread), so trained_output_variance runs the check, the solve (spd_solve
-# is numpy's LAPACK) and u^T K u in a one-thread block, and exact_variance
-# does not depend on the count it enters with.  A matrix-vector product
+# Within a process, numpy's OpenBLAS is the only thread pool the lab's
+# arithmetic uses (a long sweep adds worker processes, one cell each at a
+# time, never threads), and a BLAS product over enough entries rounds
+# differently on one and on two threads, so sweeps.run_experiment runs each
+# sweep in a _numpy_blas_threads(cfg.threads) block, which its forked
+# workers inherit: its bytes do not depend on the host.  On two cores,
+# threaded LAPACK on a ~128 x 128 matrix also spends more time waking and
+# waiting for OpenBLAS workers than computing (the eigvalsh of the PSD
+# check took ~5 ms threaded against 0.7 ms on one thread), so
+# trained_output_variance runs the check, the solve (spd_solve is numpy's
+# LAPACK) and u^T K u in a one-thread block, and exact_variance does not
+# depend on the count it enters with.  A matrix-vector product
 # rounds the same on one thread, so u^T K u keeps its bits; a matrix product
 # of S > 100 may not, which is one reason ThetaStar.epsilon is computed
 # only when read.

@@ -13,25 +13,35 @@ them all.  An entry gives four things:
 A cell's record params are the activation, its value of each axis and the
 config fields; each CSV row is the cell's row over those params, read off
 by header name.  run_experiment validates the config once, derives one
-PRNG seed per cell from the master seed (cell_seeds), runs and times the
-cells one after another, and appends each cell's RunRecord as soon as it
-is done, before any CSV is written, so a sweep that fails part way leaves
-a queryable audit trail.  The whole sweep runs numpy's BLAS on cfg.threads
-threads, the only thread pool its arithmetic uses.  Every record's stats
-carry a status: "ok", or "diverged" when a trained network of the cell (a
-train-drift replicate, a predict-variance network) reached a non-finite
-loss.  Divergence is a result, not an error: training returns it like any
-other stop reason, and the cell still writes its rows.  A cell that raises
-is recorded too, with the same params and status "overflow" or "error",
-before the exception ends the sweep.  Given (config, seed) the output
-bytes are identical across runs and hosts at a given threads.
+PRNG seed per cell from the master seed (cell_seeds), and runs and times
+the cells in grid order in its own process.  Once they have taken
+SERIAL_BUDGET_S, and the cells left would take as long again at their mean
+time, it runs the rest on min(usable cores // cfg.threads, cells left)
+forked worker processes, when that is at least 2, and takes their results
+in grid order.  It appends each cell's RunRecord as its result
+arrives, before any CSV is written, so a sweep that fails part way leaves
+a queryable audit trail.  Every process of the sweep runs numpy's BLAS on
+cfg.threads threads, the only thread pool its arithmetic uses.
+
+Every record's stats carry a status: "ok", or "diverged" when a trained
+network of the cell (a train-drift replicate, a predict-variance network)
+reached a non-finite loss.  Divergence is a result, not an error: training
+returns it like any other stop reason, and the cell still writes its rows.
+A cell that raises is recorded too, with the same params and status
+"overflow" or "error", before the exception ends the sweep: no later cell
+is recorded, and workers still running are killed.  So is a cell whose
+worker died (status "error").  Given (config, seed) the output bytes are
+identical across runs and hosts at a given threads, whether or not
+workers ran.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -297,12 +307,98 @@ def _outcomes(runs) -> dict:
     return dict(stats, stop_reasons=dict(Counter(r.stop_reason for r in runs)))
 
 
+# Seconds of cells that a sweep runs in its own process before it hands the
+# rest to worker processes: a shorter sweep would spend more on forking than
+# the workers save.
+SERIAL_BUDGET_S = 0.1
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (taskset limits them)."""
+    return len(os.sched_getaffinity(0))
+
+
+def _timed(run_cell: CellFn, cell: tuple, seed: int) -> tuple:
+    """(run_cell's (stats, rows), or the exception it raised; its seconds)."""
+    t0 = time.perf_counter()
+    try:
+        outcome = run_cell(cell, seed)
+    except Exception as err:  # noqa: BLE001 - run_experiment records and re-raises it
+        outcome = err
+    return outcome, time.perf_counter() - t0
+
+
+_worker_cell: CellFn | None = None   # the sweep's cell function, in a worker process
+
+
+def _start_worker(run_cell: CellFn) -> None:
+    global _worker_cell
+    _worker_cell = run_cell
+
+
+def _run_in_worker(cell: tuple, seed: int) -> tuple:
+    return _timed(_worker_cell, cell, seed)
+
+
+def _in_workers(run_cell: CellFn, cells: list, seeds: list, n_workers: int):
+    """Yield _timed of each cell, in order, from n_workers forked worker
+    processes, which inherit run_cell and this process's numpy BLAS thread
+    count.  A cell whose result cannot be had, because a worker died, yields
+    the error (BrokenProcessPool) and the seconds waited for it.  When the
+    generator finishes or is closed, every worker is killed and reaped: cells
+    still running are not waited for."""
+    import multiprocessing  # lazily: a sweep that stays in-process does not load it
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: the workers inherit run_cell, a closure over the sweep's set-up
+    # that cannot be pickled, and start in milliseconds; the executor forks
+    # them all before it starts its own thread
+    pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(run_cell,))
+    try:
+        futures = [pool.submit(_run_in_worker, cell, seed) for cell, seed in zip(cells, seeds)]
+        for future in futures:
+            t0 = time.perf_counter()
+            try:
+                result = future.result()
+            except Exception as err:  # noqa: BLE001 - recorded as the cell's failure
+                result = err, time.perf_counter() - t0
+            yield result
+    finally:
+        # the executor reaps killed workers and fails their futures; it has
+        # no public handle on its workers before Python 3.14's kill_workers()
+        for worker in list(pool._processes.values()):
+            worker.kill()
+        pool.shutdown(cancel_futures=True)
+
+
+def _cell_results(run_cell: CellFn, cells: list, seeds: list, threads: int):
+    """Yield _timed(run_cell, cell, seed) of each cell in grid order.  Cells
+    run in this process until they have taken SERIAL_BUDGET_S; the rest run
+    in min(usable cores // threads, cells left) worker processes when that is
+    at least 2 and the cells left, at the mean time of those run so far,
+    would take SERIAL_BUDGET_S again (few short cells run slower in workers
+    than here, by the cost of forking)."""
+    spent = 0.0
+    for i, (cell, seed) in enumerate(zip(cells, seeds)):
+        left = len(cells) - i
+        n_workers = min(_usable_cores() // threads, left)
+        if (spent >= SERIAL_BUDGET_S and n_workers >= 2
+                and spent * left >= SERIAL_BUDGET_S * i):
+            yield from _in_workers(run_cell, cells[i:], seeds[i:], n_workers)
+            return
+        result = _timed(run_cell, cell, seed)
+        spent += result[1]
+        yield result
+
+
 def run_experiment(cfg: SweepConfig) -> SweepOutput:
-    """Run every cell of cfg's grid in order, append its RunRecord as it
-    finishes, then write the sweep's CSVs, all on cfg.threads numpy BLAS
-    threads.  A cell that raises is recorded with _failure_stats, then its
-    exception propagates.  A CSV column that neither the params nor the
-    cell's row supplies raises KeyError."""
+    """Run every cell of cfg's grid (see _cell_results), append each cell's
+    RunRecord in grid order as its result arrives, then write the sweep's
+    CSVs.  Every process runs numpy's BLAS on cfg.threads threads.  A cell
+    that raises is recorded with _failure_stats, then its exception
+    propagates and no later cell is recorded.  A CSV column that neither the
+    params nor the cell's row supplies raises KeyError."""
     cfg.validate()
     sweep = SWEEPS[cfg.experiment]
     out_dir = Path(cfg.out_dir)
@@ -320,17 +416,19 @@ def run_experiment(cfg: SweepConfig) -> SweepOutput:
         cells = grid(cfg)
         run_cell = sweep.setup(cfg)
         config = {name: getattr(cfg, name) for name in sweep.config}
-        for cell, seed in zip(cells, cell_seeds(cfg.seed, len(cells))):
-            params = dict(activation=cfg.activation, **dict(zip(sweep.coords, cell)), **config)
-            t0 = time.perf_counter()
-            try:
-                stats, rows = run_cell(cell, int(seed))
-            except Exception as err:
-                record(params, _failure_stats(err), time.perf_counter() - t0)
-                raise
-            records.append(record(params, {"status": "ok", **stats}, time.perf_counter() - t0))
-            for table, (_, header), cell_rows in zip(tables, sweep.csvs, rows):
-                table.extend([{**params, **row}[name] for name in header] for row in cell_rows)
+        seeds = [int(seed) for seed in cell_seeds(cfg.seed, len(cells))]
+        with closing(_cell_results(run_cell, cells, seeds, cfg.threads)) as results:
+            for cell, (outcome, elapsed) in zip(cells, results):
+                params = dict(activation=cfg.activation, **dict(zip(sweep.coords, cell)),
+                              **config)
+                if isinstance(outcome, Exception):
+                    record(params, _failure_stats(outcome), elapsed)
+                    raise outcome
+                stats, rows = outcome
+                records.append(record(params, {"status": "ok", **stats}, elapsed))
+                for table, (_, header), cell_rows in zip(tables, sweep.csvs, rows):
+                    table.extend([{**params, **row}[name] for name in header]
+                                 for row in cell_rows)
         for path, (_, header), table in zip(paths, sweep.csvs, tables):
             write_csv(path, header, table)
     return SweepOutput(records=records, csv_paths=paths)

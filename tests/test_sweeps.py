@@ -1,9 +1,15 @@
 import csv
+import importlib
 import inspect
+import json
 import math
+import multiprocessing
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,14 +17,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ntklab
 from ntklab import finite_net, sweeps
 from ntklab.activations import ActivationKind
 from ntklab.cli import build_parser, load_config, main
-from ntklab.data_io import RecordStore, _csv_cell, code_identity
+from ntklab.data_io import IdxFormatError, RecordStore, _csv_cell, code_identity
 from ntklab.empirical_ntk import training_drift
-from ntklab.meanfield import InitHyper
-from ntklab.ntk_theory import _numpy_openblas_threads, predict_variance, sample_index, \
-    sample_kernels, trained_output_variance
+from ntklab.meanfield import CorrelationDomainError, FixedPointDivergenceError, InitHyper, \
+    MeanFieldError, SignalOverflowError
+from ntklab.ntk_theory import IllConditionedError, _numpy_openblas_threads, predict_variance, \
+    sample_index, sample_kernels, trained_output_variance
 from ntklab.sweeps import EXPERIMENT_KINDS, ConfigError, SweepConfig, grid
 from oracles import data_independent_kappas, equicorrelated_trained_variance, \
     reference_sums, reference_train_full_batch
@@ -33,6 +41,13 @@ def _rows(path):
 
 def _run(argv, out):
     return main(argv + ["--out-dir", str(out)])
+
+
+@pytest.fixture(autouse=True)
+def no_stray_processes():
+    """No worker process outlives the test that started it."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 class TestValidation:
@@ -786,3 +801,221 @@ def test_blas_thread_count_restored_after_a_raising_run(tmp_path, blas_threads):
         argv = OVERFLOWING_KAPPA_CURVES + ["--threads", str(threads)]
         assert _run(argv, tmp_path / str(threads)) == 2
         assert get() == 3 - threads
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Sweeps hand every cell to worker processes, on a host of 4 usable
+    cores; yields the worker counts of the pools that ran."""
+    counts = []
+    real = sweeps._in_workers
+
+    def counted(run_cell, cells, seeds, n_workers):
+        counts.append(n_workers)
+        return real(run_cell, cells, seeds, n_workers)
+
+    monkeypatch.setattr(sweeps, "SERIAL_BUDGET_S", 0.0)
+    monkeypatch.setattr(sweeps, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(sweeps, "_in_workers", counted)
+    yield counts
+
+
+def _records(out):
+    """The records of a run, without their wall-clock times."""
+    lines = (out / "records.jsonl").read_text().splitlines()
+    return [{k: v for k, v in json.loads(line).items() if k != "wall_clock_s"} for line in lines]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv", SWEEP_CASES.values(), ids=list(SWEEP_CASES))
+def test_workers_write_the_bytes_of_an_in_process_run(tmp_path, monkeypatch, workers, argv,
+                                                      threads):
+    n_cells = len(grid(load_config(build_parser().parse_args(argv))))
+    argv = argv + ["--threads", threads]
+    monkeypatch.setattr(sweeps, "SERIAL_BUDGET_S", math.inf)
+    assert _run(argv, tmp_path / "in-process") == 0
+    monkeypatch.setattr(sweeps, "SERIAL_BUDGET_S", 0.0)
+    assert _run(argv, tmp_path / "workers") == 0
+    assert workers == [min(4 // int(threads), n_cells)]
+    names = sorted(p.name for p in (tmp_path / "in-process").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "workers").glob("*.csv"))
+    for name in names:
+        assert (tmp_path / "in-process" / name).read_bytes() == \
+            (tmp_path / "workers" / name).read_bytes()
+    assert _records(tmp_path / "in-process") == _records(tmp_path / "workers")
+
+
+def test_long_sweep_runs_its_remaining_cells_in_workers(tmp_path, monkeypatch, workers):
+    cells = grid(load_config(build_parser().parse_args(SWEEP_CASES["train-drift"])))
+    monkeypatch.setattr(sweeps, "SERIAL_BUDGET_S", 1e-9)
+    assert _run(SWEEP_CASES["train-drift"], tmp_path) == 0
+    # the first cell takes the budget in-process; the other three share 4 cores
+    assert workers == [min(4, len(cells) - 1)] == [3]
+
+
+def _pid_cell(cfg):
+    """A phase-diagram cell that records the process it ran in and its
+    numpy BLAS thread count."""
+    threads = _numpy_openblas_threads()
+
+    def run(cell, _seed):
+        stats = dict(pid=os.getpid(), blas_threads=threads and threads[0]())
+        return stats, ([dict(chi1_fixed_point=1.0, phase="eoc")],)
+    return run
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_workers_run_on_the_configured_blas_threads(tmp_path, monkeypatch, blas_threads,
+                                                    workers, threads):
+    get, set_ = blas_threads
+    entry = 3 - threads
+    set_(entry)
+    monkeypatch.setitem(sweeps.SWEEPS, "phase-diagram",
+                        replace(sweeps.SWEEPS["phase-diagram"], setup=_pid_cell))
+    argv = ["phase-diagram", "--set", "sigma_w_sq=[1.0,2.0,3.0]", "--threads", str(threads)]
+    assert _run(argv, tmp_path) == 0
+    assert workers == [min(4 // threads, 3)]
+    stats = [rec.stats for rec in RecordStore(tmp_path / "records.jsonl")]
+    assert [s["blas_threads"] for s in stats] == [threads] * 3
+    assert os.getpid() not in {s["pid"] for s in stats}
+    # the parent's count is restored after the run
+    assert get() == entry
+
+
+@pytest.mark.parametrize("cores, threads, sigma_w_sq", [
+    (1, 1, "[1.0,2.0,3.0]"), (2, 2, "[1.0,2.0,3.0]"), (3, 2, "[1.0,2.0,3.0]"),
+    (4, 1, "[1.0]"),   # one cell left
+])
+def test_sweep_stays_in_process_without_two_workers(tmp_path, monkeypatch, workers, cores,
+                                                    threads, sigma_w_sq):
+    monkeypatch.setattr(sweeps, "_usable_cores", lambda: cores)
+    monkeypatch.setitem(sweeps.SWEEPS, "phase-diagram",
+                        replace(sweeps.SWEEPS["phase-diagram"], setup=_pid_cell))
+    argv = ["phase-diagram", "--set", f"sigma_w_sq={sigma_w_sq}", "--threads", str(threads)]
+    assert _run(argv, tmp_path) == 0
+    assert workers == []
+    assert {rec.stats["pid"] for rec in RecordStore(tmp_path / "records.jsonl")} == \
+        {os.getpid()}
+
+
+@pytest.mark.parametrize("n_cells, pools", [(5, []), (6, [3])])
+def test_workers_start_only_for_as_much_work_again(tmp_path, monkeypatch, workers, n_cells,
+                                                   pools):
+    # every cell reads 0.04 s: the budget of 0.1 s is spent after three, and
+    # the cells left must take 0.1 s again at that rate
+    real = sweeps._timed
+    monkeypatch.setattr(sweeps, "_timed", lambda *args: (real(*args)[0], 0.04))
+    monkeypatch.setattr(sweeps, "SERIAL_BUDGET_S", 0.1)
+    monkeypatch.setitem(sweeps.SWEEPS, "phase-diagram",
+                        replace(sweeps.SWEEPS["phase-diagram"], setup=_pid_cell))
+    sigma_w_sq = [1.0 + k for k in range(n_cells)]
+    assert _run(["phase-diagram", "--set", f"sigma_w_sq={sigma_w_sq}"], tmp_path) == 0
+    assert workers == pools
+    pids = [rec.stats["pid"] for rec in RecordStore(tmp_path / "records.jsonl")]
+    assert pids[:3] == [os.getpid()] * 3
+    assert (os.getpid() in pids[3:]) == (not pools)
+
+
+def test_cell_raising_in_a_worker_is_recorded(tmp_path, monkeypatch, blas_threads, workers):
+    real = sweeps.init_variance_ratio
+
+    def fail_at_sigma_w_sq_2(widths, hyper, *args, **kwargs):
+        if hyper.sigma_w_sq == 2.0:
+            raise RuntimeError("cell failed")
+        if hyper.sigma_w_sq == 3.0:
+            time.sleep(60)  # still running when the sweep fails
+        return real(widths, hyper, *args, **kwargs)
+
+    get, _ = blas_threads
+    before = get()
+    monkeypatch.setattr(sweeps, "init_variance_ratio", fail_at_sigma_w_sq_2)
+    out = tmp_path / "out"
+    argv = ["init-variance", "--set", "sigma_w_sq=[1.0,2.0,3.0,4.0]", "--set", "depths=[2]",
+            "--set", "widths=[8]", "--set", "n_seeds=10"]
+    t0 = time.perf_counter()
+    assert _run(argv, out) == 2
+    # the sweep did not wait for the sleeping cell
+    assert time.perf_counter() - t0 < 30.0
+    assert workers == [4]
+    # the cell that finished, then the one that raised; none after it
+    ok, failed = RecordStore(out / "records.jsonl")
+    assert ok.params["sigma_w_sq"] == 1.0 and ok.stats["status"] == "ok"
+    assert failed.params == dict(activation="relu", sigma_w_sq=2.0, sigma_b_sq=1.0, depth=2,
+                                 width=8, n_seeds=10)
+    assert failed.stats == dict(status="error", error_class="RuntimeError")
+    assert not (out / "init_variance_heatmap.csv").exists()
+    assert get() == before
+
+
+def test_overflow_in_a_worker_is_recorded_with_its_layer(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    assert _run(OVERFLOWING_KAPPA_CURVES, out) == 2
+    assert workers == [2]
+    assert "mean-field recursion overflowed (layer 1733)" in capsys.readouterr().err
+    ok, overflow = RecordStore(out / "records.jsonl")
+    assert ok.stats["status"] == "ok"
+    assert overflow.stats == dict(status="overflow", error_class="SignalOverflowError",
+                                  layer=1733)
+
+
+def test_killed_worker_fails_the_sweep(tmp_path):
+    # the first cell's worker is killed: its cell is recorded as an error and
+    # the run exits 2 instead of waiting for a result that never comes
+    out = tmp_path / "out"
+    argv = ["phase-diagram", "--set", "sigma_w_sq=[1.0,2.0,3.0]", "--out-dir", str(out)]
+    code = ("import multiprocessing, os, signal\n"
+            "from ntklab import sweeps\n"
+            "from ntklab.cli import main\n"
+            "sweeps.SERIAL_BUDGET_S, sweeps._usable_cores = 0.0, lambda: 2\n"
+            "parent, real = os.getpid(), sweeps.classify_phase\n"
+            "def classify(hyper):\n"
+            "    if os.getpid() != parent and hyper.sigma_w_sq == 1.0:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(hyper)\n"
+            "sweeps.classify_phase = classify\n"
+            f"code = main({argv!r})\n"
+            "print(multiprocessing.active_children())\n"
+            "raise SystemExit(code)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("runtime error: ")
+    assert proc.stdout.splitlines()[-1] == "[]"
+    (rec,) = RecordStore(out / "records.jsonl")
+    assert rec.params["sigma_w_sq"] == 1.0
+    assert rec.stats == dict(status="error", error_class="BrokenProcessPool")
+
+
+# an instance of every exception class of the library, by class name
+LIBRARY_ERRORS = {
+    "ConfigError": ConfigError("bad grid"),
+    "IdxFormatError": IdxFormatError("bad magic"),
+    "MeanFieldError": MeanFieldError("failed"),
+    "SignalOverflowError": SignalOverflowError("overflowed", layer=7),
+    "CorrelationDomainError": CorrelationDomainError("left [-1, 1]"),
+    "FixedPointDivergenceError": FixedPointDivergenceError("no fixed point", last_iterate=2.5),
+    "IllConditionedError": IllConditionedError("SPD solve failed", jitter=1e-4),
+}
+
+
+def test_every_library_exception_survives_a_pickle_round_trip():
+    # a cell's exception crosses from a worker process to the sweep's
+    modules = [importlib.import_module(f"ntklab.{info.name}")
+               for info in pkgutil.iter_modules(ntklab.__path__)]
+    classes = {obj.__name__ for m in modules for obj in vars(m).values()
+               if inspect.isclass(obj) and issubclass(obj, BaseException)
+               and obj.__module__ == m.__name__}
+    assert classes == set(LIBRARY_ERRORS)
+    back = {name: pickle.loads(pickle.dumps(err)) for name, err in LIBRARY_ERRORS.items()}
+    for name, err in LIBRARY_ERRORS.items():
+        assert type(back[name]) is type(err)
+        assert (str(back[name]), back[name].args, vars(back[name])) == \
+            (str(err), err.args, vars(err))
+    assert back["SignalOverflowError"].layer == 7
+    assert str(back["SignalOverflowError"]) == "overflowed (layer 7)"
+    assert back["IllConditionedError"].jitter == 1e-4
+    assert str(back["IllConditionedError"]) == "SPD solve failed (final jitter 1.000e-04)"
+    assert back["FixedPointDivergenceError"].last_iterate == 2.5
+    assert str(back["FixedPointDivergenceError"]) == "no fixed point (last iterate 2.5)"
